@@ -26,7 +26,6 @@ rigorous statement is wanted.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -188,14 +187,22 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
 
 
 def _find_bad_point(expression: Expression, env: dict) -> tuple:
-    """Scalar rescan in lattice order for the first undefined sample."""
-    axes = [np.ravel(env[name]) for name in _AXES]
-    for point in itertools.product(*axes):
-        try:
-            evaluate(expression, *point)
-        except ExprEvalError:
-            return tuple(float(p) for p in point)
-    raise RuntimeError("vectorized evaluation failed but no scalar sample does")
+    """First undefined sample in lattice (C) order, one axis at a time.
+
+    Evaluation is pointwise, so on each axis the first value whose slab
+    (earlier axes pinned, later ones free) fails is the point's coordinate.
+    """
+    args = [env[name] for name in _AXES]
+    for k, axis in enumerate(args):
+        for value in np.ravel(axis):
+            args[k] = value
+            try:
+                evaluate(expression, *args)
+            except ExprEvalError:
+                break
+        else:
+            raise RuntimeError("vectorized evaluation failed but no lattice slab does")
+    return tuple(float(p) for p in args)
 
 
 def _sup_on_lattice(expression: Expression, env: dict) -> float:

@@ -28,10 +28,11 @@ log, sqrt, abs, and the constants pi and e.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from typing import Optional
+
+import numpy as np
 
 from .analysis import (
     DomainSamplingError,
@@ -64,20 +65,24 @@ def _out_dir(args) -> str:
     return path
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int,)) and not isinstance(value, bool):
-        return str(value)
-    return format(float(value), ".17g")
+_CSV_CHUNK_ROWS = 1024
+_CSV_FORMATS = {"U": "%s", "i": "%d"}
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, columns) -> None:
+    """Write equal-length columns as CSV, streamed in bounded row chunks.
+
+    Strings are written as they are, integers in decimal and everything
+    else as float with 17 significant digits (round-trips exactly).  Fields
+    are never quoted: the artifacts hold only numbers and status words.
+    """
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%.17g") for col in columns) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            rows = zip(*(col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns))
+            fh.write("".join([line % row for row in rows]))
 
 
 def _resolve_problem(ref: str) -> tuple:
@@ -113,10 +118,9 @@ def _write_solve_artifacts(report: SolveReport, problem: CanonicalProblem,
     sol_path = os.path.join(out_dir, prefix + "solution.csv")
     ks = range(1, report.iterations + 1)
     if report.eu_history is not None:
-        _write_csv(conv_path, ["k", "e", "eu"],
-                   zip(ks, report.e_history, report.eu_history))
+        _write_csv(conv_path, ["k", "e", "eu"], [ks, report.e_history, report.eu_history])
     else:
-        _write_csv(conv_path, ["k", "e"], zip(ks, report.e_history))
+        _write_csv(conv_path, ["k", "e"], [ks, report.e_history])
 
     prof = report.profile
     nodes = report.grid.nodes
@@ -126,7 +130,7 @@ def _write_solve_artifacts(report: SolveReport, problem: CanonicalProblem,
         rec = recover_solution(prof.u, problem)
         columns += [rec.t, rec.w]
         header += ["t", "w"]
-    _write_csv(sol_path, header, zip(*columns))
+    _write_csv(sol_path, header, columns)
     return [conv_path, sol_path]
 
 
@@ -236,19 +240,16 @@ def cmd_table(args) -> int:
         has_exact = report.eu_history is not None
         rows.append((n, report.iterations, report.final_eu, report.final_e, status))
 
+    ns, ks, eus, es, statuses = zip(*rows)
     header = ["N", "K"] + (["eu"] if has_exact else []) + ["e"]
+    columns = [ns, ks] + ([eus] if has_exact else []) + [es]
     if not all_ok:
         header += ["status"]
-    out_rows = []
-    for n, k, eu, e, status in rows:
-        row = [n, k] + ([eu] if has_exact else []) + [e]
-        if not all_ok:
-            row += [status]
-        out_rows.append(row)
-        print(",".join(_fmt(v) if not isinstance(v, float) else f"{v:.6e}"
-                       for v in row))
+        columns += [statuses]
+    for row in zip(*columns):
+        print(",".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in row))
     path = os.path.join(out_dir, args.prefix + "table.csv")
-    _write_csv(path, header, out_rows)
+    _write_csv(path, header, columns)
     print(f"wrote {path}")
     return 0 if all_ok else 1
 

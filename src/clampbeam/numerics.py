@@ -11,7 +11,8 @@ The three workhorses are all fourth-order accurate:
 * diff5              five-point first derivative with one-sided edge rows
 * solve_second_order_bvp
                      compact (Numerov-type) scheme for u'' = g with Dirichlet
-                     data, exact whenever g is a polynomial of degree <= 3
+                     data, exact whenever g is a polynomial of degree <= 3,
+                     solved in closed form by two running sums
 """
 
 from __future__ import annotations
@@ -124,9 +125,9 @@ def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> Grid
         (u[i-1] - 2 u[i] + u[i+1]) / h^2 = (g[i-1] + 10 g[i] + g[i+1]) / 12
 
     which folds the h^2/12 second-difference correction of g into the right
-    side.  The tridiagonal system is strictly diagonally dominant, so it is
-    solved by the direct two-sweep elimination without pivoting.  Boundary
-    values are imposed exactly.
+    side.  The (1, -2, 1) system is only weakly diagonally dominant; its
+    constant coefficients give a closed form, two running sums in O(n), so
+    no elimination is needed.  Boundary values are imposed exactly.
     """
     if not (np.isfinite(left) and np.isfinite(right)):
         raise ValueError("boundary values must be finite")
@@ -136,24 +137,13 @@ def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> Grid
     h = grid.h
 
     b = (h * h / 12.0) * (g[:-2] + 10.0 * g[1:-1] + g[2:])
-    b[0] -= left
-    b[-1] -= right
 
-    # Two-sweep elimination for the constant tridiagonal (1, -2, 1) system.
-    m = n - 1
-    c = np.empty(m)
-    d = np.empty(m)
-    c[0] = 1.0 / -2.0
-    d[0] = b[0] / -2.0
-    for i in range(1, m):
-        denom = -2.0 - c[i - 1]
-        c[i] = 1.0 / denom
-        d[i] = (b[i] - d[i - 1]) / denom
-
-    u = np.empty(n + 1)
+    # The differences d[i] = u[i+1] - u[i] obey d[i] - d[i-1] = b[i-1], so d
+    # is the running sum of b plus the one shift that makes the d add up to
+    # right - left; u is then the running sum of d.
+    d = np.concatenate(([0.0], np.cumsum(b)))
+    d += (right - left - np.sum(d)) / n
+    u = left + np.concatenate(([0.0], np.cumsum(d)))
     u[0] = left
     u[-1] = right
-    u[m] = d[m - 1]
-    for i in range(m - 1, 0, -1):
-        u[i] = d[i - 1] - c[i - 1] * u[i + 1]
     return GridFunction(grid, u)

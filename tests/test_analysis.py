@@ -7,6 +7,7 @@ inside an axis) the estimate can be compared against hand-derived
 constants; for the rest we only require a certificate, not tightness.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -19,13 +20,15 @@ from clampbeam.analysis import (
     DomainBox,
     DomainSamplingError,
     LatticeSpec,
+    _find_bad_point,
+    _lattice_env,
     apriori_bound,
     check_conditions,
     contraction_factor,
     solution_error_bounds,
 )
 from clampbeam.examples import get_example
-from clampbeam.expr import parse
+from clampbeam.expr import ExprEvalError, evaluate, parse
 from clampbeam.kernels import KERNEL_BOUNDS
 
 ROOT3 = math.sqrt(3.0)
@@ -165,6 +168,27 @@ class TestCheckConditions:
         assert point[3] == -5.0 and point[4] == -5.0
         assert "sqrt of a negative" in str(info.value)
         assert "u=-0.0130208333" in str(info.value)
+
+    @pytest.mark.parametrize("text, index", [
+        ("log(2.9 - x - 384*u - v)", (4, 4, 0, 4, 0)),
+        ("sqrt(2.6 - x - 384*u - v + 0.5*z)", (1, 4, 0, 4, 0)),
+        ("log(2.4 - x - 125*y - 384*u - 0.05*z)", (2, 4, 4, 0, 0)),
+        ("sqrt(v - 0.3*z + x + 1.2)", (0, 0, 0, 0, 4)),
+        ("log(y + 0.01 - u)", (0, 4, 0, 0, 0)),
+    ])
+    def test_bad_point_is_first_in_lattice_order(self, text, index):
+        expression = parse(text)
+        env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
+        axes = [np.ravel(env[name]) for name in ("x", "u", "y", "v", "z")]
+        # brute-force oracle: scalar evaluation of every point in C order
+        for idx in itertools.product(range(5), repeat=5):
+            point = tuple(float(a[i]) for a, i in zip(axes, idx))
+            try:
+                evaluate(expression, *point)
+            except ExprEvalError:
+                break
+        assert idx == index
+        assert _find_bad_point(expression, env) == point
 
     @pytest.mark.parametrize("ks", [(1.0, 2.0, 3.0), (1,) * 5, (-0.1, 0, 0, 0)])
     def test_ks_validation(self, ks):

@@ -6,10 +6,12 @@ solution file alone is enough to reconstruct the discrete state and check
 its residual.
 """
 
+import csv
+
 import numpy as np
 import pytest
 
-from clampbeam.cli import main
+from clampbeam.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from clampbeam.expr import evaluate
 from clampbeam.numerics import Grid, GridFunction
 from clampbeam.problem import canonicalize, parse_problem_text
@@ -179,6 +181,44 @@ class TestTable:
         assert main(["table", "example:1", "--grids", "ten",
                      "--out-dir", str(tmp_path)]) == 2
         assert "bad --grids" in capsys.readouterr().err
+
+
+class TestCsvWriter:
+    @staticmethod
+    def _reference_bytes(path, header, rows):
+        # the csv module with 17-digit formatting is the oracle
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([v if isinstance(v, str) else format(v, ".17g")
+                                 for v in row])
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    def test_matches_csv_module_on_edge_values(self, tmp_path):
+        floats = [-0.0, 5e-324, 1e300, 0.1, -1.5e-300, 2.0 / 3.0]
+        ints = list(range(-2, len(floats) - 2))
+        status = ["converged", "divergence", "iteration-limit"] * 2
+        header = ["N", "e", "status"]
+        rows = list(zip(ints, floats, status))
+        _write_csv(str(tmp_path / "new.csv"), header, [ints, np.array(floats), status])
+        expect = self._reference_bytes(tmp_path / "ref.csv", header, rows)
+        assert (tmp_path / "new.csv").read_bytes() == expect
+
+    def test_chunked_rows_match_csv_module(self, tmp_path):
+        n = 2 * _CSV_CHUNK_ROWS + 17
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        ks = range(1, n + 1)
+        _write_csv(str(tmp_path / "new.csv"), ["k", "v"], [ks, values])
+        expect = self._reference_bytes(tmp_path / "ref.csv", ["k", "v"],
+                                       zip(ks, values.tolist()))
+        assert (tmp_path / "new.csv").read_bytes() == expect
+
+    def test_header_only_when_no_rows(self, tmp_path):
+        _write_csv(str(tmp_path / "empty.csv"), ["k", "e"], [range(1, 1), []])
+        assert (tmp_path / "empty.csv").read_bytes() == b"k,e\n"
 
 
 class TestExamples:

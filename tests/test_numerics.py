@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clampbeam.numerics import (
@@ -157,6 +157,19 @@ class TestSecondOrderSolve:
         u = solve_second_order_bvp(rhs, left, right)
         expect = _dense_solve(g, rhs.values, left, right)
         assert np.max(np.abs(u.values - expect)) < 1e-12
+
+    @given(half=st.integers(min_value=4, max_value=256), seed=st.integers(0, 2**32 - 1),
+           left=COEF, right=COEF)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_solve_on_larger_grids(self, half, seed, left, right):
+        g = Grid(2 * half)
+        data = np.random.default_rng(seed).uniform(-5.0, 5.0, g.n + 1)
+        u = solve_second_order_bvp(GridFunction(g, data), left, right)
+        expect = _dense_solve(g, data, left, right)
+        # rounding of either solve grows like n^2 eps times the solution size
+        scale = max(1.0, float(np.max(np.abs(expect))))
+        tol = g.n**2 * np.finfo(float).eps * scale
+        assert np.max(np.abs(u.values - expect)) <= tol
 
     @given(c0=COEF, c1=COEF, c2=COEF, c3=COEF, left=COEF, right=COEF)
     def test_exact_for_cubic_sources(self, c0, c1, c2, c3, left, right):

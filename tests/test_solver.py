@@ -214,6 +214,12 @@ class TestExampleRuns:
         # rounding remains
         assert rep.final_eu < 1e-12
 
+    def test_example1_rounding_floor_on_fine_grid(self):
+        # only rounding remains here too; at n = 10^5 it must stay small
+        rep = solve(get_example(1).canonical(), SolverConfig(n=100_000))
+        assert rep.converged
+        assert rep.final_eu <= 1e-12
+
     def test_solution_is_clamped(self):
         # end slopes recovered by differentiation carry O(h^4) error with
         # a data-dependent constant; the quintic problem is the stiffest
