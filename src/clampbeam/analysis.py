@@ -205,15 +205,18 @@ def _find_bad_point(expression: Expression, env: dict) -> tuple:
     return tuple(float(p) for p in args)
 
 
-def _sup_on_lattice(expression: Expression, env: dict) -> float:
+def _evaluate_on(expression: Expression, env: dict, what: str):
+    """Evaluate on the lattice env; raises DomainSamplingError at its first bad point."""
     try:
-        vals = evaluate(expression, *(env[name] for name in _AXES))
+        return evaluate(expression, *(env[name] for name in _AXES))
     except ExprEvalError as err:
         point = _find_bad_point(expression, env)
         labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(_AXES, point))
-        raise DomainSamplingError(
-            f"right-hand side undefined inside the box: {err} at ({labels})",
-            point) from err
+        raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
+
+
+def _sup_on_lattice(expression: Expression, env: dict) -> float:
+    vals = _evaluate_on(expression, env, "right-hand side undefined inside the box")
     return float(np.max(np.abs(vals)))
 
 
@@ -224,15 +227,9 @@ def _fd_partial_sup(expression: Expression, env: dict, var: str, width: float) -
     shifted_minus = dict(env)
     shifted_plus[var] = env[var] + delta
     shifted_minus[var] = env[var] - delta
-    try:
-        hi = evaluate(expression, *(shifted_plus[name] for name in _AXES))
-        lo = evaluate(expression, *(shifted_minus[name] for name in _AXES))
-    except ExprEvalError as err:
-        point = _find_bad_point(expression, shifted_plus)
-        labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(_AXES, point))
-        raise DomainSamplingError(
-            f"finite-difference probe left the domain of f: {err} at ({labels})",
-            point) from err
+    what = "finite-difference probe left the domain of f"
+    hi = _evaluate_on(expression, shifted_plus, what)
+    lo = _evaluate_on(expression, shifted_minus, what)
     return float(np.max(np.abs(hi - lo)) / (2.0 * delta))
 
 

@@ -134,7 +134,18 @@ def _write_solve_artifacts(report: SolveReport, problem: CanonicalProblem,
     return [conv_path, sol_path]
 
 
-def _print_summary(report: SolveReport) -> None:
+def _run_solve(problem: CanonicalProblem, config: SolverConfig, out_dir: str,
+               prefix: str, tag: str = "") -> int:
+    """Solve, print the outcome (tagged) and the summary, write the artifacts."""
+    code = 0
+    try:
+        report = solve(problem, config)
+        print(f"{tag}converged in {report.iterations} iterations, "
+              f"residual {report.residual:.3e}")
+    except SolverError as err:
+        report = err.report
+        print(f"warning: {tag}{err}", file=sys.stderr)
+        code = 1
     if report.eu_history is not None:
         print("N,K,eu,e")
         print(f"{report.grid.n},{report.iterations},"
@@ -142,26 +153,16 @@ def _print_summary(report: SolveReport) -> None:
     else:
         print("N,K,e")
         print(f"{report.grid.n},{report.iterations},{report.final_e:.6e}")
+    for path in _write_solve_artifacts(report, problem, out_dir, prefix=prefix):
+        print(f"wrote {path}")
+    return code
 
 
 def cmd_solve(args) -> int:
     loaded, label = _resolve_problem(args.problem)
     problem = canonicalize(loaded.raw)
     config = _config_from(args)
-    out_dir = _out_dir(args)
-    code = 0
-    try:
-        report = solve(problem, config)
-        print(f"{label}: converged in {report.iterations} iterations, "
-              f"residual {report.residual:.3e}")
-    except SolverError as err:
-        report = err.report
-        print(f"warning: {label}: {err}", file=sys.stderr)
-        code = 1
-    _print_summary(report)
-    for path in _write_solve_artifacts(report, problem, out_dir, prefix=args.prefix):
-        print(f"wrote {path}")
-    return code
+    return _run_solve(problem, config, _out_dir(args), args.prefix, tag=f"{label}: ")
 
 
 def _ks_from_flags(args) -> Optional[tuple]:
@@ -288,20 +289,7 @@ def cmd_examples(args) -> int:
               file=sys.stderr)
 
     print(f"== solve (example {ex.ident}: {ex.slug}) ==")
-    config = _config_from(args)
-    code = 0
-    try:
-        report = solve(problem, config)
-        print(f"converged in {report.iterations} iterations, "
-              f"residual {report.residual:.3e}")
-    except SolverError as err:
-        report = err.report
-        print(f"warning: {err}", file=sys.stderr)
-        code = 1
-    _print_summary(report)
-    for path in _write_solve_artifacts(report, problem, out_dir, prefix=prefix):
-        print(f"wrote {path}")
-    return code
+    return _run_solve(problem, _config_from(args), out_dir, prefix)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -18,12 +18,13 @@ e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
 
-from .expr import ExprEvalError, evaluate
+from .expr import evaluate
 from .kernels import slope_kernel_left, slope_kernel_right
 from .numerics import Grid, GridFunction, diff5, simpson, solve_second_order_bvp, sup_norm
 from .problem import CanonicalProblem
@@ -43,6 +44,9 @@ __all__ = [
     "residual",
     "solve",
 ]
+
+# Consecutive growing e(k) after which the iteration counts as diverging.
+_DIVERGENCE_WINDOW = 5
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ def triplet_norm(state: Triplet) -> float:
 
 def triplet_distance(s1: Triplet, s2: Triplet) -> float:
     return (
-        sup_norm(GridFunction(s1.source.grid, s1.source.values - s2.source.values))
+        float(np.max(np.abs(s1.source.values - s2.source.values)))
         + abs(s1.alpha - s2.alpha)
         + abs(s1.beta - s2.beta)
     )
@@ -86,7 +90,6 @@ class SolverConfig:
     n: int = 100
     tol: float = 1e-15
     max_iter: int = 200
-    divergence_window: int = 5
 
     def __post_init__(self):
         Grid(self.n)  # borrow the grid-size rule (even, >= 8)
@@ -94,9 +97,6 @@ class SolverConfig:
             raise ValueError(f"tol must be positive, got {self.tol!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if self.divergence_window < 2:
-            raise ValueError(
-                f"divergence_window must be at least 2, got {self.divergence_window!r}")
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,10 @@ class SolveReport:
     with it and holds max-node errors against the exact solution when one
     is known.  first_step is the triplet distance after the very first
     application of the map, the quantity the a-priori error envelope needs.
+
+    On failure profile and triplet are the last finite ones.  When the very
+    first application already fails, they are init_state's triplet and the
+    zero profile, and first_step is inf.
     """
 
     converged: bool
@@ -150,17 +154,31 @@ class IterationLimitError(SolverError):
     pass
 
 
-def _source_values(problem: CanonicalProblem, grid: Grid, profile: IterateProfile
-                   ) -> np.ndarray:
+def _source_values(problem: CanonicalProblem, profile: IterateProfile) -> np.ndarray:
+    nodes = profile.u.grid.nodes
     out = evaluate(
         problem.rhs,
-        grid.nodes,
+        nodes,
         profile.u.values,
         profile.du.values,
         profile.d2u.values,
         profile.d3u.values,
     )
-    return np.broadcast_to(np.asarray(out, dtype=float), grid.nodes.shape).copy()
+    return np.broadcast_to(np.asarray(out, dtype=float), nodes.shape).copy()
+
+
+def _zero_profile(grid: Grid) -> IterateProfile:
+    zero = GridFunction(grid, np.zeros_like(grid.nodes))
+    return IterateProfile(u=zero, du=zero, d2u=zero, d3u=zero)
+
+
+@lru_cache(maxsize=1)
+def _slope_weights(grid: Grid) -> tuple:
+    """Read-only slope-kernel samples (left, right) at the nodes; kept until a solve ends."""
+    wl, wr = slope_kernel_left(grid.nodes), slope_kernel_right(grid.nodes)
+    wl.setflags(write=False)
+    wr.setflags(write=False)
+    return wl, wr
 
 
 def _profile_from(state: Triplet) -> IterateProfile:
@@ -171,19 +189,15 @@ def _profile_from(state: Triplet) -> IterateProfile:
 
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
     """Starting triplet: source f(x,0,0,0,0), zero end curvatures."""
-    zeros = np.zeros_like(grid.nodes)
-    out = evaluate(problem.rhs, grid.nodes, zeros, zeros, zeros, zeros)
-    vals = np.broadcast_to(np.asarray(out, dtype=float), grid.nodes.shape).copy()
-    return Triplet(GridFunction(grid, vals), 0.0, 0.0)
+    return Triplet(GridFunction(grid, _source_values(problem, _zero_profile(grid))), 0.0, 0.0)
 
 
 def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     """One application of the fixed-point map; also returns the profile used."""
     profile = _profile_from(state)
     grid = state.source.grid
-    phi = GridFunction(grid, _source_values(problem, grid, profile))
-    wl = slope_kernel_left(grid.nodes)
-    wr = slope_kernel_right(grid.nodes)
+    phi = GridFunction(grid, _source_values(problem, profile))
+    wl, wr = _slope_weights(grid)
     alpha = 3.0 * simpson(GridFunction(grid, wl * phi.values)) - state.beta / 2.0
     beta = 3.0 * simpson(GridFunction(grid, wr * phi.values)) - alpha / 2.0
     return Triplet(phi, alpha, beta), profile
@@ -195,12 +209,10 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     Sum of the sup defect in the source equation and the absolute defects
     in the two curvature equations.
     """
-    profile = _profile_from(state)
     grid = state.source.grid
-    f_vals = _source_values(problem, grid, profile)
+    f_vals = _source_values(problem, _profile_from(state))
     src_defect = float(np.max(np.abs(state.source.values - f_vals)))
-    wl = slope_kernel_left(grid.nodes)
-    wr = slope_kernel_right(grid.nodes)
+    wl, wr = _slope_weights(grid)
     i_left = simpson(GridFunction(grid, wl * state.source.values))
     i_right = simpson(GridFunction(grid, wr * state.source.values))
     left_defect = abs(i_left - (state.beta / 6.0 + state.alpha / 3.0))
@@ -208,6 +220,8 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     return src_defect + left_defect + right_defect
 
 
+# Overflow only ever yields non-finite values, which are reported as divergence.
+@np.errstate(over="ignore", invalid="ignore")
 def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
           exact=None) -> SolveReport:
     """Iterate to a fixed point; raises on divergence or iteration budget.
@@ -216,28 +230,29 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
     pass a callable of the canonical coordinate returning node values.
     """
     grid = Grid(config.n)
-    state0 = init_state(problem, grid)
-    state, profile = step(state0, problem)
-    first_step = triplet_distance(state, state0)
-
     if exact is not None:
         exact_gf = GridFunction.sample(grid, exact)
     else:
         exact_gf = problem.exact_on(grid)
 
+    state = init_state(problem, grid)
+    profile = _zero_profile(grid)
+    first_step = float("inf")
     e_hist: list = []
     eu_hist: Optional[list] = [] if exact_gf is not None else None
-    prev_u = profile.u.values
-    prev_e = None
+    prev_e = float("inf")
     increases = 0
 
-    def _report(converged: bool, failure: Optional[str] = None) -> SolveReport:
+    def _report(failure: Optional[str] = None) -> SolveReport:
         try:
             res = residual(state, problem)
-        except ExprEvalError:
+        except ValueError:  # ExprEvalError, or a non-finite profile
             res = float("inf")
+        # Weights held past the solve pin the heap: a CLI run at n=10^5 then
+        # peaks about 6 MB higher while it writes and reads its artifacts.
+        _slope_weights.cache_clear()
         return SolveReport(
-            converged=converged,
+            converged=failure is None,
             iterations=len(e_hist),
             e_history=np.asarray(e_hist, dtype=float),
             eu_history=None if eu_hist is None else np.asarray(eu_hist, dtype=float),
@@ -248,31 +263,28 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
             failure=failure,
         )
 
-    for _ in range(1, config.max_iter + 1):
+    for k in range(config.max_iter + 1):
+        prev_state, prev_u = state, profile.u.values
         try:
             state, profile = step(state, problem)
-        except ExprEvalError as err:
-            raise DivergenceError(f"source evaluation broke down: {err}",
-                                  _report(False, failure="divergence")) from err
-        if not np.all(np.isfinite(profile.u.values)):
-            raise DivergenceError("iterates are no longer finite",
-                                  _report(False, failure="divergence"))
+        except ValueError as err:  # ExprEvalError, or a non-finite value rejected
+            raise DivergenceError(f"the map broke down after {len(e_hist)} iterations: {err}",
+                                  _report("divergence")) from err
+        if k == 0:
+            first_step = triplet_distance(state, prev_state)
+            continue
         e = float(np.max(np.abs(profile.u.values - prev_u)))
         e_hist.append(e)
-        prev_u = profile.u.values
         if eu_hist is not None:
             eu_hist.append(float(np.max(np.abs(profile.u.values - exact_gf.values))))
         if e <= config.tol:
-            return _report(True)
-        if prev_e is not None and e > prev_e:
-            increases += 1
-        else:
-            increases = 0
+            return _report()
+        increases = increases + 1 if e > prev_e else 0
         prev_e = e
-        if increases >= config.divergence_window:
+        if increases >= _DIVERGENCE_WINDOW:
             raise DivergenceError(
                 f"successive-iterate errors grew for {increases} consecutive iterations",
-                _report(False, failure="divergence"))
+                _report("divergence"))
     raise IterationLimitError(
         f"no convergence to tol={config.tol:g} within {config.max_iter} iterations",
-        _report(False, failure="iteration-limit"))
+        _report("iteration-limit"))

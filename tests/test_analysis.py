@@ -169,6 +169,16 @@ class TestCheckConditions:
         assert "sqrt of a negative" in str(info.value)
         assert "u=-0.0130208333" in str(info.value)
 
+    def test_fd_probe_leaving_the_domain_below_names_the_point(self):
+        # the box is fine (v + 4 >= 0 on v in [-4, 4]) but the lower
+        # finite-difference probe of v is not
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(parse("abs(v) + sqrt(v + 4)"), 4.0)
+        point = info.value.point
+        assert point[0] == 0.0 and point[4] == -4.0
+        assert point[3] == pytest.approx(-4.0 - 8e-6, rel=1e-12)
+        assert "finite-difference probe left the domain of f" in str(info.value)
+
     @pytest.mark.parametrize("text, index", [
         ("log(2.9 - x - 384*u - v)", (4, 4, 0, 4, 0)),
         ("sqrt(2.6 - x - 384*u - v + 0.5*z)", (1, 4, 0, 4, 0)),

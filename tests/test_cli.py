@@ -104,6 +104,15 @@ class TestSolve:
         assert len(rows) >= 5
         assert (tmp_path / "solution.csv").exists()
 
+    def test_overflow_on_first_pass_writes_artifacts(self, tmp_path, capsys):
+        path = _problem_file(tmp_path, "f = 1e308\n")
+        assert main(["solve", path, "--out-dir", str(tmp_path)]) == 1
+        assert "broke down after 0 iterations" in capsys.readouterr().err
+        header, rows = _read_csv(tmp_path / "convergence.csv")
+        assert header == ["k", "e"] and rows == []
+        _, sol = _read_csv(tmp_path / "solution.csv")
+        assert len(sol) == 101 and all(float(r[1]) == 0.0 for r in sol)
+
     def test_odd_grid_rejected(self, tmp_path, capsys):
         assert main(["solve", "example:1", "--out-dir", str(tmp_path), "--n", "33"]) == 2
         assert "error:" in capsys.readouterr().err

@@ -7,6 +7,7 @@ within each operator's exactness degree), so the converged state must
 match to rounding.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import clampbeam.solver as solver
 from clampbeam.examples import get_example
 from clampbeam.expr import parse
 from clampbeam.numerics import Grid, GridFunction
@@ -40,10 +42,11 @@ class TestConfig:
     def test_defaults(self):
         cfg = SolverConfig()
         assert cfg.n == 100 and cfg.tol == 1e-15
-        assert cfg.max_iter == 200 and cfg.divergence_window == 5
+        assert cfg.max_iter == 200
+        assert [f.name for f in dataclasses.fields(cfg)] == ["n", "tol", "max_iter"]
 
     @pytest.mark.parametrize("kwargs", [
-        dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0), dict(divergence_window=1),
+        dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0),
         dict(n=7), dict(n=6),
     ])
     def test_validation(self, kwargs):
@@ -124,12 +127,20 @@ class TestHistories:
         assert rep.final_eu < 1e-13
 
     def test_first_step_value(self):
-        cp = get_example(1).canonical()
-        grid = Grid(100)
-        s0 = init_state(cp, grid)
-        s1, _ = step(s0, cp)
-        rep = solve(cp, SolverConfig(n=100))
-        assert rep.first_step == pytest.approx(triplet_distance(s1, s0), rel=1e-15)
+        # solve is nothing but passes of the public step: pass 0 gives
+        # first_step, and the last pass gives the reported triplet/profile
+        for ident in range(1, 7):
+            cp = get_example(ident).canonical()
+            rep = solve(cp, SolverConfig(n=100))
+            s0 = init_state(cp, Grid(100))
+            s1, profile = step(s0, cp)
+            assert rep.first_step == triplet_distance(s1, s0)
+            state = s1
+            for _ in range(rep.iterations):
+                state, profile = step(state, cp)
+            assert np.array_equal(state.source.values, rep.triplet.source.values)
+            assert (state.alpha, state.beta) == (rep.triplet.alpha, rep.triplet.beta)
+            assert np.array_equal(profile.u.values, rep.profile.u.values)
 
 
 class TestStepAndResidual:
@@ -148,6 +159,17 @@ class TestStepAndResidual:
         assert at_limit < 1e-10
         off = Triplet(rep.triplet.source, rep.triplet.alpha + 0.1, rep.triplet.beta)
         assert residual(off, cp) > 1e-3
+
+    def test_slope_kernels_built_once_per_grid(self, monkeypatch):
+        calls = []
+        real = solver.slope_kernel_left
+        monkeypatch.setattr(solver, "slope_kernel_left",
+                            lambda t: calls.append(len(t)) or real(t))
+        solver._slope_weights.cache_clear()
+        cp = get_example(1).canonical()
+        solve(cp, SolverConfig(n=100))
+        solve(cp, SolverConfig(n=102))
+        assert calls == [101, 103]
 
     def test_step_reduces_distance_to_limit(self):
         cp = get_example(4).canonical()
@@ -187,6 +209,33 @@ class TestFailureModes:
         assert not rep.converged
         assert rep.failure == "iteration-limit"
         assert rep.iterations == 4
+
+    @pytest.mark.parametrize("text, iterations", [
+        ("f = 1e308", 0), ("f = 1e307*u + 1e307", 0), ("f = 1e5*u + 1e300", 2),
+    ])
+    def test_overflow_is_divergence_with_report(self, text, iterations):
+        # overflow in the second-order solves or in f, on the first pass or
+        # later, is typed; the report keeps the last finite state
+        cp = _canon(text)
+        with pytest.raises(DivergenceError) as info:
+            solve(cp, SolverConfig(n=100))
+        rep = info.value.report
+        assert rep.failure == "divergence" and not rep.converged
+        assert rep.iterations == iterations == len(rep.e_history)
+        state = init_state(cp, Grid(100))
+        if iterations == 0:
+            assert rep.first_step == math.inf
+            prof = rep.profile
+            assert all(np.all(g.values == 0.0) for g in (prof.u, prof.du, prof.d2u, prof.d3u))
+        else:
+            s1, _ = step(state, cp)
+            assert rep.first_step == triplet_distance(s1, state)
+            state = s1
+            for _ in range(iterations):
+                state, profile = step(state, cp)
+            assert np.array_equal(profile.u.values, rep.profile.u.values)
+        assert np.array_equal(state.source.values, rep.triplet.source.values)
+        assert (state.alpha, state.beta) == (rep.triplet.alpha, rep.triplet.beta)
 
     def test_tiny_tol_reaches_exact_fixed_point(self):
         # the discrete map settles into an exact floating-point fixed
