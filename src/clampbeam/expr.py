@@ -17,7 +17,9 @@ than '^', so -2^2 evaluates to -4.  There is no implicit multiplication:
 Evaluation accepts floats or numpy arrays for every variable and broadcasts.
 Powers with a literal integer exponent in [-9, 9] are computed by repeated
 multiplication, so negative bases work; any other exponent goes through
-exp(b*log(a)) and requires a positive base.
+exp(b*log(a)) and requires a positive base.  The solver evaluates f on a grid
+whose x never changes, so there every subtree free of u, y, v and z is
+evaluated once per solve and reused on later iterations.
 """
 
 from __future__ import annotations
@@ -321,42 +323,50 @@ def _repeated_power(base, k: int, node):
     return acc
 
 
-def _eval(node, env):
+def _eval(node, env, memo=None):
+    """Value of node; runs under evaluate's errstate.
+
+    memo maps the ids of x-only subtrees to their value, or to None until
+    first use; such a subtree is evaluated once and then reused.
+    """
+    if memo is not None and id(node) in memo:
+        value = memo[id(node)]
+        if value is None:
+            value = memo[id(node)] = _eval(node, env)
+        return value
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
-        return -_eval(node.operand, env)
+        return -_eval(node.operand, env, memo)
     if isinstance(node, Call):
-        arg = _eval(node.arg, env)
+        arg = _eval(node.arg, env, memo)
         _check_domain(node.fn, node, arg)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = _UFUNCS[node.fn](arg)
+        out = _UFUNCS[node.fn](arg)
         bad = ~np.isfinite(np.asarray(out))
         if np.any(bad):
             raise ExprEvalError(f"non-finite result from '{to_source(node)}': "
                                 + _first_bad(bad, arg))
         return out
     if isinstance(node, BinOp):
-        left = _eval(node.left, env)
+        left = _eval(node.left, env, memo)
         if node.op == "^":
             k = _int_literal_exponent(node.right)
             if k is not None:
                 return _repeated_power(left, k, node)
-            right = _eval(node.right, env)
+            right = _eval(node.right, env, memo)
             bad = np.asarray(left) <= 0.0
             if np.any(bad):
                 raise ExprEvalError(
                     f"power with non-integer exponent needs a positive base in "
                     f"'{to_source(node)}': " + _first_bad(bad, left))
-            with np.errstate(over="ignore"):
-                out = np.power(left, right)
+            out = np.power(left, right)
             bad = ~np.isfinite(np.asarray(out))
             if np.any(bad):
                 raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
             return out
-        right = _eval(node.right, env)
+        right = _eval(node.right, env, memo)
         if node.op == "+":
             return left + right
         if node.op == "-":
@@ -378,15 +388,65 @@ def evaluate(expr: Expression, x, u, y, v, z):
     broadcast numpy array.  Domain violations and non-finite intermediate
     results raise ExprEvalError naming the failing subexpression.
     """
-    env = {"x": x, "u": u, "y": y, "v": v, "z": z}
+    return _evaluate(expr, {"x": x, "u": u, "y": y, "v": v, "z": z}, None)
+
+
+def _evaluate(expr, env, memo):
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _eval(expr, env)
+        out = _eval(expr, env, memo)
     arr = np.asarray(out, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise ExprEvalError(f"non-finite result from '{to_source(expr)}'")
     if arr.ndim == 0:
         return float(arr)
     return arr
+
+
+# A module-level walk, not a closure: a recursive closure is a reference
+# cycle, which would keep roots and the values later stored in it alive
+# until the garbage collector runs.
+def _mark_x_only(node, roots: dict) -> bool:
+    """Whether node is free of u, y, v, z, in one bottom-up pass.
+
+    The ids of the maximal such subtrees below it, bare leaves left out, go
+    into roots mapped to None.
+    """
+    if isinstance(node, Num):
+        return True
+    if isinstance(node, Var):
+        return node.name == "x"
+    if isinstance(node, Neg):
+        children = (node.operand,)
+    elif isinstance(node, Call):
+        children = (node.arg,)
+    elif isinstance(node, BinOp):
+        children = (node.left, node.right)
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    x_only = [_mark_x_only(child, roots) for child in children]
+    if all(x_only):
+        return True
+    for child, free in zip(children, x_only):
+        if free and not isinstance(child, (Num, Var)):
+            roots[id(child)] = None
+    return False
+
+
+def _at_fixed_x(expr: Expression, x):
+    """evaluate(expr, x, u, y, v, z) as a function of (u, y, v, z) for one fixed x.
+
+    Values, errors and the subtree an error names are those of evaluate; the
+    x-only subtrees are evaluated on first use and reused afterwards, so the
+    returned array may be shared with later calls and must not be written.
+    """
+    memo = {}
+    if _mark_x_only(expr, memo) and not isinstance(expr, (Num, Var)):
+        memo[id(expr)] = None
+
+    def at(u, y, v, z):
+        return _evaluate(expr, {"x": x, "u": u, "y": y, "v": v, "z": z}, memo)
+
+    return at
 
 
 # ---------------------------------------------------------------------------

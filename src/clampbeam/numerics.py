@@ -70,16 +70,33 @@ class GridFunction:
                 f"expected {self.grid.n + 1} values on a grid with n={self.grid.n}, "
                 f"got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-            raise ValueError(f"non-finite value at node {bad} (x={bad * self.grid.h})")
-        vals.setflags(write=False)
+        _freeze_finite(self.grid, vals)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def _adopt(cls, grid: Grid, vals: np.ndarray) -> "GridFunction":
+        """Wrap a fresh float array of n+1 values that nothing else holds.
+
+        For arrays this package has just allocated: no copy and no shape
+        check, but the finiteness check stays, so overflow still raises.
+        """
+        _freeze_finite(grid, vals)
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "grid", grid)
+        object.__setattr__(obj, "values", vals)
+        return obj
 
     @classmethod
     def sample(cls, grid: Grid, fn: Callable) -> "GridFunction":
         vals = np.broadcast_to(np.asarray(fn(grid.nodes), dtype=float), (grid.n + 1,))
         return cls(grid, vals)
+
+
+def _freeze_finite(grid: Grid, vals: np.ndarray) -> None:
+    if not np.all(np.isfinite(vals)):
+        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
+        raise ValueError(f"non-finite value at node {bad} (x={bad * grid.h})")
+    vals.setflags(write=False)
 
 
 def sup_norm(f: GridFunction) -> float:
@@ -93,8 +110,11 @@ def simpson(f: GridFunction) -> float:
     Fourth-order accurate; exact (up to roundoff) for polynomials of
     degree <= 3.
     """
-    v = f.values
-    h = f.grid.h
+    return _simpson(f.values, f.grid.h)
+
+
+def _simpson(v: np.ndarray, h: float) -> float:
+    """simpson on raw node values v with spacing h."""
     return float(h / 3.0 * (v[0] + v[-1] + 4.0 * np.sum(v[1:-1:2]) + 2.0 * np.sum(v[2:-2:2])))
 
 
@@ -114,7 +134,7 @@ def diff5(f: GridFunction) -> GridFunction:
     d[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / w
     d[-2] = (-v[-5] + 6.0 * v[-4] - 18.0 * v[-3] + 10.0 * v[-2] + 3.0 * v[-1]) / w
     d[-1] = (3.0 * v[-5] - 16.0 * v[-4] + 36.0 * v[-3] - 48.0 * v[-2] + 25.0 * v[-1]) / w
-    return GridFunction(f.grid, d)
+    return GridFunction._adopt(f.grid, d)
 
 
 def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> GridFunction:
@@ -146,4 +166,4 @@ def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> Grid
     u = left + np.concatenate(([0.0], np.cumsum(d)))
     u[0] = left
     u[-1] = right
-    return GridFunction(grid, u)
+    return GridFunction._adopt(grid, u)

@@ -19,14 +19,13 @@ e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .expr import evaluate
+from .expr import Expression, _at_fixed_x
 from .kernels import slope_kernel_left, slope_kernel_right
-from .numerics import Grid, GridFunction, diff5, simpson, solve_second_order_bvp, sup_norm
+from .numerics import Grid, GridFunction, _simpson, diff5, solve_second_order_bvp, sup_norm
 from .problem import CanonicalProblem
 
 __all__ = [
@@ -154,31 +153,53 @@ class IterationLimitError(SolverError):
     pass
 
 
+class _GridConstants(NamedTuple):
+    """What every pass of one solve shares: slope-kernel weights and f at fixed x."""
+
+    grid: Grid
+    rhs: Expression       # held so that its id cannot be reused while cached
+    w_left: np.ndarray
+    w_right: np.ndarray
+    source: Callable      # (u, y, v, z) -> f at the nodes, x-only parts reused
+
+
+class _SolveCache:
+    """The grid constants of the solve in progress, keyed on the grid and id(rhs).
+
+    Hashing the frozen rhs tree on every pass would cost more than a pass
+    saves, so rhs is matched by identity.
+    """
+
+    def __init__(self):
+        self.entry: Optional[_GridConstants] = None
+
+    def __call__(self, grid: Grid, rhs: Expression) -> _GridConstants:
+        entry = self.entry
+        if entry is None or entry.rhs is not rhs or entry.grid != grid:
+            wl, wr = slope_kernel_left(grid.nodes), slope_kernel_right(grid.nodes)
+            wl.setflags(write=False)
+            wr.setflags(write=False)
+            entry = self.entry = _GridConstants(grid, rhs, wl, wr, _at_fixed_x(rhs, grid.nodes))
+        return entry
+
+    def cache_clear(self) -> None:
+        self.entry = None
+
+
+_grid_constants = _SolveCache()
+
+
 def _source_values(problem: CanonicalProblem, profile: IterateProfile) -> np.ndarray:
-    nodes = profile.u.grid.nodes
-    out = evaluate(
-        problem.rhs,
-        nodes,
-        profile.u.values,
-        profile.du.values,
-        profile.d2u.values,
-        profile.d3u.values,
-    )
-    return np.broadcast_to(np.asarray(out, dtype=float), nodes.shape).copy()
+    """f at the nodes for a profile, as a fresh array."""
+    grid = profile.u.grid
+    out = _grid_constants(grid, problem.rhs).source(
+        profile.u.values, profile.du.values, profile.d2u.values, profile.d3u.values)
+    return np.broadcast_to(np.asarray(out, dtype=float), grid.nodes.shape).copy()
 
 
 def _zero_profile(grid: Grid) -> IterateProfile:
     zero = GridFunction(grid, np.zeros_like(grid.nodes))
     return IterateProfile(u=zero, du=zero, d2u=zero, d3u=zero)
-
-
-@lru_cache(maxsize=1)
-def _slope_weights(grid: Grid) -> tuple:
-    """Read-only slope-kernel samples (left, right) at the nodes; kept until a solve ends."""
-    wl, wr = slope_kernel_left(grid.nodes), slope_kernel_right(grid.nodes)
-    wl.setflags(write=False)
-    wr.setflags(write=False)
-    return wl, wr
 
 
 def _profile_from(state: Triplet) -> IterateProfile:
@@ -189,17 +210,18 @@ def _profile_from(state: Triplet) -> IterateProfile:
 
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
     """Starting triplet: source f(x,0,0,0,0), zero end curvatures."""
-    return Triplet(GridFunction(grid, _source_values(problem, _zero_profile(grid))), 0.0, 0.0)
+    return Triplet(GridFunction._adopt(grid, _source_values(problem, _zero_profile(grid))),
+                   0.0, 0.0)
 
 
 def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     """One application of the fixed-point map; also returns the profile used."""
     profile = _profile_from(state)
     grid = state.source.grid
-    phi = GridFunction(grid, _source_values(problem, profile))
-    wl, wr = _slope_weights(grid)
-    alpha = 3.0 * simpson(GridFunction(grid, wl * phi.values)) - state.beta / 2.0
-    beta = 3.0 * simpson(GridFunction(grid, wr * phi.values)) - alpha / 2.0
+    phi = GridFunction._adopt(grid, _source_values(problem, profile))
+    consts = _grid_constants(grid, problem.rhs)
+    alpha = 3.0 * _simpson(consts.w_left * phi.values, grid.h) - state.beta / 2.0
+    beta = 3.0 * _simpson(consts.w_right * phi.values, grid.h) - alpha / 2.0
     return Triplet(phi, alpha, beta), profile
 
 
@@ -212,9 +234,9 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     grid = state.source.grid
     f_vals = _source_values(problem, _profile_from(state))
     src_defect = float(np.max(np.abs(state.source.values - f_vals)))
-    wl, wr = _slope_weights(grid)
-    i_left = simpson(GridFunction(grid, wl * state.source.values))
-    i_right = simpson(GridFunction(grid, wr * state.source.values))
+    consts = _grid_constants(grid, problem.rhs)
+    i_left = _simpson(consts.w_left * state.source.values, grid.h)
+    i_right = _simpson(consts.w_right * state.source.values, grid.h)
     left_defect = abs(i_left - (state.beta / 6.0 + state.alpha / 3.0))
     right_defect = abs(-i_right + (state.beta / 3.0 + state.alpha / 6.0))
     return src_defect + left_defect + right_defect
@@ -235,6 +257,17 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
     else:
         exact_gf = problem.exact_on(grid)
 
+    try:
+        return _iterate(problem, config, grid, exact_gf)
+    finally:
+        # Grid constants held past the solve pin the heap: a CLI run at
+        # n=10^5 then peaks about 6 MB higher while it writes and reads its
+        # artifacts.
+        _grid_constants.cache_clear()
+
+
+def _iterate(problem: CanonicalProblem, config: SolverConfig, grid: Grid,
+             exact_gf: Optional[GridFunction]) -> SolveReport:
     state = init_state(problem, grid)
     profile = _zero_profile(grid)
     first_step = float("inf")
@@ -248,9 +281,6 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
             res = residual(state, problem)
         except ValueError:  # ExprEvalError, or a non-finite profile
             res = float("inf")
-        # Weights held past the solve pin the heap: a CLI run at n=10^5 then
-        # peaks about 6 MB higher while it writes and reads its artifacts.
-        _slope_weights.cache_clear()
         return SolveReport(
             converged=failure is None,
             iterations=len(e_hist),
@@ -283,7 +313,7 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         prev_e = e
         if increases >= _DIVERGENCE_WINDOW:
             raise DivergenceError(
-                f"successive-iterate errors grew for {increases} consecutive iterations",
+                f"diverged: successive-iterate errors grew for {increases} consecutive iterations",
                 _report("divergence"))
     raise IterationLimitError(
         f"no convergence to tol={config.tol:g} within {config.max_iter} iterations",

@@ -1,12 +1,16 @@
 """Expression grammar, evaluation semantics, derivatives and rendering."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import clampbeam.expr as expr_module
+from clampbeam.examples import get_example
 from clampbeam.expr import (
     BinOp,
     Call,
@@ -23,6 +27,7 @@ from clampbeam.expr import (
     to_source,
     variables_in,
 )
+from clampbeam.problem import canonicalize, parse_problem_text
 
 GOLDEN_SOURCES = [
     "12 + u*z/2 - y*v/4 + y/4",
@@ -238,20 +243,20 @@ class TestRendering:
         assert parse(to_source(tree3)) == tree3
 
 
-def _leaf():
+def _leaf(names="xuyvz"):
     return st.one_of(
         st.floats(min_value=-4.0, max_value=4.0, allow_nan=False,
                   allow_infinity=False).map(lambda v: Num(float(v))),
-        st.sampled_from([Var(n) for n in ("x", "u", "y", "v", "z")]),
+        st.sampled_from([Var(n) for n in names]),
     )
 
 
-def _trees(depth=3):
+def _trees(depth=3, names="xuyvz"):
     if depth == 0:
-        return _leaf()
-    sub = _trees(depth - 1)
+        return _leaf(names)
+    sub = _trees(depth - 1, names)
     return st.one_of(
-        _leaf(),
+        _leaf(names),
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(*t)),
         sub.map(Neg),
         st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "abs", "atan"]),
@@ -292,3 +297,107 @@ class TestRenderingProperty:
         if abs(fd) > 1e6:  # wildly curved near a domain edge; FD unreliable
             return
         assert sym == pytest.approx(fd, rel=5e-4, abs=5e-4)
+
+
+# ---------------------------------------------------------------------------
+# Evaluation at a fixed x, as the solver does it
+
+
+def _outcome(fn, *args):
+    """What a call gives, down to the bytes: its value, or its error message."""
+    try:
+        out = fn(*args)
+    except ExprEvalError as err:
+        return "error", str(err)
+    return type(out), np.asarray(out).shape, np.asarray(out).tobytes()
+
+
+def _assert_fixed_x_matches(tree, x, *envs):
+    """Calls of one fixed-x evaluator, in order, equal fresh evaluations."""
+    at = expr_module._at_fixed_x(tree, x)
+    for env in envs + envs:  # the second round runs on filled x-only values
+        assert _outcome(at, *env) == _outcome(evaluate, tree, x, *env)
+
+
+XS = np.linspace(0.0, 1.0, 41)
+
+
+def _profile(scale):
+    """(u, y, v, z) samples with u > 0 inside, like a solver iterate."""
+    bump = XS**2 * (1.0 - XS) ** 2
+    return (scale * bump, scale * (2 * XS - 6 * XS**2 + 4 * XS**3),
+            scale * (2 - 12 * XS + 12 * XS**2), scale * (-12 + 24 * XS))
+
+
+SHIFTED_PROBLEMS = [
+    "a = 0.5\nb = 1.6\nA1 = 1\nB1 = -0.5\nA2 = 0.3\nB2 = 2\n"
+    "f = 12 + u*z/2 - y*v/4 + y/4 + 24 - (x^3 - 2*x + 1)*sin(x)\n",
+    "a = -1\nb = 0.2\nA1 = 0.5\nB1 = 1.5\n"
+    "f = u^2*sin(u) + sin(x) + 3*x^4 - x^2*exp(-x^2) + u*y - (x + 1)^3\n",
+    "b = 1.07\nA1 = 1\nB1 = 1.2\nA2 = -0.1\nB2 = 0.05\n"
+    "f = sqrt(u)*sin(exp(u)) + exp(-x^2) + 0.3*(x^2 - 1)^2 - sqrt(x + 4)\n",
+]
+
+
+def _mixed_trees():
+    """An x-only subtree next to an arbitrary one, in either order."""
+    return st.tuples(st.sampled_from("+-*/^"), _trees(2, "x"), _trees(2), st.booleans()).map(
+        lambda t: BinOp(t[0], t[1], t[2]) if t[3] else BinOp(t[0], t[2], t[1]))
+
+
+class TestFixedX:
+    @pytest.mark.parametrize("ident", range(1, 7))
+    def test_canonical_examples(self, ident):
+        rhs = get_example(ident).canonical().rhs
+        _assert_fixed_x_matches(rhs, XS, _profile(0.5), _profile(2.0))
+
+    @pytest.mark.parametrize("text", SHIFTED_PROBLEMS)
+    def test_shifted_interval_problems(self, text):
+        # canonicalize substitutes P and the map to [0,1]: most of f is x-only
+        rhs = canonicalize(parse_problem_text(text).raw).rhs
+        _assert_fixed_x_matches(rhs, XS, _profile(0.5), _profile(-1.5), _profile(3.0))
+
+    @pytest.mark.parametrize("source", ["sin(x)", "3", "x", "u"])
+    def test_trees_with_nothing_or_everything_to_reuse(self, source):
+        _assert_fixed_x_matches(parse(source), XS, _profile(0.5), _profile(2.0))
+
+    def test_earlier_failure_still_wins(self):
+        # at u = 0 log(u) fails first although sqrt(x - 2) fails everywhere;
+        # once log(u) is defined, the x-only failure surfaces, call after call
+        tree = parse("log(u) + sqrt(x - 2)")
+        zero, one = (np.zeros_like(XS),) * 4, (np.ones_like(XS),) * 4
+        _assert_fixed_x_matches(tree, XS, zero, one)
+        at = expr_module._at_fixed_x(tree, XS)
+        with pytest.raises(ExprEvalError, match="log of a non-positive"):
+            at(*zero)
+        with pytest.raises(ExprEvalError, match="sqrt of a negative"):
+            at(*one)
+
+    def test_x_only_subtrees_run_once(self, monkeypatch):
+        calls = []
+        real = np.sin
+        monkeypatch.setitem(expr_module._UFUNCS, "sin",
+                            lambda a: calls.append(1) or real(a))
+        at = expr_module._at_fixed_x(parse("sin(x)*u + sin(u)"), XS)
+        for scale in (0.5, 1.0, 2.0):
+            at(*_profile(scale))
+        assert len(calls) == 1 + 3  # sin(x) once, sin(u) on every call
+
+    def test_reused_values_go_with_the_evaluator(self):
+        # no reference cycle holds them until the next garbage collection;
+        # with f = sin(x) the value returned is the reused array itself
+        gc.disable()
+        try:
+            at = expr_module._at_fixed_x(parse("sin(x)"), XS)
+            value = weakref.ref(at(*_profile(1.0)))
+            assert value() is at(*_profile(2.0))
+            del at
+            assert value() is None
+        finally:
+            gc.enable()
+
+    @given(tree=st.one_of(_trees(), _mixed_trees(), _mixed_trees().map(Neg),
+                          _mixed_trees().map(lambda t: Call("atan", t))))
+    def test_random_trees(self, tree):
+        _assert_fixed_x_matches(tree, XS[::5], tuple(a[::5] for a in _profile(0.7)),
+                                tuple(a[::5] for a in _profile(-1.3)))

@@ -8,7 +8,9 @@ match to rounding.
 """
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import clampbeam.solver as solver
 from clampbeam.examples import get_example
-from clampbeam.expr import parse
+from clampbeam.expr import ExprEvalError, parse
 from clampbeam.numerics import Grid, GridFunction
 from clampbeam.problem import RawProblem, canonicalize, parse_problem_text
 from clampbeam.solver import (
@@ -165,11 +167,53 @@ class TestStepAndResidual:
         real = solver.slope_kernel_left
         monkeypatch.setattr(solver, "slope_kernel_left",
                             lambda t: calls.append(len(t)) or real(t))
-        solver._slope_weights.cache_clear()
+        solver._grid_constants.cache_clear()
         cp = get_example(1).canonical()
         solve(cp, SolverConfig(n=100))
         solve(cp, SolverConfig(n=102))
         assert calls == [101, 103]
+
+    def test_grid_constants_released_when_a_solve_ends(self):
+        # weights and x-only values of f live only as long as one solve
+        for text, cfg, raised in [
+            ("f = 24", SolverConfig(n=32), None),
+            ("f = 600*u + 1", SolverConfig(n=32), DivergenceError),
+            ("f = x + x^2 + u^2*v", SolverConfig(n=32, max_iter=3), IterationLimitError),
+            ("f = log(u)", SolverConfig(n=32), ExprEvalError),  # f undefined at u = 0
+        ]:
+            if raised is None:
+                solve(_canon(text), cfg)
+            else:
+                with pytest.raises(raised):
+                    solve(_canon(text), cfg)
+            assert solver._grid_constants.entry is None, text
+
+    def test_no_stale_x_only_values_across_problems(self):
+        # step and residual on problem A, then on B on the same grid, give
+        # what B gives from scratch; the cached A must stay alive meanwhile
+        # so that B's rhs can never reuse its id
+        grid = Grid(40)
+        b = _canon("f = cos(x)^2 + x*u - y/4")
+        b_state = init_state(b, grid)
+
+        def outcome():
+            (state, profile), res = step(b_state, b), residual(b_state, b)
+            return state.source.values, state.alpha, state.beta, profile.u.values, res
+
+        solver._grid_constants.cache_clear()
+        fresh = outcome()
+        a = _canon("f = sin(x)^2 + x*u - y/4")
+        a_rhs = weakref.ref(a.rhs)
+        step(init_state(a, grid), a)
+        residual(init_state(a, grid), a)
+        del a
+        gc.collect()
+        assert a_rhs() is not None
+        again = outcome()
+        assert all(np.array_equal(p, q) for p, q in zip(fresh, again))
+        solver._grid_constants.cache_clear()
+        gc.collect()
+        assert a_rhs() is None
 
     def test_step_reduces_distance_to_limit(self):
         cp = get_example(4).canonical()
