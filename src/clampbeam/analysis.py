@@ -250,8 +250,7 @@ def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
         ks = tuple(float(k) for k in ks)
         if len(ks) != 4:
             raise ValueError(f"ks must have four entries, got {len(ks)}")
-        if any(not np.isfinite(k) or k < 0 for k in ks):
-            raise ValueError(f"Lipschitz constants must be finite and nonnegative, got {ks!r}")
+        contraction_factor(*ks)  # rejects non-finite or negative constants
         supplied = True
     else:
         supplied = False

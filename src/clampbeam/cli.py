@@ -85,31 +85,45 @@ def _write_csv(path: str, header, columns) -> None:
             fh.write("".join([line % row for row in rows]))
 
 
-def _resolve_problem(ref: str) -> tuple:
-    """Returns (LoadedProblem, label) for a path or ``example:N``."""
+def _example(ident: int):
+    try:
+        return get_example(ident)
+    except KeyError as err:
+        raise _InputError(str(err.args[0])) from None
+
+
+def _load(ref: str) -> tuple:
+    """Returns (LoadedProblem, CanonicalProblem, label) for a path or ``example:N``."""
     if ref.startswith("example:"):
         ident_text = ref.split(":", 1)[1]
         try:
             ident = int(ident_text)
         except ValueError:
             raise _InputError(f"bad example id {ident_text!r}") from None
+        loaded, label = _example(ident).load(), f"example {ident}"
+    else:
         try:
-            return get_example(ident).load(), f"example {ident}"
-        except KeyError as err:
-            raise _InputError(str(err.args[0])) from None
-    try:
-        return load_problem_file(ref), ref
-    except OSError as err:
-        raise _InputError(f"cannot read problem file: {err}") from None
-    except ProblemFormatError as err:
-        raise _InputError(f"{ref}: {err}") from None
+            loaded, label = load_problem_file(ref), ref
+        except OSError as err:
+            raise _InputError(f"cannot read problem file: {err}") from None
+        except ProblemFormatError as err:
+            raise _InputError(f"{ref}: {err}") from None
+    return loaded, canonicalize(loaded.raw), label
 
 
-def _config_from(args) -> SolverConfig:
+def _config_from(args, n: int) -> SolverConfig:
     try:
-        return SolverConfig(n=args.n, tol=args.tol, max_iter=args.max_iter)
+        return SolverConfig(n=n, tol=args.tol, max_iter=args.max_iter)
     except ValueError as err:
         raise _InputError(str(err)) from None
+
+
+def _solve(problem: CanonicalProblem, config: SolverConfig) -> tuple:
+    """Returns (report, error): the partial report and the SolverError on failure."""
+    try:
+        return solve(problem, config), None
+    except SolverError as err:
+        return err.report, err
 
 
 def _write_solve_artifacts(report: SolveReport, problem: CanonicalProblem,
@@ -135,17 +149,14 @@ def _write_solve_artifacts(report: SolveReport, problem: CanonicalProblem,
 
 
 def _run_solve(problem: CanonicalProblem, config: SolverConfig, out_dir: str,
-               prefix: str, tag: str = "") -> int:
+               prefix: str = "", tag: str = "") -> int:
     """Solve, print the outcome (tagged) and the summary, write the artifacts."""
-    code = 0
-    try:
-        report = solve(problem, config)
+    report, err = _solve(problem, config)
+    if err is None:
         print(f"{tag}converged in {report.iterations} iterations, "
               f"residual {report.residual:.3e}")
-    except SolverError as err:
-        report = err.report
+    else:
         print(f"warning: {tag}{err}", file=sys.stderr)
-        code = 1
     if report.eu_history is not None:
         print("N,K,eu,e")
         print(f"{report.grid.n},{report.iterations},"
@@ -155,14 +166,12 @@ def _run_solve(problem: CanonicalProblem, config: SolverConfig, out_dir: str,
         print(f"{report.grid.n},{report.iterations},{report.final_e:.6e}")
     for path in _write_solve_artifacts(report, problem, out_dir, prefix=prefix):
         print(f"wrote {path}")
-    return code
+    return 0 if err is None else 1
 
 
 def cmd_solve(args) -> int:
-    loaded, label = _resolve_problem(args.problem)
-    problem = canonicalize(loaded.raw)
-    config = _config_from(args)
-    return _run_solve(problem, config, _out_dir(args), args.prefix, tag=f"{label}: ")
+    _, problem, label = _load(args.problem)
+    return _run_solve(problem, _config_from(args, args.n), _out_dir(args), tag=f"{label}: ")
 
 
 def _ks_from_flags(args) -> Optional[tuple]:
@@ -181,24 +190,19 @@ def _run_check(loaded: LoadedProblem, problem: CanonicalProblem, args,
     if ks is None:
         ks = loaded.ks
     try:
-        lattice = LatticeSpec(points=args.lattice)
-        report = check_conditions(problem.rhs, M, ks, lattice)
+        report = check_conditions(problem.rhs, M, ks, LatticeSpec(points=args.lattice))
+        lines, code = report.summary_lines(), 0 if report.certified else 1
     except DomainSamplingError as err:
         point = ", ".join(f"{p:.9g}" for p in err.point)
-        lines = [f"not certified: {err}", f"offending sample: ({point})"]
-        for line in lines:
-            print(line)
-        _write_text(os.path.join(out_dir, prefix + "conditions.txt"), lines)
-        return 1
+        lines, code = [f"not certified: {err}", f"offending sample: ({point})"], 1
     except ValueError as err:
         raise _InputError(str(err)) from None
-    lines = report.summary_lines()
     for line in lines:
         print(line)
     path = os.path.join(out_dir, prefix + "conditions.txt")
     _write_text(path, lines)
     print(f"wrote {path}")
-    return 0 if report.certified else 1
+    return code
 
 
 def _write_text(path: str, lines) -> None:
@@ -207,14 +211,12 @@ def _write_text(path: str, lines) -> None:
 
 
 def cmd_check(args) -> int:
-    loaded, _ = _resolve_problem(args.problem)
-    problem = canonicalize(loaded.raw)
-    return _run_check(loaded, problem, args, _out_dir(args), prefix=args.prefix)
+    loaded, problem, _ = _load(args.problem)
+    return _run_check(loaded, problem, args, _out_dir(args))
 
 
 def cmd_table(args) -> int:
-    loaded, label = _resolve_problem(args.problem)
-    problem = canonicalize(loaded.raw)
+    _, problem, _ = _load(args.problem)
     try:
         grids = [int(part) for part in args.grids.split(",") if part.strip()]
     except ValueError:
@@ -227,17 +229,9 @@ def cmd_table(args) -> int:
     has_exact = None
     all_ok = True
     for n in sorted(grids):
-        try:
-            config = SolverConfig(n=n, tol=args.tol, max_iter=args.max_iter)
-        except ValueError as err:
-            raise _InputError(str(err)) from None
-        try:
-            report = solve(problem, config)
-            status = "converged"
-        except SolverError as err:
-            report = err.report
-            status = report.failure or "failed"
-            all_ok = False
+        report, err = _solve(problem, _config_from(args, n))
+        status = "converged" if err is None else report.failure or "failed"
+        all_ok = all_ok and err is None
         has_exact = report.eu_history is not None
         rows.append((n, report.iterations, report.final_eu, report.final_e, status))
 
@@ -249,7 +243,7 @@ def cmd_table(args) -> int:
         columns += [statuses]
     for row in zip(*columns):
         print(",".join(f"{v:.6e}" if isinstance(v, float) else str(v) for v in row))
-    path = os.path.join(out_dir, args.prefix + "table.csv")
+    path = os.path.join(out_dir, "table.csv")
     _write_csv(path, header, columns)
     print(f"wrote {path}")
     return 0 if all_ok else 1
@@ -273,10 +267,7 @@ def cmd_examples(args) -> int:
                 print(f"  note:     {ex.note}")
         return 0
 
-    try:
-        ex = get_example(args.run)
-    except KeyError as err:
-        raise _InputError(str(err.args[0])) from None
+    ex = _example(args.run)
     loaded = ex.load()
     problem = canonicalize(loaded.raw)
     out_dir = _out_dir(args)
@@ -289,7 +280,7 @@ def cmd_examples(args) -> int:
               file=sys.stderr)
 
     print(f"== solve (example {ex.ident}: {ex.slug}) ==")
-    return _run_solve(problem, _config_from(args), out_dir, prefix)
+    return _run_solve(problem, _config_from(args, args.n), out_dir, prefix)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -302,8 +293,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common_solver_flags(p):
-        p.add_argument("--n", type=int, default=100, help="grid intervals (even, >= 8)")
+    def common_solver_flags(p, grid_size=True):
+        if grid_size:
+            p.add_argument("--n", type=int, default=100, help="grid intervals (even, >= 8)")
         p.add_argument("--tol", type=float, default=1e-15,
                        help="stop when e(k) <= tol (default 1e-15)")
         p.add_argument("--max-iter", type=int, default=200)
@@ -311,7 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common_out_flags(p):
         p.add_argument("--out-dir", default=None,
                        help="artifact directory (default: $CLAMPBEAM_OUT_DIR or .)")
-        p.add_argument("--prefix", default="", help=argparse.SUPPRESS)
 
     def common_check_flags(p):
         p.add_argument("--M", type=float, default=None,
@@ -338,8 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_table.add_argument("problem")
     p_table.add_argument("--grids", default="100,200,500,1000",
                          help="comma-separated grid sizes")
-    p_table.add_argument("--tol", type=float, default=1e-15)
-    p_table.add_argument("--max-iter", type=int, default=200)
+    common_solver_flags(p_table, grid_size=False)
     common_out_flags(p_table)
     p_table.set_defaults(func=cmd_table)
 
@@ -349,7 +339,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--run", type=int, metavar="N")
     common_solver_flags(p_ex)
     common_check_flags(p_ex)
-    p_ex.add_argument("--out-dir", default=None)
+    common_out_flags(p_ex)
     p_ex.set_defaults(func=cmd_examples)
 
     return parser
@@ -360,10 +350,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _InputError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except ExprError as err:
+    except (_InputError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

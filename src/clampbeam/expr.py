@@ -19,7 +19,7 @@ Powers with a literal integer exponent in [-9, 9] are computed by repeated
 multiplication, so negative bases work; any other exponent goes through
 exp(b*log(a)) and requires a positive base.  The solver evaluates f on a grid
 whose x never changes, so there every subtree free of u, y, v and z is
-evaluated once per solve and reused on later iterations.
+evaluated once per problem and grid and reused on later iterations.
 """
 
 from __future__ import annotations

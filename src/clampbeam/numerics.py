@@ -23,6 +23,8 @@ from typing import Callable
 
 import numpy as np
 
+from .kernels import slope_kernel_left, slope_kernel_right
+
 __all__ = [
     "Grid",
     "GridFunction",
@@ -54,6 +56,18 @@ class Grid:
         xs = np.linspace(0.0, 1.0, self.n + 1)
         xs.setflags(write=False)
         return xs
+
+    @cached_property
+    def slope_weights(self) -> tuple:
+        """Read-only node values (left, right) of the two slope kernels.
+
+        They weight the source in the end-curvature functionals; built once
+        per grid and freed with it.
+        """
+        weights = slope_kernel_left(self.nodes), slope_kernel_right(self.nodes)
+        for w in weights:
+            w.setflags(write=False)
+        return weights
 
 
 @dataclass(frozen=True)

@@ -19,12 +19,10 @@ e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .expr import Expression, _at_fixed_x
-from .kernels import slope_kernel_left, slope_kernel_right
 from .numerics import Grid, GridFunction, _simpson, diff5, solve_second_order_bvp, sup_norm
 from .problem import CanonicalProblem
 
@@ -153,46 +151,10 @@ class IterationLimitError(SolverError):
     pass
 
 
-class _GridConstants(NamedTuple):
-    """What every pass of one solve shares: slope-kernel weights and f at fixed x."""
-
-    grid: Grid
-    rhs: Expression       # held so that its id cannot be reused while cached
-    w_left: np.ndarray
-    w_right: np.ndarray
-    source: Callable      # (u, y, v, z) -> f at the nodes, x-only parts reused
-
-
-class _SolveCache:
-    """The grid constants of the solve in progress, keyed on the grid and id(rhs).
-
-    Hashing the frozen rhs tree on every pass would cost more than a pass
-    saves, so rhs is matched by identity.
-    """
-
-    def __init__(self):
-        self.entry: Optional[_GridConstants] = None
-
-    def __call__(self, grid: Grid, rhs: Expression) -> _GridConstants:
-        entry = self.entry
-        if entry is None or entry.rhs is not rhs or entry.grid != grid:
-            wl, wr = slope_kernel_left(grid.nodes), slope_kernel_right(grid.nodes)
-            wl.setflags(write=False)
-            wr.setflags(write=False)
-            entry = self.entry = _GridConstants(grid, rhs, wl, wr, _at_fixed_x(rhs, grid.nodes))
-        return entry
-
-    def cache_clear(self) -> None:
-        self.entry = None
-
-
-_grid_constants = _SolveCache()
-
-
 def _source_values(problem: CanonicalProblem, profile: IterateProfile) -> np.ndarray:
     """f at the nodes for a profile, as a fresh array."""
     grid = profile.u.grid
-    out = _grid_constants(grid, problem.rhs).source(
+    out = problem.f_on(grid)(
         profile.u.values, profile.du.values, profile.d2u.values, profile.d3u.values)
     return np.broadcast_to(np.asarray(out, dtype=float), grid.nodes.shape).copy()
 
@@ -219,9 +181,9 @@ def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     profile = _profile_from(state)
     grid = state.source.grid
     phi = GridFunction._adopt(grid, _source_values(problem, profile))
-    consts = _grid_constants(grid, problem.rhs)
-    alpha = 3.0 * _simpson(consts.w_left * phi.values, grid.h) - state.beta / 2.0
-    beta = 3.0 * _simpson(consts.w_right * phi.values, grid.h) - alpha / 2.0
+    w_left, w_right = grid.slope_weights
+    alpha = 3.0 * _simpson(w_left * phi.values, grid.h) - state.beta / 2.0
+    beta = 3.0 * _simpson(w_right * phi.values, grid.h) - alpha / 2.0
     return Triplet(phi, alpha, beta), profile
 
 
@@ -234,9 +196,9 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     grid = state.source.grid
     f_vals = _source_values(problem, _profile_from(state))
     src_defect = float(np.max(np.abs(state.source.values - f_vals)))
-    consts = _grid_constants(grid, problem.rhs)
-    i_left = _simpson(consts.w_left * state.source.values, grid.h)
-    i_right = _simpson(consts.w_right * state.source.values, grid.h)
+    w_left, w_right = grid.slope_weights
+    i_left = _simpson(w_left * state.source.values, grid.h)
+    i_right = _simpson(w_right * state.source.values, grid.h)
     left_defect = abs(i_left - (state.beta / 6.0 + state.alpha / 3.0))
     right_defect = abs(-i_right + (state.beta / 3.0 + state.alpha / 6.0))
     return src_defect + left_defect + right_defect
@@ -257,17 +219,6 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
     else:
         exact_gf = problem.exact_on(grid)
 
-    try:
-        return _iterate(problem, config, grid, exact_gf)
-    finally:
-        # Grid constants held past the solve pin the heap: a CLI run at
-        # n=10^5 then peaks about 6 MB higher while it writes and reads its
-        # artifacts.
-        _grid_constants.cache_clear()
-
-
-def _iterate(problem: CanonicalProblem, config: SolverConfig, grid: Grid,
-             exact_gf: Optional[GridFunction]) -> SolveReport:
     state = init_state(problem, grid)
     profile = _zero_profile(grid)
     first_step = float("inf")

@@ -143,6 +143,7 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "sqrt of a negative" in out
         assert "offending sample" in out
+        assert out.endswith(f"wrote {tmp_path / 'conditions.txt'}\n")
         text = (tmp_path / "conditions.txt").read_text(encoding="utf-8")
         assert "offending sample" in text
 

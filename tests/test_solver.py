@@ -10,6 +10,7 @@ match to rounding.
 import dataclasses
 import gc
 import math
+import pickle
 import weakref
 
 import numpy as np
@@ -17,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import clampbeam.solver as solver
+import clampbeam.numerics as numerics
+import clampbeam.problem as problem_module
 from clampbeam.examples import get_example
 from clampbeam.expr import ExprEvalError, parse
 from clampbeam.numerics import Grid, GridFunction
@@ -26,6 +28,7 @@ from clampbeam.solver import (
     DivergenceError,
     IterationLimitError,
     SolverConfig,
+    SolverError,
     Triplet,
     init_state,
     residual,
@@ -38,6 +41,11 @@ from clampbeam.solver import (
 
 def _canon(text: str):
     return canonicalize(parse_problem_text(text).raw)
+
+
+def _keep_ref(refs: list, obj):
+    refs.append(weakref.ref(obj))
+    return obj
 
 
 class TestConfig:
@@ -164,34 +172,52 @@ class TestStepAndResidual:
 
     def test_slope_kernels_built_once_per_grid(self, monkeypatch):
         calls = []
-        real = solver.slope_kernel_left
-        monkeypatch.setattr(solver, "slope_kernel_left",
+        real = numerics.slope_kernel_left
+        monkeypatch.setattr(numerics, "slope_kernel_left",
                             lambda t: calls.append(len(t)) or real(t))
-        solver._grid_constants.cache_clear()
         cp = get_example(1).canonical()
         solve(cp, SolverConfig(n=100))
         solve(cp, SolverConfig(n=102))
         assert calls == [101, 103]
 
-    def test_grid_constants_released_when_a_solve_ends(self):
-        # weights and x-only values of f live only as long as one solve
-        for text, cfg, raised in [
-            ("f = 24", SolverConfig(n=32), None),
-            ("f = 600*u + 1", SolverConfig(n=32), DivergenceError),
-            ("f = x + x^2 + u^2*v", SolverConfig(n=32, max_iter=3), IterationLimitError),
-            ("f = log(u)", SolverConfig(n=32), ExprEvalError),  # f undefined at u = 0
+    def test_solve_constants_freed_with_report_and_problem(self, monkeypatch):
+        # the slope weights live on the grid, the x-only values of f on the
+        # problem: both go, without a gc pass, once the report (or the
+        # exception) and the problem are dropped
+        refs = []
+        for name in ("slope_kernel_left", "slope_kernel_right"):
+            real = getattr(numerics, name)
+            monkeypatch.setattr(numerics, name,
+                                lambda t, real=real: _keep_ref(refs, real(t)))
+        real_fixed_x = problem_module._at_fixed_x
+        monkeypatch.setattr(problem_module, "_at_fixed_x",
+                            lambda expr, x: _keep_ref(refs, real_fixed_x(expr, x)))
+        for text, cfg, raised, built in [
+            ("f = 24", SolverConfig(n=32), None, 3),
+            ("f = 600*u + 1", SolverConfig(n=32), DivergenceError, 3),
+            ("f = x + x^2 + u^2*v", SolverConfig(n=32, max_iter=3), IterationLimitError, 3),
+            ("f = log(u)", SolverConfig(n=32), ExprEvalError, 1),  # f undefined at u = 0
         ]:
-            if raised is None:
-                solve(_canon(text), cfg)
-            else:
-                with pytest.raises(raised):
-                    solve(_canon(text), cfg)
-            assert solver._grid_constants.entry is None, text
+            refs.clear()
+            gc.disable()
+            try:
+                cp = _canon(text)
+                try:
+                    outcome = solve(cp, cfg)
+                except (SolverError, ExprEvalError) as err:
+                    assert type(err) is raised, text
+                    outcome = err
+                else:
+                    assert raised is None, text
+                assert len(refs) == built and all(r() is not None for r in refs), text
+                del cp, outcome
+                assert all(r() is None for r in refs), text
+            finally:
+                gc.enable()
 
     def test_no_stale_x_only_values_across_problems(self):
         # step and residual on problem A, then on B on the same grid, give
-        # what B gives from scratch; the cached A must stay alive meanwhile
-        # so that B's rhs can never reuse its id
+        # what B gives from scratch, and nothing holds on to A afterwards
         grid = Grid(40)
         b = _canon("f = cos(x)^2 + x*u - y/4")
         b_state = init_state(b, grid)
@@ -200,20 +226,28 @@ class TestStepAndResidual:
             (state, profile), res = step(b_state, b), residual(b_state, b)
             return state.source.values, state.alpha, state.beta, profile.u.values, res
 
-        solver._grid_constants.cache_clear()
         fresh = outcome()
         a = _canon("f = sin(x)^2 + x*u - y/4")
         a_rhs = weakref.ref(a.rhs)
         step(init_state(a, grid), a)
         residual(init_state(a, grid), a)
         del a
-        gc.collect()
-        assert a_rhs() is not None
+        assert a_rhs() is None
         again = outcome()
         assert all(np.array_equal(p, q) for p, q in zip(fresh, again))
-        solver._grid_constants.cache_clear()
-        gc.collect()
-        assert a_rhs() is None
+
+    @pytest.mark.parametrize("ident", [1, 3])
+    def test_solved_problem_and_report_pickle(self, ident):
+        cp = get_example(ident).canonical()
+        rep = solve(cp, SolverConfig(n=50))
+        cp2, rep2 = pickle.loads(pickle.dumps((cp, rep)))
+        assert cp2 == cp
+        assert rep2.iterations == rep.iterations
+        assert np.array_equal(rep2.profile.u.values, rep.profile.u.values)
+        again = solve(cp2, SolverConfig(n=50))
+        assert np.array_equal(again.e_history, rep.e_history)
+        assert np.array_equal(again.profile.u.values, rep.profile.u.values)
+        assert (again.triplet.alpha, again.triplet.beta) == (rep.triplet.alpha, rep.triplet.beta)
 
     def test_step_reduces_distance_to_limit(self):
         cp = get_example(4).canonical()
