@@ -17,9 +17,15 @@ than '^', so -2^2 evaluates to -4.  There is no implicit multiplication:
 Evaluation accepts floats or numpy arrays for every variable and broadcasts.
 Powers with a literal integer exponent in [-9, 9] are computed by repeated
 multiplication, so negative bases work; any other exponent goes through
-exp(b*log(a)) and requires a positive base.  The solver evaluates f on a grid
-whose x never changes, so there every subtree free of u, y, v and z is
-evaluated once per problem and grid and reused on later iterations.
+exp(b*log(a)) and requires a positive base.
+
+f is compiled once, on its first evaluation, into a flat instruction list
+kept on the root node.  Shared subexpressions are computed once per
+evaluation, literal-only subtrees are folded, and checks on constant operands
+are decided at compile time; values, errors and the subtree an error names
+are those of a left-to-right walk of the tree.  The solver evaluates f on a
+grid whose x never changes, so there the instructions free of u, y, v and z
+run once per problem and grid and are reused on later iterations.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -87,30 +93,39 @@ class ExprDerivativeError(ExprError):
 # AST
 
 
+class _Node:
+    """Base of the tree nodes: pickling leaves out the program a root keeps."""
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_program", None)
+        return state
+
+
 @dataclass(frozen=True)
-class Num:
+class Num(_Node):
     value: float
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: "Expression"
 
 
 @dataclass(frozen=True)
-class BinOp:
+class BinOp(_Node):
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class Call:
+class Call(_Node):
     fn: str
     arg: "Expression"
 
@@ -255,7 +270,7 @@ def parse(source: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation
+# Evaluation: f is compiled once into a flat instruction list
 
 _UFUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -277,22 +292,19 @@ def _first_bad(mask, arg):
     return f"argument {value!r} at sample {where}"
 
 
-def _check_domain(fn: str, node, arg):
-    if fn == "sqrt":
-        bad = np.asarray(arg) < 0.0
-        if np.any(bad):
-            raise ExprEvalError(f"sqrt of a negative value in '{to_source(node)}': "
-                                + _first_bad(bad, arg))
-    elif fn == "log":
-        bad = np.asarray(arg) <= 0.0
-        if np.any(bad):
-            raise ExprEvalError(f"log of a non-positive value in '{to_source(node)}': "
-                                + _first_bad(bad, arg))
-    elif fn == "asin":
-        bad = np.abs(np.asarray(arg)) > 1.0
-        if np.any(bad):
-            raise ExprEvalError(f"asin argument outside [-1,1] in '{to_source(node)}': "
-                                + _first_bad(bad, arg))
+def _reject(bad, what: str, node, arg):
+    """Raise ExprEvalError naming node and the first sample where bad holds."""
+    if bad.any():
+        raise ExprEvalError(f"{what} '{to_source(node)}': " + _first_bad(bad, arg))
+
+
+# functions defined on part of the real line: a mask of the samples outside
+# it, and the wording of the error
+_DOMAINS = {
+    "sqrt": (lambda a: a < 0.0, "sqrt of a negative value in"),
+    "log": (lambda a: a <= 0.0, "log of a non-positive value in"),
+    "asin": (lambda a: np.abs(a) > 1.0, "asin argument outside [-1,1] in"),
+}
 
 
 def _int_literal_exponent(node) -> int | None:
@@ -306,16 +318,10 @@ def _repeated_power(base, k: int, node):
     if k == 0:
         return base * 0.0 + 1.0
     if k < 0:
-        bad = np.asarray(base) == 0.0
-        if np.any(bad):
-            raise ExprEvalError(f"zero base with negative exponent in '{to_source(node)}': "
-                                + _first_bad(bad, base))
+        _reject(np.asarray(base) == 0.0, "zero base with negative exponent in", node, base)
         denom = _repeated_power(base, -k, node)
         # a tiny nonzero base can underflow to an exact zero power
-        bad = np.asarray(denom) == 0.0
-        if np.any(bad):
-            raise ExprEvalError(f"power underflow gives a zero divisor in '{to_source(node)}': "
-                                + _first_bad(bad, base))
+        _reject(np.asarray(denom) == 0.0, "power underflow gives a zero divisor in", node, base)
         return 1.0 / denom
     acc = base
     for _ in range(k - 1):
@@ -323,62 +329,233 @@ def _repeated_power(base, k: int, node):
     return acc
 
 
-def _eval(node, env, memo=None):
-    """Value of node; runs under evaluate's errstate.
+def _check_divisor(right, node):
+    _reject(np.asarray(right) == 0.0, "division by zero in", node, right)
 
-    memo maps the ids of x-only subtrees to their value, or to None until
-    first use; such a subtree is evaluated once and then reused.
+
+def _check_power_base(left, node):
+    _reject(np.asarray(left) <= 0.0,
+            "power with non-integer exponent needs a positive base in", node, left)
+
+
+# Instructions: op(a, b, node) with the values of two slots and the node an
+# error names.  Unary ops ignore b.
+
+def _plus(a, b, node):
+    return a + b
+
+
+def _minus(a, b, node):
+    return a - b
+
+
+def _times(a, b, node):
+    return a * b
+
+
+def _quotient(a, b, node):  # the divisor is a nonzero constant
+    return a / b
+
+
+def _checked_quotient(a, b, node):
+    _check_divisor(b, node)
+    return a / b
+
+
+def _negate(a, b, node):
+    return -a
+
+
+def _real_power(a, b, node):  # the base is a positive constant
+    out = np.power(a, b)
+    if not np.isfinite(out).all():
+        raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
+    return out
+
+
+def _checked_power(a, b, node):
+    _check_power_base(a, node)
+    return _real_power(a, b, node)
+
+
+def _call(a, b, node):
+    domain = _DOMAINS.get(node.fn)
+    if domain is not None:
+        _reject(domain[0](np.asarray(a)), domain[1], node, a)
+    out = _UFUNCS[node.fn](a)
+    _reject(~np.isfinite(out), "non-finite result from", node, a)
+    return out
+
+
+def _fail(message, b, node):  # a failure decided at compile time
+    raise ExprEvalError(message)
+
+
+_BINARY = {"+": _plus, "-": _minus, "*": _times, "/": _checked_quotient, "^": _checked_power}
+_VARIABLE_SLOTS = {name: i for i, name in enumerate(VARIABLES)}
+
+
+class _Program(NamedTuple):
+    """An expression compiled to a flat list of instructions over value slots.
+
+    Slots 0-4 hold x, u, y, v, z; the others hold constants or instruction
+    outputs.  Instructions (op, out, a, b, node) appear in the order in which
+    a left-to-right post-order walk of the tree first meets each distinct
+    subtree, so the first failure is the walk's.  An output slot is reused
+    once the value's last reader has run, so intermediate arrays die about
+    when a tree walk would drop them.
     """
-    if memo is not None and id(node) in memo:
-        value = memo[id(node)]
-        if value is None:
-            value = memo[id(node)] = _eval(node, env)
-        return value
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return env[node.name]
-    if isinstance(node, Neg):
-        return -_eval(node.operand, env, memo)
-    if isinstance(node, Call):
-        arg = _eval(node.arg, env, memo)
-        _check_domain(node.fn, node, arg)
-        out = _UFUNCS[node.fn](arg)
-        bad = ~np.isfinite(np.asarray(out))
-        if np.any(bad):
-            raise ExprEvalError(f"non-finite result from '{to_source(node)}': "
-                                + _first_bad(bad, arg))
-        return out
-    if isinstance(node, BinOp):
-        left = _eval(node.left, env, memo)
-        if node.op == "^":
-            k = _int_literal_exponent(node.right)
-            if k is not None:
-                return _repeated_power(left, k, node)
-            right = _eval(node.right, env, memo)
-            bad = np.asarray(left) <= 0.0
-            if np.any(bad):
-                raise ExprEvalError(
-                    f"power with non-integer exponent needs a positive base in "
-                    f"'{to_source(node)}': " + _first_bad(bad, left))
-            out = np.power(left, right)
-            bad = ~np.isfinite(np.asarray(out))
-            if np.any(bad):
-                raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
-            return out
-        right = _eval(node.right, env, memo)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        bad = np.asarray(right) == 0.0
-        if np.any(bad):
-            raise ExprEvalError(f"division by zero in '{to_source(node)}': "
-                                + _first_bad(bad, right))
-        return left / right
-    raise TypeError(f"not an expression node: {node!r}")
+
+    template: list  # slot values known before a run
+    code: list
+    x_only: list    # per instruction: free of u, y, v and z
+    temps: tuple    # output slots a fixed-x evaluator need not keep between calls
+    result: int
+
+
+class _Compiler:
+    """Builds the _Program of one root.
+
+    Equal subtrees, found by value, share one slot.  Subtrees of literals are
+    folded, failures included, and a check on a constant operand is decided
+    here.  An instruction's node is None for the root itself: the program is
+    kept on its root, so it must not hold it.
+    """
+
+    def __init__(self, root: Expression):
+        self.root = root
+        self.template: list = [None] * len(VARIABLES)
+        self.x_only: list = [name == "x" for name in VARIABLES]
+        self.known: list = [False] * len(VARIABLES)
+        self.code: list = []
+        self.keys: dict = {}
+
+    def program(self) -> _Program:
+        """Compile, then give each output a slot that a dead value frees.
+
+        The result and the x-only values that other instructions read get
+        slots of their own, so a fixed-x evaluator can keep them between calls.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):  # as in _run, for folding
+            result = self.slot(self.root)
+        code, x_only = self.code, self.x_only
+        outputs = {ins[1] for ins in code}
+        pinned = {result} | {s for ins in code if not x_only[ins[1]]
+                             for s in ins[2:4] if x_only[s] and s in outputs}
+        last_read = {}
+        for i, ins in enumerate(code):
+            last_read[ins[2]] = last_read[ins[3]] = i
+        slot_of = {}
+        template = []
+        for s, value in enumerate(self.template):
+            if s not in outputs:
+                slot_of[s] = len(template)
+                template.append(value)
+        free: list = []
+        allocated = []
+        for i, (op, out, a, b, node) in enumerate(code):
+            for s in {a, b}:
+                if s in outputs and s not in pinned and last_read[s] == i:
+                    free.append(slot_of[s])
+            if free and out not in pinned:
+                slot_of[out] = free.pop()
+            else:
+                slot_of[out] = len(template)
+                template.append(None)
+            allocated.append((op, slot_of[out], slot_of[a], slot_of[b], node))
+        temps = tuple(sorted({slot_of[s] for s in outputs - pinned}))
+        return _Program(template, allocated, [x_only[ins[1]] for ins in code], temps,
+                        slot_of[result])
+
+    def new_slot(self, value, known: bool, x_only: bool) -> int:
+        self.template.append(value)
+        self.known.append(known)
+        self.x_only.append(x_only)
+        return len(self.template) - 1
+
+    def constant(self, key, value) -> int:
+        slot = self.keys.get(key)
+        if slot is None:
+            slot = self.keys[key] = self.new_slot(value, True, True)
+        return slot
+
+    def emit(self, key, op, a: int, b: int, node, check=None) -> int:
+        """The slot of op on slots a and b.
+
+        check, a pair (check, constant slot), runs now; when it fails, or a
+        folded op fails, the instruction becomes one that raises the same.
+        """
+        slot = self.keys.get(key)
+        if slot is not None:
+            return slot
+        folded = self.known[a] and self.known[b]
+        try:
+            if check is not None:
+                check[0](self.template[check[1]], node)
+            if folded:
+                value = op(self.template[a], self.template[b], node)
+        except ExprEvalError as err:
+            a = b = self.new_slot(str(err), True, True)
+            op, folded = _fail, False
+        if folded:
+            slot = self.new_slot(value, True, True)
+        else:
+            slot = self.new_slot(None, False, self.x_only[a] and self.x_only[b])
+            self.code.append((op, slot, a, b, None if node is self.root else node))
+        self.keys[key] = slot
+        return slot
+
+    def slot(self, node) -> int:
+        if isinstance(node, BinOp):
+            a = self.slot(node.left)
+            if node.op == "^":
+                k = _int_literal_exponent(node.right)
+                if k is not None:
+                    k_slot = self.constant(("k", k), k)
+                    return self.emit(("^k", a, k), _repeated_power, a, k_slot, node)
+            b = self.slot(node.right)
+            op, check = _BINARY[node.op], None
+            if node.op == "/" and self.known[b] and not self.known[a]:
+                op, check = _quotient, (_check_divisor, b)
+            elif node.op == "^" and self.known[a] and not self.known[b]:
+                op, check = _real_power, (_check_power_base, a)
+            return self.emit((node.op, a, b), op, a, b, node, check)
+        if isinstance(node, Var):
+            return _VARIABLE_SLOTS[node.name]
+        if isinstance(node, Num):
+            return self.constant((type(node.value), repr(node.value)), node.value)
+        if isinstance(node, Call):
+            a = self.slot(node.arg)
+            return self.emit((node.fn, a), _call, a, a, node)
+        if isinstance(node, Neg):
+            a = self.slot(node.operand)
+            return self.emit(("neg", a), _negate, a, a, node)
+        raise TypeError(f"not an expression node: {node!r}")
+
+
+def _run(code, vals: list, root) -> None:
+    """Execute instructions in place on the slot values vals."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for op, out, a, b, node in code:
+            vals[out] = op(vals[a], vals[b], node or root)
+
+
+def _program(expr: Expression) -> _Program:
+    """The program of expr, compiled on first use and kept on expr."""
+    program = getattr(expr, "__dict__", {}).get("_program")
+    if program is None:
+        program = _Compiler(expr).program()
+        object.__setattr__(expr, "_program", program)
+    return program
+
+
+def _result(out, expr):
+    arr = np.asarray(out, dtype=float)
+    if not np.isfinite(arr).all():
+        raise ExprEvalError(f"non-finite result from '{to_source(expr)}'")
+    if arr.ndim == 0:
+        return float(arr)
+    return arr
 
 
 def evaluate(expr: Expression, x, u, y, v, z):
@@ -388,65 +565,55 @@ def evaluate(expr: Expression, x, u, y, v, z):
     broadcast numpy array.  Domain violations and non-finite intermediate
     results raise ExprEvalError naming the failing subexpression.
     """
-    return _evaluate(expr, {"x": x, "u": u, "y": y, "v": v, "z": z}, None)
-
-
-def _evaluate(expr, env, memo):
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _eval(expr, env, memo)
-    arr = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ExprEvalError(f"non-finite result from '{to_source(expr)}'")
-    if arr.ndim == 0:
-        return float(arr)
-    return arr
-
-
-# A module-level walk, not a closure: a recursive closure is a reference
-# cycle, which would keep roots and the values later stored in it alive
-# until the garbage collector runs.
-def _mark_x_only(node, roots: dict) -> bool:
-    """Whether node is free of u, y, v, z, in one bottom-up pass.
-
-    The ids of the maximal such subtrees below it, bare leaves left out, go
-    into roots mapped to None.
-    """
-    if isinstance(node, Num):
-        return True
-    if isinstance(node, Var):
-        return node.name == "x"
-    if isinstance(node, Neg):
-        children = (node.operand,)
-    elif isinstance(node, Call):
-        children = (node.arg,)
-    elif isinstance(node, BinOp):
-        children = (node.left, node.right)
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    x_only = [_mark_x_only(child, roots) for child in children]
-    if all(x_only):
-        return True
-    for child, free in zip(children, x_only):
-        if free and not isinstance(child, (Num, Var)):
-            roots[id(child)] = None
-    return False
+    program = _program(expr)
+    vals = program.template.copy()
+    vals[:5] = x, u, y, v, z
+    _run(program.code, vals, expr)
+    return _result(vals[program.result], expr)
 
 
 def _at_fixed_x(expr: Expression, x):
     """evaluate(expr, x, u, y, v, z) as a function of (u, y, v, z) for one fixed x.
 
-    Values, errors and the subtree an error names are those of evaluate; the
-    x-only subtrees are evaluated on first use and reused afterwards, so the
-    returned array may be shared with later calls and must not be written.
+    Values, errors and the subtree an error names are those of evaluate.  The
+    x-only instructions run once, on the first call, and their values are
+    reused afterwards, so the returned array may be shared with later calls
+    and must not be written.  An x-only failure is kept as well: later calls
+    run the instructions ahead of it, whose failures still win, then raise it.
     """
-    memo = {}
-    if _mark_x_only(expr, memo) and not isinstance(expr, (Num, Var)):
-        memo[id(expr)] = None
+    program = _program(expr)
+    start: list = []
 
     def at(u, y, v, z):
-        return _evaluate(expr, {"x": x, "u": u, "y": y, "v": v, "z": z}, memo)
+        if not start:
+            start.append(_x_only_start(program, expr, x))
+        vals, body, failure = start[0]
+        vals = vals.copy()
+        vals[1:5] = u, y, v, z
+        _run(body, vals, expr)
+        if failure is not None:
+            raise ExprEvalError(failure)
+        return _result(vals[program.result], expr)
 
     return at
+
+
+def _x_only_start(program: _Program, expr, x) -> tuple:
+    """Slot values after the x-only instructions, the rest of the code, any failure."""
+    vals = program.template.copy()
+    vals[0] = x
+    stop, failure = len(program.code), None
+    for i, (ins, x_only) in enumerate(zip(program.code, program.x_only)):
+        if x_only:
+            try:
+                _run((ins,), vals, expr)
+            except ExprEvalError as err:
+                stop, failure = i, str(err)
+                break
+    for slot in program.temps:  # keep only what the other instructions read
+        vals[slot] = None
+    body = [ins for ins, x_only in zip(program.code[:stop], program.x_only) if not x_only]
+    return vals, body, failure
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ The three workhorses are all fourth-order accurate:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -46,6 +47,9 @@ class Grid:
             raise ValueError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {self.n}")
+
+    def __getstate__(self):
+        return {"n": self.n}  # the cached arrays are rebuilt on first use
 
     @cached_property
     def h(self) -> float:
@@ -87,6 +91,9 @@ class GridFunction:
         _freeze_finite(self.grid, vals)
         object.__setattr__(self, "values", vals)
 
+    def __setstate__(self, state):
+        _refreeze(self, state)
+
     @classmethod
     def _adopt(cls, grid: Grid, vals: np.ndarray) -> "GridFunction":
         """Wrap a fresh float array of n+1 values that nothing else holds.
@@ -107,15 +114,26 @@ class GridFunction:
 
 
 def _freeze_finite(grid: Grid, vals: np.ndarray) -> None:
-    if not np.all(np.isfinite(vals)):
+    if not np.isfinite(vals).all():
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(f"non-finite value at node {bad} (x={bad * grid.h})")
     vals.setflags(write=False)
 
 
+def _refreeze(obj, state: dict) -> None:
+    """Unpickle a frozen dataclass, making its arrays read-only again.
+
+    pickle keeps an array's values but not its read-only flag.
+    """
+    obj.__dict__.update(state)
+    for value in state.values():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+
+
 def sup_norm(f: GridFunction) -> float:
     """Maximum absolute nodal value."""
-    return float(np.max(np.abs(f.values)))
+    return float(np.abs(f.values).max())
 
 
 def simpson(f: GridFunction) -> float:
@@ -129,7 +147,7 @@ def simpson(f: GridFunction) -> float:
 
 def _simpson(v: np.ndarray, h: float) -> float:
     """simpson on raw node values v with spacing h."""
-    return float(h / 3.0 * (v[0] + v[-1] + 4.0 * np.sum(v[1:-1:2]) + 2.0 * np.sum(v[2:-2:2])))
+    return float(h / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-2:2].sum()))
 
 
 def diff5(f: GridFunction) -> GridFunction:
@@ -144,10 +162,13 @@ def diff5(f: GridFunction) -> GridFunction:
     w = 12.0 * f.grid.h
     d = np.empty_like(v)
     d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / w
-    d[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / w
-    d[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / w
-    d[-2] = (-v[-5] + 6.0 * v[-4] - 18.0 * v[-3] + 10.0 * v[-2] + 3.0 * v[-1]) / w
-    d[-1] = (3.0 * v[-5] - 16.0 * v[-4] + 36.0 * v[-3] - 48.0 * v[-2] + 25.0 * v[-1]) / w
+    # the edge rows on Python floats: the same arithmetic, far fewer numpy calls
+    v0, v1, v2, v3, v4 = v[:5].tolist()
+    d[0] = (-25.0 * v0 + 48.0 * v1 - 36.0 * v2 + 16.0 * v3 - 3.0 * v4) / w
+    d[1] = (-3.0 * v0 - 10.0 * v1 + 18.0 * v2 - 6.0 * v3 + v4) / w
+    v0, v1, v2, v3, v4 = v[-5:].tolist()
+    d[-2] = (-v0 + 6.0 * v1 - 18.0 * v2 + 10.0 * v3 + 3.0 * v4) / w
+    d[-1] = (3.0 * v0 - 16.0 * v1 + 36.0 * v2 - 48.0 * v3 + 25.0 * v4) / w
     return GridFunction._adopt(f.grid, d)
 
 
@@ -163,7 +184,7 @@ def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> Grid
     constant coefficients give a closed form, two running sums in O(n), so
     no elimination is needed.  Boundary values are imposed exactly.
     """
-    if not (np.isfinite(left) and np.isfinite(right)):
+    if not (math.isfinite(left) and math.isfinite(right)):
         raise ValueError("boundary values must be finite")
     g = rhs.values
     grid = rhs.grid
@@ -175,9 +196,13 @@ def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> Grid
     # The differences d[i] = u[i+1] - u[i] obey d[i] - d[i-1] = b[i-1], so d
     # is the running sum of b plus the one shift that makes the d add up to
     # right - left; u is then the running sum of d.
-    d = np.concatenate(([0.0], np.cumsum(b)))
-    d += (right - left - np.sum(d)) / n
-    u = left + np.concatenate(([0.0], np.cumsum(d)))
+    d = np.empty(n)
+    d[0] = 0.0
+    np.add.accumulate(b, out=d[1:])
+    d += (right - left - d.sum()) / n
+    u = np.empty(n + 1)
     u[0] = left
+    np.add.accumulate(d, out=u[1:])
+    u[1:] += left
     u[-1] = right
     return GridFunction._adopt(grid, u)

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .expr import (
     BinOp,
@@ -143,10 +142,8 @@ def hermite_cubic(a: float, b: float, A1: float, B1: float, A2: float, B2: float
     gap = B1 - A1
     m0 = L * A2
     m1 = L * B2
-    in_s = Polynomial([A1, m0, 3.0 * gap - 2.0 * m0 - m1, -2.0 * gap + m0 + m1])
-    in_t = in_s(Polynomial([-a / L, 1.0 / L]))
-    c = list(in_t.coef) + [0.0] * (4 - len(in_t.coef))
-    return CubicInterpolant(*(float(v) for v in c[:4]))
+    in_s = [A1, m0, 3.0 * gap - 2.0 * m0 - m1, -2.0 * gap + m0 + m1]
+    return CubicInterpolant(*_compose_affine(in_s, -a / L, 1.0 / L))
 
 
 def _poly_expr(coeffs) -> Expression:
@@ -172,10 +169,19 @@ def _poly_expr(coeffs) -> Expression:
 
 
 def _compose_affine(coeffs, a: float, L: float) -> list:
-    """Coefficients of p(a + L x) in x, given coefficients of p(t) in t."""
-    composed = Polynomial(list(coeffs))(Polynomial([a, L]))
-    out = list(composed.coef) + [0.0] * (len(coeffs) - len(composed.coef))
-    return [float(v) for v in out[:len(coeffs)]]
+    """Coefficients of p(a + L x) in x, given coefficients of p(t) in t, L > 0.
+
+    Horner steps r <- c_k + r*(a + L x) on Python floats, with the rounding
+    of numpy.polynomial's composition: each coefficient of a product is a
+    sum started from 0.0, so a zero coefficient is never -0.0.
+    """
+    a, L = float(a), float(L)
+    r = [0.0 + float(coeffs[-1])]
+    for c in reversed(coeffs[:-1]):
+        r = ([float(c) + (0.0 + r[0] * a)]
+             + [0.0 + r[j] * a + r[j - 1] * L for j in range(1, len(r))]
+             + [0.0 + r[-1] * L])
+    return r
 
 
 @dataclass(frozen=True)
@@ -198,10 +204,11 @@ class CanonicalProblem:
     def f_on(self, grid: Grid):
         """f at the nodes of grid, as a function of (u, y, v, z).
 
-        The x-only subtrees of rhs are evaluated on first use and reused on
-        later calls, so the result may be shared and must not be written.
-        The evaluator for the grid size asked for last is kept on the
-        instance; it holds the nodes, not the grid.
+        It runs the program compiled for rhs, which evaluate runs too; its
+        x-only instructions run on first use and are reused on later calls,
+        so the result may be shared and must not be written.  The evaluator
+        for the grid size asked for last is kept on the instance; it holds
+        the nodes, not the grid.
         """
         cached = self.__dict__.get("_f_on")
         if cached is None or cached[0] != grid.n:

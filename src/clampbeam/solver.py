@@ -18,12 +18,21 @@ e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .numerics import Grid, GridFunction, _simpson, diff5, solve_second_order_bvp, sup_norm
+from .numerics import (
+    Grid,
+    GridFunction,
+    _refreeze,
+    _simpson,
+    diff5,
+    solve_second_order_bvp,
+    sup_norm,
+)
 from .problem import CanonicalProblem
 
 __all__ = [
@@ -55,7 +64,7 @@ class Triplet:
     beta: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
             raise ValueError("end curvatures must be finite")
 
 
@@ -66,7 +75,7 @@ def triplet_norm(state: Triplet) -> float:
 
 def triplet_distance(s1: Triplet, s2: Triplet) -> float:
     return (
-        float(np.max(np.abs(s1.source.values - s2.source.values)))
+        float(np.abs(s1.source.values - s2.source.values).max())
         + abs(s1.alpha - s2.alpha)
         + abs(s1.beta - s2.beta)
     )
@@ -120,6 +129,14 @@ class SolveReport:
     first_step: float
     failure: Optional[str] = None
 
+    def __post_init__(self):
+        for history in (self.e_history, self.eu_history):
+            if history is not None:
+                history.setflags(write=False)
+
+    def __setstate__(self, state):
+        _refreeze(self, state)
+
     @property
     def grid(self) -> Grid:
         return self.profile.u.grid
@@ -156,7 +173,9 @@ def _source_values(problem: CanonicalProblem, profile: IterateProfile) -> np.nda
     grid = profile.u.grid
     out = problem.f_on(grid)(
         profile.u.values, profile.du.values, profile.d2u.values, profile.d3u.values)
-    return np.broadcast_to(np.asarray(out, dtype=float), grid.nodes.shape).copy()
+    if isinstance(out, float):  # f is constant
+        return np.full(grid.n + 1, out)
+    return out.copy()  # the evaluator's result may be shared
 
 
 def _zero_profile(grid: Grid) -> IterateProfile:
@@ -195,7 +214,7 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     """
     grid = state.source.grid
     f_vals = _source_values(problem, _profile_from(state))
-    src_defect = float(np.max(np.abs(state.source.values - f_vals)))
+    src_defect = float(np.abs(state.source.values - f_vals).max())
     w_left, w_right = grid.slope_weights
     i_left = _simpson(w_left * state.source.values, grid.h)
     i_right = _simpson(w_right * state.source.values, grid.h)
@@ -254,10 +273,10 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         if k == 0:
             first_step = triplet_distance(state, prev_state)
             continue
-        e = float(np.max(np.abs(profile.u.values - prev_u)))
+        e = float(np.abs(profile.u.values - prev_u).max())
         e_hist.append(e)
         if eu_hist is not None:
-            eu_hist.append(float(np.max(np.abs(profile.u.values - exact_gf.values))))
+            eu_hist.append(float(np.abs(profile.u.values - exact_gf.values).max()))
         if e <= config.tol:
             return _report()
         increases = increases + 1 if e > prev_e else 0

@@ -2,14 +2,17 @@
 
 import gc
 import math
+import pickle
+import re
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clampbeam.expr as expr_module
+from clampbeam.analysis import DomainBox, LatticeSpec, _lattice_env
 from clampbeam.examples import get_example
 from clampbeam.expr import (
     BinOp,
@@ -401,3 +404,193 @@ class TestFixedX:
     def test_random_trees(self, tree):
         _assert_fixed_x_matches(tree, XS[::5], tuple(a[::5] for a in _profile(0.7)),
                                 tuple(a[::5] for a in _profile(-1.3)))
+
+
+# ---------------------------------------------------------------------------
+# The compiled program behind evaluate and the fixed-x evaluator
+
+
+def _count_sin(monkeypatch):
+    calls = []
+    real = np.sin
+    monkeypatch.setitem(expr_module._UFUNCS, "sin", lambda a: calls.append(1) or real(a))
+    return calls
+
+
+# (source, message) of failures on the 5-D lattice of DomainBox(1.0) with
+# five points per axis; the first five are the cases of
+# tests/test_analysis.py's bad-point test, whose sample indices they repeat
+LATTICE_FAILURES = [
+    ("log(2.9 - x - 384*u - v)",
+     "log of a non-positive value in 'log(2.9 - x - 384*u - v)': "
+     "argument -0.10000000000000009 at sample (4, 4, 0, 4, 0)"),
+    ("sqrt(2.6 - x - 384*u - v + 0.5*z)",
+     "sqrt of a negative value in 'sqrt(2.6 - x - 384*u - v + 0.5*z)': "
+     "argument -0.1499999999999999 at sample (1, 4, 0, 4, 0)"),
+    ("log(2.4 - x - 125*y - 384*u - 0.05*z)",
+     "log of a non-positive value in 'log(2.4 - x - 125*y - 384*u - 0.05*z)': "
+     "argument -0.052344217343100394 at sample (2, 4, 4, 0, 0)"),
+    ("sqrt(v - 0.3*z + x + 1.2)",
+     "sqrt of a negative value in 'sqrt(v - 0.3*z + x + 1.2)': "
+     "argument -0.10000000000000009 at sample (0, 0, 0, 0, 4)"),
+    ("log(y + 0.01 - u)",
+     "log of a non-positive value in 'log(y + 0.01 - u)': "
+     "argument -0.0006229204054114695 at sample (0, 4, 0, 0, 0)"),
+    ("u^-2 + x",
+     "zero base with negative exponent in 'u^(-2)': argument 0.0 at sample (0, 2, 0, 0, 0)"),
+    ("(v - 0.5)^0.5",
+     "power with non-integer exponent needs a positive base in '(v - 0.5)^0.5': "
+     "argument -1.5 at sample (0, 0, 0, 0, 0)"),
+    ("asin(2*v)",
+     "asin argument outside [-1,1] in 'asin(2*v)': argument -2.0 at sample (0, 0, 0, 0, 0)"),
+    ("exp(800*z)",
+     "non-finite result from 'exp(800*z)': argument 800.0 at sample (0, 0, 0, 0, 4)"),
+]
+
+
+def _walk(node, env):
+    """Reference semantics: a direct left-to-right post-order walk of the tree."""
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Var):
+        return env[node.name]
+    if isinstance(node, Neg):
+        return -_walk(node.operand, env)
+    if isinstance(node, Call):
+        return expr_module._call(_walk(node.arg, env), None, node)
+    left = _walk(node.left, env)
+    if node.op == "^":
+        k = expr_module._int_literal_exponent(node.right)
+        if k is not None:
+            return expr_module._repeated_power(left, k, node)
+    return expr_module._BINARY[node.op](left, _walk(node.right, env), node)
+
+
+def _walk_evaluate(tree, *args):
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _walk(tree, dict(zip("xuyvz", args)))
+    return expr_module._result(out, tree)
+
+
+def _shared_trees():
+    """Trees in which one subtree object stands for every u."""
+    return st.tuples(_trees(2), _trees(2)).map(lambda t: substitute(t[0], {"u": t[1]}))
+
+
+def _literal_trees():
+    """Trees with literal-only subtrees, which the compiler folds."""
+    return st.tuples(_trees(2), st.sampled_from("xuyvz"), _trees(1)).map(
+        lambda t: BinOp("+", substitute(t[0], {t[1]: Num(0.5)}), t[2]))
+
+
+def _colliding_trees():
+    """Near-equal siblings over one subtree: what sharing and folding must keep apart."""
+    leaf = st.sampled_from([Num(0.0), Num(-0.0), Num(2.0), Var("x"), Var("u")])
+    sub = st.one_of(leaf, st.tuples(st.sampled_from("+-*/^"), leaf, leaf).map(lambda t: BinOp(*t)))
+    side = st.one_of(
+        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "log"]), sub).map(lambda t: Call(*t)),
+        st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(*t)))
+    return st.tuples(st.sampled_from("+-*/"), side, side).map(lambda t: BinOp(*t))
+
+
+class TestCompiledProgram:
+    def test_shared_subtree_runs_once(self, monkeypatch):
+        calls = _count_sin(monkeypatch)
+        tree = parse("sin(u + x^2)*(u + x^2) + sin(u + x^2)")
+        profile = _profile(0.5)
+        w = profile[0] + XS * XS
+        expect = (np.sin(w) * w + np.sin(w)).tobytes()
+        assert evaluate(tree, XS, *profile).tobytes() == expect
+        assert len(calls) == 1
+        at = expr_module._at_fixed_x(tree, XS)
+        for _ in range(3):
+            assert at(*profile).tobytes() == expect
+        assert len(calls) == 1 + 3
+
+    @pytest.mark.parametrize("source", [
+        "sin(u) + cos(u)",            # same argument, different functions
+        "u*0*(u*-0)",                 # literals equal under == but not in sign
+        "u^2 + u^2.5 + u^(1 + 1)",    # integer and real powers of one base
+        "u/0 + 1", "2^u - (0 - 2)^u", "log(u - u) + sqrt(0 - 1)",
+    ])
+    def test_near_equal_subtrees_stay_apart(self, source):
+        tree = parse(source)
+        for env in ((0.3, 1.0, 0.5, 0.2, 0.1), (XS,) + _profile(2.0)):
+            assert _outcome(evaluate, tree, *env) == _outcome(_walk_evaluate, tree, *env)
+
+    @settings(max_examples=300)
+    @given(tree=st.one_of(_trees(), _shared_trees(), _literal_trees(), _colliding_trees()))
+    def test_matches_a_direct_tree_walk(self, tree):
+        lattice = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
+        for env in (POINT, (XS[::5],) + tuple(a[::5] for a in _profile(-1.3)),
+                    tuple(lattice[name] for name in "xuyvz")):
+            assert _outcome(evaluate, tree, *env) == _outcome(_walk_evaluate, tree, *env)
+
+    def test_equal_subtrees_share_one_instruction(self):
+        # u + P(x) of a shifted problem appears once per occurrence of u in F
+        program = expr_module._program(parse("(u + x^2)^2 + sin(u + x^2) + (u + x^2)/2"))
+        ops = [ins[0] for ins in program.code]
+        assert ops.count(expr_module._plus) == 3  # u + x^2 once, then the two sums
+        assert ops.count(expr_module._repeated_power) == 2  # x^2 and (u + x^2)^2
+
+    @pytest.mark.parametrize("source, message", LATTICE_FAILURES)
+    def test_lattice_failures_keep_sample_and_message(self, source, message):
+        env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
+        with pytest.raises(ExprEvalError) as info:
+            evaluate(parse(source), *(env[name] for name in "xuyvz"))
+        assert str(info.value) == message
+
+    def test_checks_on_constants_are_decided_when_compiling(self):
+        program = expr_module._program(parse("y/4 + 2^u + u/(3 - 1)"))
+        ops = {ins[0] for ins in program.code}
+        assert expr_module._checked_quotient not in ops
+        assert expr_module._checked_power not in ops
+        assert evaluate(parse("y/4 + 2^u"), 0, 1.0, 2.0, 0, 0) == 2.5
+
+    @pytest.mark.parametrize("source, env, message", [
+        ("u/0", (0, 1.0, 0, 0, 0), "division by zero in 'u/0': argument 0.0"),
+        ("u/(1 - 1)", (0, 1.0, 0, 0, 0), "division by zero in 'u/(1 - 1)': argument 0.0"),
+        ("(0 - 2)^u", (0, 1.0, 0, 0, 0),
+         "power with non-integer exponent needs a positive base in '(0 - 2)^u': argument -2.0"),
+        ("u + sqrt(0 - 1)", (0, 1.0, 0, 0, 0),
+         "sqrt of a negative value in 'sqrt(0 - 1)': argument -1.0"),
+        # a failing constant raises only where the walk reaches it
+        ("log(u) + u/0", (0, 0.0, 0, 0, 0), "log of a non-positive value in 'log(u)': argument 0.0"),
+        ("log(u) + sqrt(0 - 1)", (0, 0.0, 0, 0, 0),
+         "log of a non-positive value in 'log(u)': argument 0.0"),
+    ])
+    def test_constant_failures_raise_in_walk_order(self, source, env, message):
+        tree = parse(source)
+        for _ in range(2):
+            with pytest.raises(ExprEvalError) as info:
+                evaluate(tree, *env)
+            assert str(info.value) == message
+
+    def test_program_is_kept_on_the_root_only(self, monkeypatch):
+        compiled = []
+        real = expr_module._Compiler
+        monkeypatch.setattr(expr_module, "_Compiler", lambda root: compiled.append(root) or real(root))
+        tree = parse("sqrt(u)/(x + 1) + 1")
+        evaluate(tree, 1.0, 4.0, 0, 0, 0)
+        evaluate(tree, 2.0, 4.0, 0, 0, 0)
+        expr_module._at_fixed_x(tree, XS)(*_profile(1.0))
+        assert compiled == [tree]
+        copy = pickle.loads(pickle.dumps(tree))
+        assert copy == tree and "_program" not in vars(copy)
+
+    @pytest.mark.parametrize("source, fragment", [
+        ("1/u", "division by zero in '1/u'"),
+        ("sqrt(0 - 1)", "sqrt of a negative value in 'sqrt(0 - 1)'"),  # failure at compile time
+    ])
+    def test_program_does_not_keep_its_root_alive(self, source, fragment):
+        # the root's own failures are named through the root passed in
+        gc.disable()
+        try:
+            tree = parse(source)
+            with pytest.raises(ExprEvalError, match=re.escape(fragment)):
+                evaluate(tree, 0, 0.0, 0, 0, 0)
+            root = weakref.ref(tree)
+            del tree
+            assert root() is None
+        finally:
+            gc.enable()

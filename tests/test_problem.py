@@ -2,20 +2,31 @@
 
 The Hermite cubic is checked against an independent dense linear solve of
 the four interpolation conditions; the variable transform is checked by
-direct composition of the raw right-hand side at random points.
+direct composition of the raw right-hand side at random points.  The
+scalar polynomial composition is checked bit for bit against
+numpy.polynomial, which the package itself does not import.
 """
 
 import math
+import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
+import clampbeam
+import clampbeam.problem as problem_module
+from clampbeam.examples import get_example
 from clampbeam.expr import evaluate, parse
 from clampbeam.numerics import Grid
 from clampbeam.problem import (
     CanonicalProblem,
+    CubicInterpolant,
     ProblemFormatError,
     RawProblem,
     canonicalize,
@@ -81,6 +92,92 @@ class TestHermiteCubic:
             hermite_cubic(1.0, 1.0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             hermite_cubic(2.0, 1.0, 0, 0, 0, 0)
+
+
+def _numpy_compose(coeffs, a, L):
+    """Coefficients of p(a + L x) composed by numpy.polynomial."""
+    composed = Polynomial(list(coeffs))(Polynomial([a, L]))
+    out = list(composed.coef) + [0.0] * (len(coeffs) - len(composed.coef))
+    return [float(v) for v in out[:len(coeffs)]]
+
+
+def _numpy_hermite(a, b, A1, B1, A2, B2):
+    """hermite_cubic with the Hermite basis expanded by numpy.polynomial."""
+    L = b - a
+    gap = B1 - A1
+    m0 = L * A2
+    m1 = L * B2
+    in_s = Polynomial([A1, m0, 3.0 * gap - 2.0 * m0 - m1, -2.0 * gap + m0 + m1])
+    return CubicInterpolant(*_numpy_compose(in_s.coef, -a / L, 1.0 / L))
+
+
+def _bits(values):
+    return [struct.pack("<d", v) for v in values]
+
+
+# zeros of both signs and small integers hit the cancellations and the
+# signed-zero rules of the composition
+COEFF = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -3.0]),
+                  st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+
+SHIFTED_TEXTS = [
+    "a = 0.5\nb = 1.6\nA1 = 1\nB1 = -0.5\nA2 = 0.3\nB2 = 2\nf = u*z/2 - y*v/4 + x\n",
+    "a = -1\nb = 0.2\nA1 = 0.5\nB1 = 1.5\nf = u^2*sin(u) + sin(x) + u*y\n",
+    "b = 1.07\nA1 = 1\nB1 = 1.2\nA2 = -0.1\nB2 = 0.05\nf = sqrt(u)*sin(exp(u)) + exp(-x^2)\n",
+    "a = -2\nb = -0.5\nB2 = 3\nf = v + z\n",
+]
+
+
+class TestScalarComposition:
+    @given(coeffs=st.lists(COEFF, min_size=1, max_size=4), a=COEFF,
+           L=st.floats(min_value=1e-3, max_value=1e3))
+    def test_compose_affine_matches_numpy(self, coeffs, a, L):
+        got = problem_module._compose_affine(coeffs, a, L)
+        assert _bits(got) == _bits(_numpy_compose(coeffs, a, L))
+
+    @given(a=COEFF, width=st.floats(min_value=1e-2, max_value=1e2),
+           data=st.tuples(COEFF, COEFF, COEFF, COEFF))
+    def test_hermite_cubic_matches_numpy(self, a, width, data):
+        b = a + width
+        if not a < b:
+            return  # the width was absorbed by rounding
+        got = hermite_cubic(a, b, *data).coeffs
+        assert _bits(got) == _bits(_numpy_hermite(a, b, *data).coeffs)
+
+    @pytest.mark.parametrize("args", [
+        (0.0, 1.0, 1.0, 0.0, 0.0, 0.0),       # a = 0: the shift -a/L is -0.0
+        (0.0, 1.3, 0.0, 2.0, -1.0, 0.0),
+        (-1.0, 0.2, 0.5, 1.5, 0.0, 0.0),      # negative a
+        (0.5, 1.6, 1.0, -0.5, 0.3, 2.0),      # b != 1
+        (-2.0, -0.5, 0.0, 0.0, 0.0, 3.0),
+        (0.0, 1.0, 0.0, 1.87, 0.0, 5.61),     # exact-zero coefficients
+        (0.0, 2.0, 0.0, 0.0, 0.0, 0.0),
+    ])
+    def test_edge_cases(self, args):
+        assert _bits(hermite_cubic(*args).coeffs) == _bits(_numpy_hermite(*args).coeffs)
+        coeffs = hermite_cubic(*args).coeffs
+        for c in (coeffs, coeffs[1:], (0.0, -0.0, 2.0), (-0.0,), (0.0, 0.0, 0.0)):
+            a, L = args[0], args[1] - args[0]
+            assert _bits(problem_module._compose_affine(c, a, L)) == \
+                _bits(_numpy_compose(c, a, L))
+
+    @pytest.mark.parametrize("raw", [get_example(i).load().raw for i in range(1, 7)]
+                             + [parse_problem_text(t).raw for t in SHIFTED_TEXTS])
+    def test_canonical_forms_match_numpy(self, raw, monkeypatch):
+        cp = canonicalize(raw)
+        monkeypatch.setattr(problem_module, "_compose_affine", _numpy_compose)
+        monkeypatch.setattr(problem_module, "hermite_cubic", _numpy_hermite)
+        ref = canonicalize(raw)
+        assert cp.rhs == ref.rhs and cp.shift == ref.shift
+        assert repr(cp.rhs) == repr(ref.rhs) and repr(cp.shift) == repr(ref.shift)
+
+    def test_package_does_not_load_numpy_polynomial(self):
+        src = str(Path(clampbeam.__file__).resolve().parents[1])
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import clampbeam, clampbeam.cli; "
+                "print('numpy.polynomial' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestRawProblem:

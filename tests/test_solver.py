@@ -249,6 +249,22 @@ class TestStepAndResidual:
         assert np.array_equal(again.profile.u.values, rep.profile.u.values)
         assert (again.triplet.alpha, again.triplet.beta) == (rep.triplet.alpha, rep.triplet.beta)
 
+    def test_pickled_report_stays_read_only(self):
+        # pickle keeps an array's values but not its read-only flag; the grid
+        # travels as its size alone and rebuilds its cached arrays
+        rep = solve(get_example(1).canonical(), SolverConfig(n=16))
+        assert not rep.e_history.flags.writeable and not rep.eu_history.flags.writeable
+        rep.grid.slope_weights  # fill the grid's caches before pickling
+        rep2 = pickle.loads(pickle.dumps(rep))
+        assert vars(rep2.grid) == {"n": 16}
+        arrays = [rep2.e_history, rep2.eu_history, rep2.triplet.source.values,
+                  rep2.grid.nodes, *rep2.grid.slope_weights]
+        arrays += [getattr(rep2.profile, name).values for name in ("u", "du", "d2u", "d3u")]
+        assert all(not a.flags.writeable for a in arrays)
+        assert np.array_equal(rep2.profile.u.values, rep.profile.u.values)
+        with pytest.raises(ValueError):
+            rep2.profile.u.values[3] = 1e300
+
     def test_step_reduces_distance_to_limit(self):
         cp = get_example(4).canonical()
         rep = solve(cp, SolverConfig(n=50))
