@@ -20,12 +20,12 @@ multiplication, so negative bases work; any other exponent goes through
 exp(b*log(a)) and requires a positive base.
 
 f is compiled once, on its first evaluation, into a flat instruction list
-kept on the root node.  Shared subexpressions are computed once per
-evaluation, literal-only subtrees are folded, and checks on constant operands
-are decided at compile time; values, errors and the subtree an error names
-are those of a left-to-right walk of the tree.  The solver evaluates f on a
-grid whose x never changes, so there the instructions free of u, y, v and z
-run once per problem and grid and are reused on later iterations.
+kept on the root node, in which equal subexpressions share one instruction.
+A fold then runs every instruction whose operands are all known and decides
+every check on a known operand.  Literals are known to every evaluation.  The
+solver evaluates f on a grid whose x never changes, so it folds the same
+program once more with x known, once per problem and grid.  Values, errors
+and the subtree an error names are those of a left-to-right walk of the tree.
 """
 
 from __future__ import annotations
@@ -66,6 +66,12 @@ FUNCTIONS = (
 )
 
 MAX_INT_EXPONENT = 9
+# Deepest nesting parse accepts, both in levels of the tree and in groups
+# open at once (parentheses, calls, unary minus, exponents).  Parsing,
+# rendering, differentiation and compilation recurse once per level, so a
+# deeper input would exhaust the interpreter's stack instead of failing as
+# bad input.
+MAX_DEPTH = 100
 
 
 class ExprError(ValueError):
@@ -173,6 +179,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.i = 0
+        self.depth = 0  # groups open around the token being read
 
     def peek(self):
         return self.tokens[self.i]
@@ -190,8 +197,24 @@ class _Parser:
                                   self.source, tok[2])
         return self.advance()
 
+    def deeper(self, depth: int, pos: int) -> int:
+        """depth + 1, the level of the node or group at pos; past MAX_DEPTH an error."""
+        if depth >= MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH} levels",
+                                  self.source, pos)
+        return depth + 1
+
+    def descend(self, parse, pos: int):
+        """parse() inside the group that opens at pos."""
+        self.depth = self.deeper(self.depth, pos)  # fails before the recursion is too deep
+        out = parse()
+        self.depth -= 1
+        return out
+
+    # expr, term, factor, power and atom return a node and its tree's depth.
+
     def parse(self) -> Expression:
-        node = self.expr()
+        node, _ = self.expr()
         tok = self.peek()
         if tok[0] != "end":
             raise ExprSyntaxError(
@@ -200,46 +223,49 @@ class _Parser:
                 self.source, tok[2])
         return node
 
-    def expr(self) -> Expression:
-        node = self.term()
+    def expr(self):
+        node, depth = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.term())
-        return node
+            op, _, pos = self.advance()
+            right, right_depth = self.term()
+            node, depth = BinOp(op, node, right), self.deeper(max(depth, right_depth), pos)
+        return node, depth
 
-    def term(self) -> Expression:
-        node = self.factor()
+    def term(self):
+        node, depth = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = BinOp(op, node, self.factor())
-        return node
+            op, _, pos = self.advance()
+            right, right_depth = self.factor()
+            node, depth = BinOp(op, node, right), self.deeper(max(depth, right_depth), pos)
+        return node, depth
 
-    def factor(self) -> Expression:
+    def factor(self):
         if self.peek()[0] == "-":
-            self.advance()
-            inner = self.factor()
+            pos = self.advance()[2]
+            inner, depth = self.descend(self.factor, pos)
             if isinstance(inner, Num):  # fold -literal so u^-2 sees an integer
-                return Num(-inner.value)
-            return Neg(inner)
+                return Num(-inner.value), 0
+            return Neg(inner), self.deeper(depth, pos)
         return self.power()
 
-    def power(self) -> Expression:
-        base = self.atom()
+    def power(self):
+        base, depth = self.atom()
         if self.peek()[0] == "^":
-            self.advance()
-            return BinOp("^", base, self.factor())
-        return base
+            pos = self.advance()[2]
+            exponent, exponent_depth = self.descend(self.factor, pos)
+            return BinOp("^", base, exponent), self.deeper(max(depth, exponent_depth), pos)
+        return base, depth
 
-    def atom(self) -> Expression:
+    def atom(self):
         tok = self.peek()
         if tok[0] == "number":
             self.advance()
-            return Num(tok[1])
+            return Num(tok[1]), 0
         if tok[0] == "(":
             self.advance()
-            node = self.expr()
+            node, depth = self.descend(self.expr, tok[2])
             self.expect(")", "')'")
-            return node
+            return node, depth
         if tok[0] == "ident":
             self.advance()
             name = tok[1]
@@ -247,13 +273,13 @@ class _Parser:
                 if name not in FUNCTIONS:
                     raise ExprSyntaxError(f"unknown function {name!r}", self.source, tok[2])
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.descend(self.expr, tok[2])
                 self.expect(")", "')'")
-                return Call(name, arg)
+                return Call(name, arg), self.deeper(depth, tok[2])
             if name in VARIABLES:
-                return Var(name)
+                return Var(name), 0
             if name in CONSTANTS:
-                return Num(CONSTANTS[name])
+                return Num(CONSTANTS[name]), 0
             raise ExprSyntaxError(
                 f"unknown identifier {name!r} (variables are x, u, y, v, z)",
                 self.source, tok[2])
@@ -353,7 +379,7 @@ def _times(a, b, node):
     return a * b
 
 
-def _quotient(a, b, node):  # the divisor is a nonzero constant
+def _quotient(a, b, node):  # the divisor is known and nonzero
     return a / b
 
 
@@ -366,7 +392,7 @@ def _negate(a, b, node):
     return -a
 
 
-def _real_power(a, b, node):  # the base is a positive constant
+def _real_power(a, b, node):  # the base is known and positive
     out = np.power(a, b)
     if not np.isfinite(out).all():
         raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
@@ -387,7 +413,7 @@ def _call(a, b, node):
     return out
 
 
-def _fail(message, b, node):  # a failure decided at compile time
+def _fail(message, b, node):  # a failure the fold decided
     raise ExprEvalError(message)
 
 
@@ -399,110 +425,46 @@ class _Program(NamedTuple):
     """An expression compiled to a flat list of instructions over value slots.
 
     Slots 0-4 hold x, u, y, v, z; the others hold constants or instruction
-    outputs.  Instructions (op, out, a, b, node) appear in the order in which
-    a left-to-right post-order walk of the tree first meets each distinct
-    subtree, so the first failure is the walk's.  An output slot is reused
-    once the value's last reader has run, so intermediate arrays die about
-    when a tree walk would drop them.
+    outputs, and no two instructions write one slot.  Instructions (op, out,
+    a, b, node, drops) appear in the order in which a left-to-right post-order
+    walk of the tree first meets each distinct subtree, so the first failure
+    is the walk's.  drops lists the outputs whose last reader the instruction
+    is, so a run frees intermediate arrays about when a tree walk would.
     """
 
-    template: list  # slot values known before a run
+    template: list  # slot values known before a run, None for the others
     code: list
-    x_only: list    # per instruction: free of u, y, v and z
-    temps: tuple    # output slots a fixed-x evaluator need not keep between calls
     result: int
 
 
 class _Compiler:
-    """Builds the _Program of one root.
+    """Builds the unfolded _Program of one root.
 
-    Equal subtrees, found by value, share one slot.  Subtrees of literals are
-    folded, failures included, and a check on a constant operand is decided
-    here.  An instruction's node is None for the root itself: the program is
-    kept on its root, so it must not hold it.
+    Equal subtrees, found by value, share one slot.  An instruction's node is
+    None for the root itself: the program is kept on its root, so it must not
+    hold it.
     """
 
     def __init__(self, root: Expression):
         self.root = root
         self.template: list = [None] * len(VARIABLES)
-        self.x_only: list = [name == "x" for name in VARIABLES]
-        self.known: list = [False] * len(VARIABLES)
         self.code: list = []
         self.keys: dict = {}
 
     def program(self) -> _Program:
-        """Compile, then give each output a slot that a dead value frees.
+        return _Program(self.template, self.code, self.slot(self.root))
 
-        The result and the x-only values that other instructions read get
-        slots of their own, so a fixed-x evaluator can keep them between calls.
+    def emit(self, key, op=None, a=0, b=0, node=None, value=None) -> int:
+        """The slot of key, made on first use.
+
+        op writes it from slots a and b, or else it holds value.
         """
-        with np.errstate(over="ignore", invalid="ignore"):  # as in _run, for folding
-            result = self.slot(self.root)
-        code, x_only = self.code, self.x_only
-        outputs = {ins[1] for ins in code}
-        pinned = {result} | {s for ins in code if not x_only[ins[1]]
-                             for s in ins[2:4] if x_only[s] and s in outputs}
-        last_read = {}
-        for i, ins in enumerate(code):
-            last_read[ins[2]] = last_read[ins[3]] = i
-        slot_of = {}
-        template = []
-        for s, value in enumerate(self.template):
-            if s not in outputs:
-                slot_of[s] = len(template)
-                template.append(value)
-        free: list = []
-        allocated = []
-        for i, (op, out, a, b, node) in enumerate(code):
-            for s in {a, b}:
-                if s in outputs and s not in pinned and last_read[s] == i:
-                    free.append(slot_of[s])
-            if free and out not in pinned:
-                slot_of[out] = free.pop()
-            else:
-                slot_of[out] = len(template)
-                template.append(None)
-            allocated.append((op, slot_of[out], slot_of[a], slot_of[b], node))
-        temps = tuple(sorted({slot_of[s] for s in outputs - pinned}))
-        return _Program(template, allocated, [x_only[ins[1]] for ins in code], temps,
-                        slot_of[result])
-
-    def new_slot(self, value, known: bool, x_only: bool) -> int:
-        self.template.append(value)
-        self.known.append(known)
-        self.x_only.append(x_only)
-        return len(self.template) - 1
-
-    def constant(self, key, value) -> int:
         slot = self.keys.get(key)
         if slot is None:
-            slot = self.keys[key] = self.new_slot(value, True, True)
-        return slot
-
-    def emit(self, key, op, a: int, b: int, node, check=None) -> int:
-        """The slot of op on slots a and b.
-
-        check, a pair (check, constant slot), runs now; when it fails, or a
-        folded op fails, the instruction becomes one that raises the same.
-        """
-        slot = self.keys.get(key)
-        if slot is not None:
-            return slot
-        folded = self.known[a] and self.known[b]
-        try:
-            if check is not None:
-                check[0](self.template[check[1]], node)
-            if folded:
-                value = op(self.template[a], self.template[b], node)
-        except ExprEvalError as err:
-            a = b = self.new_slot(str(err), True, True)
-            op, folded = _fail, False
-        if folded:
-            slot = self.new_slot(value, True, True)
-        else:
-            slot = self.new_slot(None, False, self.x_only[a] and self.x_only[b])
-            self.code.append((op, slot, a, b, None if node is self.root else node))
-        self.keys[key] = slot
+            slot = self.keys[key] = len(self.template)
+            self.template.append(value)
+            if op is not None:
+                self.code.append((op, slot, a, b, None if node is self.root else node, ()))
         return slot
 
     def slot(self, node) -> int:
@@ -511,19 +473,14 @@ class _Compiler:
             if node.op == "^":
                 k = _int_literal_exponent(node.right)
                 if k is not None:
-                    k_slot = self.constant(("k", k), k)
+                    k_slot = self.emit(("k", k), value=k)
                     return self.emit(("^k", a, k), _repeated_power, a, k_slot, node)
             b = self.slot(node.right)
-            op, check = _BINARY[node.op], None
-            if node.op == "/" and self.known[b] and not self.known[a]:
-                op, check = _quotient, (_check_divisor, b)
-            elif node.op == "^" and self.known[a] and not self.known[b]:
-                op, check = _real_power, (_check_power_base, a)
-            return self.emit((node.op, a, b), op, a, b, node, check)
+            return self.emit((node.op, a, b), _BINARY[node.op], a, b, node)
         if isinstance(node, Var):
             return _VARIABLE_SLOTS[node.name]
         if isinstance(node, Num):
-            return self.constant((type(node.value), repr(node.value)), node.value)
+            return self.emit((type(node.value), repr(node.value)), value=node.value)
         if isinstance(node, Call):
             a = self.slot(node.arg)
             return self.emit((node.fn, a), _call, a, a, node)
@@ -533,18 +490,74 @@ class _Compiler:
         raise TypeError(f"not an expression node: {node!r}")
 
 
-def _run(code, vals: list, root) -> None:
-    """Execute instructions in place on the slot values vals."""
+def _fold(program: _Program, root, x=None) -> _Program:
+    """program with what its known values decide done ahead of any run.
+
+    Known are the template's values and x, unless it is None.  Every
+    instruction whose operands are all known runs now, and a check on a known
+    operand (a divisor, the base of a real power) is decided now.  An
+    instruction that fails becomes one that raises the same error, and the
+    code after it, which no run could reach, is dropped.  A known value stays
+    in the template only while an instruction left to run reads it, or it is
+    the result; the others are freed once their last folded reader has run.
+    """
+    vals = program.template.copy()
+    vals[0] = x
+    last_read = {}
+    for i, ins in enumerate(program.code):
+        last_read[ins[2]] = last_read[ins[3]] = i
+    code, read = [], {program.result}  # read: what the code left reads
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _run
+        for i, (op, out, a, b, node, _) in enumerate(program.code):
+            try:
+                if vals[a] is not None and vals[b] is not None:
+                    vals[out] = op(vals[a], vals[b], node or root)
+                    for s in {a, b} - read:
+                        if last_read[s] == i:
+                            vals[s] = None
+                    continue
+                if op is _checked_quotient and vals[b] is not None:
+                    _check_divisor(vals[b], node or root)
+                    op = _quotient
+                elif op is _checked_power and vals[a] is not None:
+                    _check_power_base(vals[a], node or root)
+                    op = _real_power
+            except ExprEvalError as err:
+                vals.append(str(err))
+                code.append((_fail, out, len(vals) - 1, len(vals) - 1, node))
+                break
+            code.append((op, out, a, b, node))
+            read.update((a, b))
+    last_read = {}
+    for i, (op, out, a, b, node) in enumerate(code):
+        last_read[a] = last_read[b] = i
+    drops: list = [() for _ in code]  # each output goes after its last reader
+    for op, out, a, b, node in code:
+        if out in last_read:
+            drops[last_read[out]] += (out,)
+    for s in range(len(vals)):
+        if s not in last_read and s != program.result:
+            vals[s] = None
+    return _Program(vals, [ins + (d,) for ins, d in zip(code, drops)], program.result)
+
+
+def _run(program: _Program, values: tuple, root):
+    """Run program with the variable slots set to values; its checked result."""
+    vals = program.template.copy()
+    vals[:5] = values
     with np.errstate(over="ignore", invalid="ignore"):
-        for op, out, a, b, node in code:
+        for op, out, a, b, node, drops in program.code:
             vals[out] = op(vals[a], vals[b], node or root)
+            for s in drops:
+                vals[s] = None
+    return _result(vals[program.result], root)
 
 
 def _program(expr: Expression) -> _Program:
-    """The program of expr, compiled on first use and kept on expr."""
+    """The program of expr, compiled and folded on first use and kept on expr."""
     program = getattr(expr, "__dict__", {}).get("_program")
     if program is None:
-        program = _Compiler(expr).program()
+        program = _fold(_Compiler(expr).program(), expr)
         object.__setattr__(expr, "_program", program)
     return program
 
@@ -565,55 +578,25 @@ def evaluate(expr: Expression, x, u, y, v, z):
     broadcast numpy array.  Domain violations and non-finite intermediate
     results raise ExprEvalError naming the failing subexpression.
     """
-    program = _program(expr)
-    vals = program.template.copy()
-    vals[:5] = x, u, y, v, z
-    _run(program.code, vals, expr)
-    return _result(vals[program.result], expr)
+    return _run(_program(expr), (x, u, y, v, z), expr)
 
 
 def _at_fixed_x(expr: Expression, x):
     """evaluate(expr, x, u, y, v, z) as a function of (u, y, v, z) for one fixed x.
 
-    Values, errors and the subtree an error names are those of evaluate.  The
-    x-only instructions run once, on the first call, and their values are
-    reused afterwards, so the returned array may be shared with later calls
-    and must not be written.  An x-only failure is kept as well: later calls
-    run the instructions ahead of it, whose failures still win, then raise it.
+    The program of expr is folded once more with x known, so what depends on
+    x alone is computed here, once, and values, errors and the subtree an
+    error names stay those of evaluate.  The returned array may be such a
+    kept value, shared with later calls, and must not be written.  A failure
+    decided here raises on every call, after the instructions ahead of it,
+    whose failures still win.
     """
-    program = _program(expr)
-    start: list = []
+    program = _fold(_program(expr), expr, x)
 
     def at(u, y, v, z):
-        if not start:
-            start.append(_x_only_start(program, expr, x))
-        vals, body, failure = start[0]
-        vals = vals.copy()
-        vals[1:5] = u, y, v, z
-        _run(body, vals, expr)
-        if failure is not None:
-            raise ExprEvalError(failure)
-        return _result(vals[program.result], expr)
+        return _run(program, (x, u, y, v, z), expr)
 
     return at
-
-
-def _x_only_start(program: _Program, expr, x) -> tuple:
-    """Slot values after the x-only instructions, the rest of the code, any failure."""
-    vals = program.template.copy()
-    vals[0] = x
-    stop, failure = len(program.code), None
-    for i, (ins, x_only) in enumerate(zip(program.code, program.x_only)):
-        if x_only:
-            try:
-                _run((ins,), vals, expr)
-            except ExprEvalError as err:
-                stop, failure = i, str(err)
-                break
-    for slot in program.temps:  # keep only what the other instructions read
-        vals[slot] = None
-    body = [ins for ins, x_only in zip(program.code[:stop], program.x_only) if not x_only]
-    return vals, body, failure
 
 
 # ---------------------------------------------------------------------------

@@ -204,8 +204,8 @@ class CanonicalProblem:
     def f_on(self, grid: Grid):
         """f at the nodes of grid, as a function of (u, y, v, z).
 
-        It runs the program compiled for rhs, which evaluate runs too; its
-        x-only instructions run on first use and are reused on later calls,
+        It runs the program that evaluate runs for rhs, folded once more
+        with x set to the nodes: what x alone decides is computed once, here,
         so the result may be shared and must not be written.  The evaluator
         for the grid size asked for last is kept on the instance; it holds
         the nodes, not the grid.

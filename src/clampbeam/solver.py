@@ -101,6 +101,8 @@ class SolverConfig:
         Grid(self.n)  # borrow the grid-size rule (even, >= 8)
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be positive, got {self.tol!r}")
+        if not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 

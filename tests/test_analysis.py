@@ -69,6 +69,10 @@ class TestLatticeSpec:
         with pytest.raises(ValueError):
             LatticeSpec(points=4)
 
+    def test_non_integer(self):
+        with pytest.raises(ValueError, match="must be an integer"):
+            LatticeSpec(points=5.5)
+
 
 class TestContractionFactor:
     def test_formula(self):

@@ -4,6 +4,7 @@ import gc
 import math
 import pickle
 import re
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clampbeam.expr as expr_module
-from clampbeam.analysis import DomainBox, LatticeSpec, _lattice_env
+from clampbeam.analysis import DomainBox, LatticeSpec, _lattice_env, check_conditions
+from clampbeam.cli import main
 from clampbeam.examples import get_example
 from clampbeam.expr import (
     BinOp,
@@ -31,6 +33,7 @@ from clampbeam.expr import (
     variables_in,
 )
 from clampbeam.problem import canonicalize, parse_problem_text
+from clampbeam.solver import SolverConfig, solve
 
 GOLDEN_SOURCES = [
     "12 + u*z/2 - y*v/4 + y/4",
@@ -594,3 +597,87 @@ class TestCompiledProgram:
             assert root() is None
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# What the fold keeps and frees
+
+
+def _peak_arrays(fn, size):
+    """fn's peak allocation, counted in arrays of size bytes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / size
+    finally:
+        tracemalloc.stop()
+
+
+class TestFold:
+    @pytest.mark.parametrize("source", [
+        "sin(x)*u + sin(x)^2",   # a kept reader, then a folded one
+        "sin(x)^2 + sin(x)*u",   # a folded reader, then a kept one
+        "u/sin(x + 1) + sin(x + 1)^2 - sin(x + 1)",
+    ])
+    def test_a_value_kept_instructions_read_stays(self, source):
+        _assert_fixed_x_matches(parse(source), XS, _profile(0.5), _profile(2.0))
+
+    def test_values_are_freed_after_their_last_reader(self):
+        # a chain of 20 calls holds about two arrays at a time: the argument
+        # and the result of the call that runs
+        xs = np.linspace(0.0, 1.0, 10**6)
+        u = xs + 0.5
+
+        def chain(var):
+            return parse("abs(" * 20 + var + ")" * 20)
+
+        assert _peak_arrays(lambda: evaluate(chain("u"), xs, u, 0, 0, 0), xs.nbytes) < 2.5
+        assert _peak_arrays(lambda: expr_module._at_fixed_x(chain("x"), xs), xs.nbytes) < 2.5
+        at = expr_module._at_fixed_x(chain("u"), xs)
+        for _ in range(2):  # the first call and a later one
+            assert _peak_arrays(lambda: at(u, 0, 0, 0), xs.nbytes) < 2.5
+
+
+# ---------------------------------------------------------------------------
+# The nesting limit
+
+
+# sources nested exactly d deep, one kind of nesting each: d open
+# parentheses, or d levels of the tree
+NESTINGS = {
+    "parentheses": lambda d: "(" * d + "u" + ")" * d + " + 1",
+    "operators": lambda d: " + ".join(["u/100"] * d),
+    "calls": lambda d: "sin(" * (d - 1) + "u" + ")" * (d - 1) + " + 1",
+    "minus": lambda d: "-" * (d - 1) + "u + 1",
+    "powers": lambda d: "1^" * (d - 1) + "u + 1",
+}
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("nest", NESTINGS.values(), ids=list(NESTINGS))
+    def test_parse_accepts_the_limit_and_rejects_past_it(self, nest):
+        tree = parse(nest(expr_module.MAX_DEPTH))
+        assert parse(to_source(tree)) == tree
+        with pytest.raises(ExprSyntaxError, match=r"nested deeper than 100 levels \(column \d+"):
+            parse(nest(expr_module.MAX_DEPTH + 1))
+
+    @pytest.mark.parametrize("nest", NESTINGS.values(), ids=list(NESTINGS))
+    def test_deepest_input_runs_through(self, nest):
+        # the shift of the interval and the boundary data makes f deeper still
+        text = SHIFTED_PROBLEMS[0].split("f =")[0] + f"f = {nest(expr_module.MAX_DEPTH)}\n"
+        problem = canonicalize(parse_problem_text(text).raw)
+        for var in "uyvz":
+            differentiate(problem.rhs, var)
+        to_source(problem.rhs)
+        assert pickle.loads(pickle.dumps(problem)) == problem
+        report = check_conditions(problem.rhs, 1.0, lattice=LatticeSpec(points=5))
+        assert all(map(math.isfinite, (report.sup_f,) + report.ks))
+        assert solve(problem, SolverConfig(n=32)).converged
+
+    @pytest.mark.parametrize("nest", NESTINGS.values(), ids=list(NESTINGS))
+    def test_deeper_input_is_an_input_error(self, nest, tmp_path, capsys):
+        path = tmp_path / "problem.txt"
+        path.write_text(f"f = {nest(expr_module.MAX_DEPTH + 1)}\n", encoding="utf-8")
+        assert main(["solve", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested deeper than" in err

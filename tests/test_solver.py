@@ -57,7 +57,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("kwargs", [
         dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0),
-        dict(n=7), dict(n=6),
+        dict(n=7), dict(n=6), dict(max_iter=2.5),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
