@@ -435,6 +435,12 @@ class _Program(NamedTuple):
     template: list  # slot values known before a run, None for the others
     code: list
     result: int
+    reads: tuple    # the variable slots the code or the result reads, ascending
+
+
+def _variables_read(read, result) -> tuple:
+    """The variable slots in read, a collection of the slots code reads, or result."""
+    return tuple([s for s in range(len(VARIABLES)) if s in read or s == result])
 
 
 class _Compiler:
@@ -450,9 +456,11 @@ class _Compiler:
         self.template: list = [None] * len(VARIABLES)
         self.code: list = []
         self.keys: dict = {}
+        self.reads: set = set()
 
     def program(self) -> _Program:
-        return _Program(self.template, self.code, self.slot(self.root))
+        result = self.slot(self.root)
+        return _Program(self.template, self.code, result, _variables_read(self.reads, result))
 
     def emit(self, key, op=None, a=0, b=0, node=None, value=None) -> int:
         """The slot of key, made on first use.
@@ -478,7 +486,9 @@ class _Compiler:
             b = self.slot(node.right)
             return self.emit((node.op, a, b), _BINARY[node.op], a, b, node)
         if isinstance(node, Var):
-            return _VARIABLE_SLOTS[node.name]
+            slot = _VARIABLE_SLOTS[node.name]
+            self.reads.add(slot)
+            return slot
         if isinstance(node, Num):
             return self.emit((type(node.value), repr(node.value)), value=node.value)
         if isinstance(node, Call):
@@ -538,7 +548,8 @@ def _fold(program: _Program, root, x=None) -> _Program:
     for s in range(len(vals)):
         if s not in last_read and s != program.result:
             vals[s] = None
-    return _Program(vals, [ins + (d,) for ins, d in zip(code, drops)], program.result)
+    return _Program(vals, [ins + (d,) for ins, d in zip(code, drops)], program.result,
+                    _variables_read(last_read, program.result))
 
 
 def _run(program: _Program, values: tuple, root):
@@ -589,9 +600,12 @@ def _at_fixed_x(expr: Expression, x):
     error names stay those of evaluate.  The returned array may be such a
     kept value, shared with later calls, and must not be written.  A failure
     decided here raises on every call, after the instructions ahead of it,
-    whose failures still win.
+    whose failures still win.  When no instruction reads x there is nothing
+    to fold, and the program of expr serves as it is.
     """
-    program = _fold(_program(expr), expr, x)
+    program = _program(expr)
+    if 0 in program.reads:
+        program = _fold(program, expr, x)
 
     def at(u, y, v, z):
         return _run(program, (x, u, y, v, z), expr)

@@ -9,12 +9,14 @@ constants; for the rest we only require a certificate, not tightness.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clampbeam import analysis
 from clampbeam.analysis import (
     ConditionReport,
     DomainBox,
@@ -204,10 +206,99 @@ class TestCheckConditions:
         assert idx == index
         assert _find_bad_point(expression, env) == point
 
-    @pytest.mark.parametrize("ks", [(1.0, 2.0, 3.0), (1,) * 5, (-0.1, 0, 0, 0)])
-    def test_ks_validation(self, ks):
+    @pytest.mark.parametrize("ks", [(1.0, 2.0, 3.0), (1,) * 5, (-0.1, 0, 0, 0),
+                                    (0, float("nan"), 0, 0)])
+    def test_ks_validation(self, ks, monkeypatch):
+        # bad constants are rejected before any of the lattice is evaluated
+        calls = []
+        monkeypatch.setattr(analysis, "evaluate", lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             check_conditions(parse("u"), 1.0, ks=ks)
+        assert calls == []
+
+
+def _outcome(rhs, M, ks, points):
+    """A check's report, or its error's type, message and point."""
+    try:
+        return check_conditions(rhs, M, ks, LatticeSpec(points=points))
+    except DomainSamplingError as err:
+        return type(err), str(err), err.point
+
+
+def _unblocked(monkeypatch, rhs, M, ks, points):
+    """_outcome with the whole lattice evaluated at once."""
+    with monkeypatch.context() as patch:
+        patch.setattr(analysis, "_BLOCK", 2 ** 62)
+        return _outcome(rhs, M, ks, points)
+
+
+class TestBlocks:
+    """The lattice is evaluated in slabs; results equal one evaluation of it all."""
+
+    @pytest.mark.parametrize("points", [9, 17, 25])
+    @pytest.mark.parametrize("supplied", [True, False])
+    @pytest.mark.parametrize("ident", range(1, 7))
+    def test_examples_match_unblocked(self, ident, supplied, points, monkeypatch):
+        ex = get_example(ident)
+        rhs = ex.canonical().rhs
+        ks = (ex.ks or (1.0, 1.0, 1.0, 1.0)) if supplied else None
+        blocked = _outcome(rhs, ex.M, ks, points)
+        assert blocked == _unblocked(monkeypatch, rhs, ex.M, ks, points)
+
+    @pytest.mark.parametrize("text, M, fd", [
+        ("abs(u - 0.3*v)*y*z + exp(-x^2)", 4.0, ("u", "v")),  # finite differences
+        ("sin(x)*u*y*v*z", 1.0, ()),                         # a transcendental on a cut axis
+    ])
+    def test_five_variable_right_sides_match_unblocked(self, text, M, fd, monkeypatch):
+        rhs = parse(text)
+        env = _lattice_env(DomainBox(M), LatticeSpec(points=17))
+        assert len(analysis._blocks(rhs, env)) > 1
+        blocked = _outcome(rhs, M, None, 17)
+        assert blocked.fd_fallback == fd
+        assert blocked == _unblocked(monkeypatch, rhs, M, None, 17)
+
+    @pytest.mark.parametrize("text, M, x", [
+        ("sqrt(0.95 - x + u*y*v*z)", 1.0, 1.0),              # only the last slab fails
+        ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, 0.0),          # a finite-difference probe fails
+    ])
+    def test_failure_in_a_slab_names_the_lattice_point(self, text, M, x, monkeypatch):
+        rhs = parse(text)
+        blocked = _outcome(rhs, M, None, 17)
+        assert blocked == _unblocked(monkeypatch, rhs, M, None, 17)
+        kind, message, point = blocked
+        assert kind is DomainSamplingError and point[0] == x
+        # the sample index is the whole lattice's, not the failing slab's
+        assert f"at sample ({16 * int(x)}, " in message
+
+    def test_slabs_cover_the_lattice_in_order(self):
+        rhs = parse("x*u*y*v*z")
+        env = _lattice_env(DomainBox(1.0), LatticeSpec(points=17))
+        slabs = analysis._blocks(rhs, env)
+        assert len(slabs) > 1
+        sizes = [analysis._evaluate_on(rhs, env, "", slab).size for slab in slabs]
+        assert max(sizes) <= analysis._BLOCK and sum(sizes) == 17 ** 5
+        starts = [tuple(cut.start or 0 for cut in slab) for slab in slabs]
+        assert starts == sorted(starts) and len(set(starts)) == len(starts)
+
+    @pytest.mark.parametrize("text", ["u*z", "3"])
+    def test_a_lattice_that_fits_is_one_slab(self, text):
+        env = _lattice_env(DomainBox(1.0), LatticeSpec(points=25))
+        assert analysis._blocks(parse(text), env) == [None]
+
+    @pytest.mark.parametrize("points", [17, 25])
+    def test_memory_does_not_grow_with_the_lattice(self, points):
+        # example 2 reads all five variables: one evaluation of the whole
+        # lattice holds 11 MB arrays at 17 points and 78 MB ones at 25, a
+        # slab at most 512 KiB ones
+        ex = get_example(2)
+        rhs = ex.canonical().rhs
+        tracemalloc.start()
+        try:
+            check_conditions(rhs, ex.M, lattice=LatticeSpec(points=points))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
 
 
 class TestConditionReport:

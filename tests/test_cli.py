@@ -152,6 +152,13 @@ class TestCheck:
         assert main(["check", path, "--out-dir", str(tmp_path)]) == 2
         assert "no M given" in capsys.readouterr().err
 
+    def test_bad_k_flag_is_an_input_error_before_sampling(self, tmp_path, capsys):
+        # example 5 is undefined in its box, but the constants are checked first
+        code = main(["check", "example:5", "--K1=-1", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "Lipschitz constants must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "conditions.txt").exists()
+
     def test_k_flags_supply_constants(self, tmp_path, capsys):
         code = main(["check", "example:1", "--K1", "100",
                      "--out-dir", str(tmp_path)])

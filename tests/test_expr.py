@@ -614,6 +614,21 @@ def _peak_arrays(fn, size):
 
 
 class TestFold:
+    @pytest.mark.parametrize("source, folds", [
+        (get_example(1).rhs_text, 0),     # x is not read: the root program serves
+        ("12 + u*z/2 - y*v/4 + x", 1),
+    ])
+    def test_fixed_x_folds_only_when_x_is_read(self, source, folds, monkeypatch):
+        tree = parse(source)
+        expr_module._program(tree)
+        calls = []
+        real = expr_module._fold
+        monkeypatch.setattr(expr_module, "_fold", lambda *args: calls.append(1) or real(*args))
+        at = expr_module._at_fixed_x(tree, XS)
+        assert len(calls) == folds
+        _assert_fixed_x_matches(tree, XS, _profile(0.5), _profile(2.0))
+        assert _outcome(at, *_profile(1.0)) == _outcome(evaluate, tree, XS, *_profile(1.0))
+
     @pytest.mark.parametrize("source", [
         "sin(x)*u + sin(x)^2",   # a kept reader, then a folded one
         "sin(x)^2 + sin(x)*u",   # a folded reader, then a kept one
