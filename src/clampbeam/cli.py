@@ -11,6 +11,13 @@ round-trip exactly) plus a plain-text condition report:
     table.csv         N, K, eu(K), e(K) for a list of grid sizes
     conditions.txt    the certification report of the check subcommand
 
+Numbers are written byte for byte as Python's ``'%.17g' % v`` writes them,
+integers in decimal.  The writer formats whole columns with numpy: an exact
+double-double product yields the 17 digits of each double, and every value
+that kernel cannot decide (zero, infinities, NaN, subnormal or extreme
+magnitudes, rounding near a tie) is formatted by Python itself, so the
+bytes never rest on the fast path.
+
 Output goes to --out-dir, else the CLAMPBEAM_OUT_DIR environment variable,
 else the current directory.  Exit status: 0 converged or certified,
 1 failed condition check or divergence, 2 input error.
@@ -28,6 +35,7 @@ log, sqrt, abs, and the constants pi and e.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Optional
@@ -65,24 +73,196 @@ def _out_dir(args) -> str:
     return path
 
 
-_CSV_CHUNK_ROWS = 1024
-_CSV_FORMATS = {"U": "%s", "i": "%d"}
+_CSV_CHUNK_ROWS = 4096
 
 
 def _write_csv(path: str, header, columns) -> None:
     """Write equal-length columns as CSV, streamed in bounded row chunks.
 
     Strings are written as they are, integers in decimal and everything
-    else as float with 17 significant digits (round-trips exactly).  Fields
-    are never quoted: the artifacts hold only numbers and status words.
+    else as ``'%.17g' % v`` (round-trips exactly).  Fields are never quoted:
+    the artifacts hold only numbers and status words.  Each column of a
+    chunk becomes one zero-padded block of ASCII bytes; the blocks are
+    interleaved with the separators and the padding is dropped on write.
     """
     columns = [np.asarray(col) for col in columns]
-    line = ",".join(_CSV_FORMATS.get(col.dtype.kind, "%.17g") for col in columns) + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode("utf-8"))
         for start in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
-            rows = zip(*(col[start:start + _CSV_CHUNK_ROWS].tolist() for col in columns))
-            fh.write("".join([line % row for row in rows]))
+            blocks = [_csv_field_block(col[start:start + _CSV_CHUNK_ROWS]) for col in columns]
+            line = np.empty((len(blocks[0]), sum(b.shape[1] + 1 for b in blocks)), np.uint8)
+            at = 0
+            for block in blocks:
+                line[:, at:at + block.shape[1]] = block
+                at += block.shape[1] + 1
+                line[:, at - 1] = ord(",")
+            line[:, -1] = ord("\n")
+            flat = line.reshape(-1)
+            fh.write(flat[flat != 0])
+
+
+def _csv_field_block(col: np.ndarray) -> np.ndarray:
+    """The fields of one column as rows of ASCII bytes, padded with zero bytes."""
+    kind = col.dtype.kind
+    if kind == "f":
+        return _format_floats(col.astype(np.float64, copy=False))
+    if kind == "i":
+        text = col.astype(bytes)
+    elif kind == "U":
+        text = np.char.encode(col, "utf-8")
+    else:
+        text = np.array([b"%.17g" % v for v in col.tolist()], dtype=bytes)
+    return text.view(np.uint8).reshape(len(col), text.dtype.itemsize)
+
+
+# '%.17g' of a double, vectorized.  A value v with 1e-270 <= |v| <= 1e270 has
+# 17 significant digits D = round(|v| 10^(16-k)), k = floor(log10 |v|).  The
+# product is formed exactly as a double-double: Dekker's two-product with a
+# correctly rounded hi + lo pair for 10^(16-k).  Its error is below 1e-14, so
+# a rounding fraction further than 1e-9 from 1/2 decides D exactly.  Rows the
+# kernel cannot decide (0, non-finite or subnormal values, |v| out of range,
+# a near-tie, or a k that log10 got wrong) take Python's own '%.17g'.
+#
+# The text is laid out in little-endian 64-bit words, one row of words per
+# word position so that every operation runs along the values: three words
+# hold the sign, the "0.000" prefix, the digits and the dot; the fourth holds
+# the exponent.  Absent characters are zero bytes.
+_FLOAT_FIELD = 29                # 24 bytes of mantissa text, then "e-308";
+                                 # Python's '%.17g' needs 24 at most
+_X_MIN, _X_MAX = -272, 272       # decimal exponents the tables cover
+_SPLIT = 134217729.0             # 2^27 + 1, Veltkamp's splitting constant
+_U64 = np.uint64
+_WORD = np.dtype("<u8")          # byte i of the text is bits 8i..8i+7
+
+
+@functools.lru_cache(maxsize=None)
+def _float_tables() -> dict:
+    """Lookup tables of the float kernel, indexed by k - _X_MIN; built on first use."""
+    xs = np.arange(_X_MIN, _X_MAX + 1)
+    hi, lo = [], []
+    for x in xs.tolist():
+        num, den = (10 ** (16 - x), 1) if x <= 16 else (1, 10 ** (x - 16))
+        h = num / den                        # int division rounds correctly
+        n, d = h.as_integer_ratio()
+        hi.append(h)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    c = hi * _SPLIT
+    hh = c - (c - hi)
+
+    def as_words(texts):
+        return np.array(texts, dtype="S8").view(_WORD)
+
+    # '%.17g' is fixed-point for -4 <= k < 17, scientific otherwise
+    prefix = [("0." + "0" * (-x - 1)) if -4 <= x < 0 else "" for x in xs.tolist()]
+    prefix += ["-" + p for p in prefix]
+    exponent = ["" if -4 <= x < 17 else f"e{x:+03d}" for x in xs.tolist()]
+    # the dot goes after the integer digits of a fixed-point number, after
+    # the first digit in scientific notation, and before the digits (-1) of
+    # 0.000ddd, whose "0." is in the prefix
+    dot = np.array([x + 1 if 0 <= x < 17 else -1 if -4 <= x < 0 else 1 for x in xs.tolist()])
+    byte = np.arange(24)
+    below = np.where(byte < dot[:, None], 0xFF, 0).astype(np.uint8)
+    # 0x10 is set in every ASCII digit and clear in a zero byte
+    at = np.where(byte == dot[:, None], 0x10, 0).astype(np.uint8)
+
+    # four ASCII digits per word, for the low or the high half of a word;
+    # the second half of each table writes trailing zeros as zero bytes, for
+    # the last nonzero group of D
+    group = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
+    trailing = np.flip(np.cumsum(np.flip(group, 1), 1), 1) == 0
+    digits = np.zeros((2, 20000, 8), np.uint8)       # in bytes 0-3, or 4-7
+    digits[0, :, :4] = digits[1, :, 4:] = np.concatenate(
+        [group + 48, np.where(trailing, 0, group + 48)])
+    tables = {
+        "hi": hi, "hh": hh, "hl": hi - hh, "lo": np.array(lo),
+        "prefix": as_words(prefix),
+        "shift": np.array([8 * len(p) for p in prefix], dtype=_U64),
+        "exponent": as_words(exponent),
+        "below": below.view(_WORD).T.copy(),
+        "at": at.view(_WORD).T.copy(),
+        "groups": digits.view(_WORD)[..., 0],
+        "last": as_words([""] + [str(i) for i in range(1, 10)]),
+    }
+    for table in tables.values():
+        table.setflags(write=False)
+    return tables
+
+
+def _format_floats(values: np.ndarray) -> np.ndarray:
+    """``'%.17g' % v`` of each float64 as a row of at most _FLOAT_FIELD bytes, zero-padded."""
+    t = _float_tables()
+    a = np.abs(values)
+    fast = (a >= 1e-270) & (a <= 1e270)
+    a[~fast] = 1.0
+    xi = np.floor(np.log10(a)).astype(np.intp)
+    xi -= _X_MIN
+
+    # a 10^(16-k) = p + r exactly (two-product), then + a lo, rounded once
+    hh, hl = t["hh"][xi], t["hl"][xi]
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    p = a * t["hi"][xi]
+    r = ah * hh - p
+    r += ah * hl
+    r += al * hh
+    r += al * hl
+    r += a * t["lo"][xi]
+    whole = np.floor(r)
+    r -= whole
+    d = p.astype(np.int64)
+    d += whole.astype(np.int64)
+    fast &= (d >= 10**16) & (np.abs(r - 0.5) > 1e-9)
+    d += r > 0.5
+    fast &= d < 10**17
+    d[~fast] = 10**16
+
+    # D is the digit groups g0 g1 g2 g3 and the last digit; a group whose
+    # later digits are all zero comes from the half of the table that drops
+    # its own trailing zeros
+    high = d // 10**9
+    low = d - high * 10**9
+    g0 = high // 10**4
+    g1 = high - g0 * 10**4
+    g23 = low // 10
+    last = low - g23 * 10
+    g2 = g23 // 10**4
+    g3 = g23 - g2 * 10**4
+    g3 += 10000 * (last == 0)
+    g2 += 10000 * (g3 == 10000)
+    g1 += 10000 * (low == 0)
+    g0 += 10000 * (g1 == 10000)
+    groups = t["groups"]
+    digits = np.empty((3, len(d)), _U64)
+    np.bitwise_or(groups[0][g0], groups[1][g1], out=digits[0])
+    np.bitwise_or(groups[0][g2], groups[1][g3], out=digits[1])
+    digits[2] = t["last"][last]
+
+    # integer digits stay even when zero; the fraction digits move up one
+    # byte for the dot, which is written only when a fraction digit follows
+    below = np.take(t["below"], xi, axis=1)
+    text = (digits | (below & _U64(0x3030303030303030))) & below
+    text |= ((digits & np.take(t["at"], xi, axis=1)) >> _U64(4)) * _U64(0x2E)
+    after = digits & ~below
+    text |= after << _U64(8)
+    text[1:] |= after[:-1] >> _U64(56)
+    # the sign and the "0.000" prefix go in front
+    sign = np.signbit(values) * len(t["exponent"]) + xi
+    shift = t["shift"][sign]
+    words = np.empty((4, len(d)), _WORD)
+    np.left_shift(text, shift, out=words[:3])
+    words[1:3] |= text[:-1] >> (_U64(64) - shift)
+    words[0] |= t["prefix"][sign]
+    words[3] = t["exponent"][xi]
+    # without an exponent in the chunk, its bytes need not be copied and dropped
+    width = _FLOAT_FIELD if words[3].any() else 24
+    out = np.ascontiguousarray(words.T).view(np.uint8)[:, :width]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        fallback = np.array([b"%.17g" % v for v in values[slow].tolist()], dtype=f"S{width}")
+        out[slow] = fallback.view(np.uint8).reshape(-1, width)
+    return out
 
 
 def _example(ident: int):

@@ -800,7 +800,11 @@ def _prec(node) -> float:
 
 
 def to_source(expr: Expression) -> str:
-    """Render the tree back to parseable text (round-trips by value)."""
+    """Render the tree back to parseable text (round-trips by value).
+
+    Text rendered from a tree that ``parse`` built parses back to an equal
+    tree: it opens no more groups than the source did.
+    """
     if isinstance(expr, Num):
         value = expr.value
         if float(value).is_integer() and abs(value) < 1e16:
@@ -822,7 +826,9 @@ def to_source(expr: Expression) -> str:
         if op == "^":
             if _prec(expr.left) <= _PREC["^"]:
                 lsrc = f"({lsrc})"
-            if _prec(expr.right) < _PREC["^"]:
+            # the exponent is a factor, so u^-v needs no group; one would
+            # push text rendered from the deepest trees past MAX_DEPTH
+            if _prec(expr.right) < _PREC["neg"]:
                 rsrc = f"({rsrc})"
         else:
             if _prec(expr.left) < _PREC[op]:

@@ -145,13 +145,15 @@ class SolveReport:
 
     @property
     def final_e(self) -> float:
+        """e(K), or nan when no pass completed."""
         return float(self.e_history[-1]) if len(self.e_history) else float("nan")
 
     @property
     def final_eu(self) -> Optional[float]:
-        if self.eu_history is None or not len(self.eu_history):
+        """eu(K); None without an exact solution, nan when no pass completed."""
+        if self.eu_history is None:
             return None
-        return float(self.eu_history[-1])
+        return float(self.eu_history[-1]) if len(self.eu_history) else float("nan")
 
 
 class SolverError(RuntimeError):

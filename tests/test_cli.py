@@ -7,10 +7,15 @@ its residual.
 """
 
 import csv
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from clampbeam import cli
 from clampbeam.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from clampbeam.expr import evaluate
 from clampbeam.numerics import Grid, GridFunction
@@ -27,6 +32,10 @@ def _read_csv(path):
     header = lines[0].split(",")
     rows = [line.split(",") for line in lines[1:]]
     return header, rows
+
+
+# fails on its first pass (log of a negative value) and has an exact solution
+LOG_BLOWUP = "f = log(1 + 1000000*u) + 5000\nexact = 0\n"
 
 
 def _problem_file(tmp_path, text, name="problem.txt"):
@@ -115,6 +124,12 @@ class TestSolve:
         _, sol = _read_csv(tmp_path / "solution.csv")
         assert len(sol) == 101 and all(float(r[1]) == 0.0 for r in sol)
 
+    def test_first_pass_failure_with_exact_reports_nan(self, tmp_path, capsys):
+        path = _problem_file(tmp_path, LOG_BLOWUP)
+        assert main(["solve", path, "--out-dir", str(tmp_path), "--n", "16"]) == 1
+        assert "16,0,nan,nan" in capsys.readouterr().out.splitlines()
+        assert (tmp_path / "convergence.csv").read_bytes() == b"k,e,eu\n"
+
     def test_odd_grid_rejected(self, tmp_path, capsys):
         assert main(["solve", "example:1", "--out-dir", str(tmp_path), "--n", "33"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -196,6 +211,15 @@ class TestTable:
         assert header[-1] == "status"
         assert all(r[-1] == "divergence" for r in rows)
 
+    def test_first_pass_failure_with_exact_writes_nan(self, tmp_path, capsys):
+        path = _problem_file(tmp_path, LOG_BLOWUP)
+        code = main(["table", path, "--grids", "16,32", "--out-dir", str(tmp_path)])
+        assert code == 1
+        rows = ["16,0,nan,nan,divergence", "32,0,nan,nan,divergence"]
+        assert capsys.readouterr().out.splitlines()[:2] == rows
+        expect = "\n".join(["N,K,eu,e,status"] + rows) + "\n"
+        assert (tmp_path / "table.csv").read_text(encoding="utf-8") == expect
+
     def test_bad_grid_list(self, tmp_path, capsys):
         assert main(["table", "example:1", "--grids", "ten",
                      "--out-dir", str(tmp_path)]) == 2
@@ -238,6 +262,107 @@ class TestCsvWriter:
     def test_header_only_when_no_rows(self, tmp_path):
         _write_csv(str(tmp_path / "empty.csv"), ["k", "e"], [range(1, 1), []])
         assert (tmp_path / "empty.csv").read_bytes() == b"k,e\n"
+
+
+def _per_row_csv(path, header, columns):
+    """The writer the vectorized one replaced, one '%' per row: the byte oracle."""
+    columns = [np.asarray(col) for col in columns]
+    line = ",".join({"U": "%s", "i": "%d"}.get(col.dtype.kind, "%.17g")
+                    for col in columns) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(line % row for row in zip(*(col.tolist() for col in columns)))
+
+
+def _fields(values):
+    block = cli._format_floats(np.array(values, dtype=np.float64))
+    return [bytes(row[row != 0]) for row in block]
+
+
+def _bits(pattern):
+    return float(np.array(pattern, dtype=np.uint64).view(np.float64))
+
+
+def _tie(s, q):
+    # q 2^-s = q 5^s 10^-s: 18 significant digits, the last one 5, so 17
+    # digits round half to even
+    return math.ldexp(2 * q + 1, -s)
+
+
+def _ties():
+    # s and odd m with 10^17 <= m 5^s < 10^18 and m < 2^53; s runs 2..25
+    def at(s):
+        lo, hi = -(-10**17 // 5**s), min(2**53, 10**18 // 5**s)
+        return st.integers((lo - 1) // 2 + (lo % 2 == 0), (hi - 2) // 2).map(lambda q: _tie(s, q))
+    return st.integers(2, 25).flatmap(at)
+
+
+_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308,
+          2.225073858507201e-308, 1.7976931348623157e308, 1e-270, 1e270,
+          1e-5, 1e-4, 1e16, 1e17, 1.0, 0.1, 1234567890123456.75]
+
+
+def _near_powers_of_ten():
+    def around(j, step, sign):
+        v = 10.0 ** j
+        for _ in range(abs(step)):
+            v = math.nextafter(v, math.inf if step > 0 else 0.0)
+        return sign * v
+    return st.builds(around, st.integers(-323, 308), st.integers(-1, 1), st.sampled_from([1.0, -1.0]))
+
+
+_DOUBLES = st.one_of(
+    st.integers(0, 2**64 - 1).map(_bits),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.sampled_from(_EDGES).flatmap(lambda v: st.sampled_from(
+        [v, -v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)])),
+    _near_powers_of_ten(),
+    _ties(),
+)
+
+
+class TestFloatFormatter:
+    @given(values=st.lists(_DOUBLES, min_size=1, max_size=40))
+    def test_matches_percent_17g(self, values):
+        assert _fields(values) == [b"%.17g" % v for v in values]
+
+    def test_ties_fall_back_to_round_half_even(self):
+        # 1234567890123456.75 and 2^-25 end in ...75 and ...125 at 18 digits
+        values = [1234567890123456.75, -1234567890123456.25, 2.0 ** -25, _tie(2, 4 * 10**15)]
+        assert _fields(values) == [b"%.17g" % v for v in values]
+        assert _fields([1234567890123456.75]) == [b"1234567890123456.8"]
+
+    def test_layout_boundaries(self):
+        values = [1e-5, 9.9999999999999995e-5, 1e-4, 1e16, 9.9999999999999998e16, 1e17,
+                  100.0, 120.0, 1e15 + 0.5, 0.5, 12345.0, -0.001]
+        assert _fields(values) == [b"%.17g" % v for v in values]
+
+    @pytest.mark.parametrize("ident", range(1, 7))
+    def test_artifacts_equal_the_per_row_writer(self, ident, tmp_path, monkeypatch):
+        problem = canonicalize(get_example(ident).load().raw)
+        report = solve(problem, SolverConfig(n=20000))
+        written = cli._write_solve_artifacts(report, problem, str(tmp_path), "new_")
+        monkeypatch.setattr(cli, "_write_csv", _per_row_csv)
+        oracle = cli._write_solve_artifacts(report, problem, str(tmp_path), "old_")
+        for new, old in zip(written, oracle):
+            with open(new, "rb") as fa, open(old, "rb") as fb:
+                assert fa.read() == fb.read(), new
+
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path):
+        rng = np.random.default_rng(3)
+
+        def peak(n):
+            columns = [rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n) for _ in range(7)]
+            tracemalloc.start()
+            try:
+                _write_csv(str(tmp_path / "big.csv"), list("abcdefg"), columns)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        cli._float_tables()   # built once per process, on first use
+        small, large = peak(10**4), peak(10**5)
+        assert large <= 1.1 * small + 65536, (small, large)
 
 
 class TestExamples:

@@ -240,6 +240,13 @@ class TestRendering:
         assert to_source(Num(2.0)) == "2"
         assert to_source(Num(1.87)) == "1.87"
 
+    def test_negated_exponent_at_the_nesting_limit_round_trips(self):
+        # 100 open groups and 100 tree levels: the rendering must open no more
+        source = "u^-" * 50 + "u"
+        tree = parse(source)
+        assert to_source(tree) == source
+        assert parse(to_source(tree)) == tree
+
     def test_grouping_preserved(self):
         tree = parse("(1 + x)*(2 - y)")
         assert parse(to_source(tree)) == tree
@@ -284,6 +291,11 @@ class TestRenderingProperty:
             return  # tree hits a domain error at the probe point; nothing to compare
         got = evaluate(reparsed, *POINT)
         assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
+    @given(tree=_trees())
+    def test_text_of_a_parsed_tree_parses_back_to_it(self, tree):
+        parsed = parse(to_source(tree))
+        assert parse(to_source(parsed)) == parsed
 
     @given(tree=_trees(2))
     def test_differentiate_matches_finite_differences(self, tree):
@@ -440,7 +452,7 @@ LATTICE_FAILURES = [
      "log of a non-positive value in 'log(y + 0.01 - u)': "
      "argument -0.0006229204054114695 at sample (0, 4, 0, 0, 0)"),
     ("u^-2 + x",
-     "zero base with negative exponent in 'u^(-2)': argument 0.0 at sample (0, 2, 0, 0, 0)"),
+     "zero base with negative exponent in 'u^-2': argument 0.0 at sample (0, 2, 0, 0, 0)"),
     ("(v - 0.5)^0.5",
      "power with non-integer exponent needs a positive base in '(v - 0.5)^0.5': "
      "argument -1.5 at sample (0, 0, 0, 0, 0)"),
@@ -665,6 +677,8 @@ NESTINGS = {
     "calls": lambda d: "sin(" * (d - 1) + "u" + ")" * (d - 1) + " + 1",
     "minus": lambda d: "-" * (d - 1) + "u + 1",
     "powers": lambda d: "1^" * (d - 1) + "u + 1",
+    # each level is a power and a negated exponent, u^-(...)
+    "negated powers": lambda d: "1^-" * ((d - 1) // 2) + "-" * ((d - 1) % 2) + "u + 1",
 }
 
 

@@ -129,6 +129,14 @@ class TestHistories:
         assert rep.eu_history is None
         assert rep.final_eu is None
 
+    def test_eu_nan_when_the_first_pass_fails(self):
+        cp = _canon("f = log(1 + 1000000*u) + 5000\nexact = 0")
+        with pytest.raises(SolverError) as info:
+            solve(cp, SolverConfig(n=16))
+        rep = info.value.report
+        assert rep.iterations == 0 and len(rep.eu_history) == 0
+        assert math.isnan(rep.final_eu) and math.isnan(rep.final_e)
+
     def test_exact_override(self):
         cp = _canon("f = 24")
         rep = solve(cp, SolverConfig(n=32),
