@@ -166,14 +166,12 @@ def _float_tables() -> dict:
     # 0x10 is set in every ASCII digit and clear in a zero byte
     at = np.where(byte == dot[:, None], 0x10, 0).astype(np.uint8)
 
-    # four ASCII digits per word, for the low or the high half of a word;
-    # the second half of each table writes trailing zeros as zero bytes, for
-    # the last nonzero group of D
-    group = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10
-    trailing = np.flip(np.cumsum(np.flip(group, 1), 1), 1) == 0
-    digits = np.zeros((2, 20000, 8), np.uint8)       # in bytes 0-3, or 4-7
-    digits[0, :, :4] = digits[1, :, 4:] = np.concatenate(
-        [group + 48, np.where(trailing, 0, group + 48)])
+    # four ASCII digits per entry; the second half of the table writes
+    # trailing zeros as zero bytes, for the last nonzero group of D
+    group = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
+    chars = (group % 10 + 48).astype(np.uint8)
+    trailing = np.flip(np.cumsum(np.flip(chars > 48, 1), 1), 1) == 0
+    digits = np.concatenate([chars, chars * ~trailing])
     tables = {
         "hi": hi, "hh": hh, "hl": hi - hh, "lo": np.array(lo),
         "prefix": as_words(prefix),
@@ -181,7 +179,7 @@ def _float_tables() -> dict:
         "exponent": as_words(exponent),
         "below": below.view(_WORD).T.copy(),
         "at": at.view(_WORD).T.copy(),
-        "groups": digits.view(_WORD)[..., 0],
+        "groups": digits.view("<u4")[:, 0],
         "last": as_words([""] + [str(i) for i in range(1, 10)]),
     }
     for table in tables.values():
@@ -235,8 +233,9 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     g0 += 10000 * (g1 == 10000)
     groups = t["groups"]
     digits = np.empty((3, len(d)), _U64)
-    np.bitwise_or(groups[0][g0], groups[1][g1], out=digits[0])
-    np.bitwise_or(groups[0][g2], groups[1][g3], out=digits[1])
+    for word, (left, right) in enumerate([(g0, g1), (g2, g3)]):
+        upper = np.left_shift(groups[right], _U64(32), dtype=_U64)
+        np.bitwise_or(groups[left], upper, out=digits[word])
     digits[2] = t["last"][last]
 
     # integer digits stay even when zero; the fraction digits move up one
