@@ -168,9 +168,10 @@ def _float_tables() -> dict:
 
     # four ASCII digits per entry; the second half of the table writes
     # trailing zeros as zero bytes, for the last nonzero group of D
-    group = np.arange(10000, dtype=np.uint16)[:, None] // np.array([1000, 100, 10, 1], np.uint16)
-    chars = (group % 10 + 48).astype(np.uint8)
-    trailing = np.flip(np.cumsum(np.flip(chars > 48, 1), 1), 1) == 0
+    group = np.arange(10000, dtype=np.uint16)[:, None]
+    chars = (group // np.array([1000, 100, 10, 1], np.uint16) % 10 + 48).astype(np.uint8)
+    # digit j is a trailing zero when the group is a multiple of 10^(4-j)
+    trailing = group % np.array([10000, 1000, 100, 10], np.uint16) == 0
     digits = np.concatenate([chars, chars * ~trailing])
     tables = {
         "hi": hi, "hh": hh, "hl": hi - hh, "lo": np.array(lo),
