@@ -284,16 +284,16 @@ def _bits(pattern):
 
 
 def _tie(s, q):
-    # q 2^-s = q 5^s 10^-s: 18 significant digits, the last one 5, so 17
-    # digits round half to even
+    # m 2^-s = m 5^s 10^-s with m = 2q + 1 odd: when m 5^s has 18 digits,
+    # the last is 5 and 17 digits round half to even
     return math.ldexp(2 * q + 1, -s)
 
 
 def _ties():
-    # s and odd m with 10^17 <= m 5^s < 10^18 and m < 2^53; s runs 2..25
+    # 10^17 <= m 5^s < 10^18 and m < 2^53 leave room for s = 2..25
     def at(s):
         lo, hi = -(-10**17 // 5**s), min(2**53, 10**18 // 5**s)
-        return st.integers((lo - 1) // 2 + (lo % 2 == 0), (hi - 2) // 2).map(lambda q: _tie(s, q))
+        return st.integers(lo // 2, (hi - 2) // 2).map(lambda q: _tie(s, q))
     return st.integers(2, 25).flatmap(at)
 
 
