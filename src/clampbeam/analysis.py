@@ -19,12 +19,28 @@ partial derivatives over a tensor lattice covering the box; right-hand
 sides that cannot be differentiated symbolically (abs) fall back to a
 centered finite-difference estimate on the same lattice.
 
-The lattice is evaluated in slabs: only the axes f (or a partial) reads are
-cut, into slabs of at most _BLOCK values each, and each slab folds into a
-running max |.|.  The check's memory is therefore bounded by a few arrays of
-_BLOCK values (512 KiB each), whatever the lattice size, and its results are
-those of one evaluation of the whole lattice.  Only a failing evaluation
-repeats on the whole lattice, to name its first undefined point.
+sup|f| and K1..K4 come from the least and greatest value of an expression
+on the lattice.  The chain of +, -, * and unary minus at the root of the
+compiled expression is not evaluated point by point: a pair (lo, hi) is
+carried up it from its leaves, the other subtrees, each evaluated only on
+the sub-lattice of the axes it reads.  An axis both operands of an
+instruction read stays a broadcast dimension.  The cost thus follows the
+largest leaf sub-lattice, not points^k for the k axes f reads, and the
+result equals one evaluation of the whole lattice bit for bit:
+
+  rounded +, - and * are monotone in each operand while the other is fixed,
+  so on a product of value sets their extremes lie at endpoints or corners,
+  and each lo and hi is a value the whole-lattice evaluation computes too.
+
+Where that range pass does not apply (a lattice that fits one slab, a
+finite-difference probe, a leaf that fails, an extreme that is not finite)
+the lattice is evaluated in slabs: only the axes f (or a partial) reads are
+cut, into slabs of at most _BLOCK values each, and each slab folds into
+running extremes.  The range pass keeps the same bound: a leaf larger than
+_BLOCK values is reduced in such slabs, and where that cannot be done the
+pass steps aside.  The check's memory is therefore bounded by a few arrays
+of _BLOCK values (512 KiB each), whatever the lattice size.  Only a failing
+evaluation repeats on the whole lattice, to name its first undefined point.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -33,7 +49,9 @@ rigorous statement is wanted.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +61,13 @@ from .expr import (
     ExprDerivativeError,
     ExprEvalError,
     Expression,
+    _minus,
+    _negate,
+    _plus,
+    _Program,
     _program,
+    _run,
+    _times,
     differentiate,
     evaluate,
 )
@@ -226,6 +250,14 @@ def _find_bad_point(expression: Expression, env: dict) -> tuple:
     return tuple(float(p) for p in args)
 
 
+def _slab_args(env: dict, slab: Optional[tuple]) -> list:
+    """The axes x, u, y, v, z of the lattice env, each cut to slab unless it is None."""
+    args = [env[name] for name in _AXES]
+    if slab is None:
+        return args
+    return [a[(slice(None),) * k + (cut,)] for k, (a, cut) in enumerate(zip(args, slab))]
+
+
 def _evaluate_on(expression: Expression, env: dict, what: str, slab: Optional[tuple] = None):
     """Evaluate on one slab of the lattice env, or on all of it when slab is None.
 
@@ -233,11 +265,8 @@ def _evaluate_on(expression: Expression, env: dict, what: str, slab: Optional[tu
     bad point; on a slab the ExprEvalError propagates, as it names a sample
     of the slab and not of the lattice.
     """
-    args = [env[name] for name in _AXES]
-    if slab is not None:
-        args = [a[(slice(None),) * k + (cut,)] for k, (a, cut) in enumerate(zip(args, slab))]
     try:
-        return evaluate(expression, *args)
+        return evaluate(expression, *_slab_args(env, slab))
     except ExprEvalError as err:
         if slab is not None:
             raise
@@ -246,15 +275,15 @@ def _evaluate_on(expression: Expression, env: dict, what: str, slab: Optional[tu
         raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
 
 
-def _blocks(expression: Expression, env: dict) -> list:
-    """Slabs of the lattice, in C order, on which expression yields <= _BLOCK values.
+def _blocks(reads: tuple, env: dict) -> list:
+    """Slabs of the lattice, in C order, on which a program yields <= _BLOCK values.
 
-    A slab is one slice per axis.  Only the axes expression reads are cut:
-    the fewest leading ones whose cut leaves the rest within _BLOCK, the
-    last of them into runs of points and the others point by point.  A
-    lattice that fits is the single slab None, the whole lattice.
+    reads is the program's tuple of variable slots, ascending.  A slab is
+    one slice per axis.  Only the axes read are cut: the fewest leading ones
+    whose cut leaves the rest within _BLOCK, the last of them into runs of
+    points and the others point by point.  A lattice that fits is the single
+    slab None, the whole lattice.
     """
-    reads = _program(expression).reads
     sizes = [env[_AXES[k]].size for k in reads]
     cut, rest = len(reads), 1
     while cut and rest * sizes[cut - 1] <= _BLOCK:
@@ -274,29 +303,157 @@ def _blocks(expression: Expression, env: dict) -> list:
     return slabs
 
 
+def _slab_extremes(run, slabs: list) -> tuple:
+    """(min, max) of run(slab) over the slabs, each folded into running extremes."""
+    lo, hi = math.inf, -math.inf
+    for slab in slabs:
+        vals = run(slab)
+        # the reductions also take the float a constant expression evaluates to
+        lo = min(lo, np.minimum.reduce(vals, None))
+        hi = max(hi, np.maximum.reduce(vals, None))
+    return lo, hi
+
+
+# The instructions whose extremes on a product of value sets follow from the
+# extremes of their operands: each is monotone in one operand while the
+# other is held fixed.
+_RANGE_OPS = (_plus, _minus, _times, _negate)
+
+
+class _StepAside(Exception):
+    """The range pass would break the memory bound or met a non-finite extreme."""
+
+
+def _narrowed(lo, hi, axes: frozenset) -> tuple:
+    """(lo, hi) reduced over the lattice axes given; both must stay finite."""
+    if axes:
+        lo = np.minimum.reduce(lo, tuple(sorted(axes)), keepdims=True)
+        hi = np.maximum.reduce(hi, tuple(sorted(axes)), keepdims=True)
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise _StepAside
+    return lo, hi
+
+
+def _range_extremes(program: _Program, root: Expression, env: dict) -> Optional[tuple]:
+    """(min, max) of program on the lattice env, or None where the slab path must run.
+
+    The pass walks the root's chain of +, -, * and unary minus instructions
+    and carries a pair (lo, hi) up it.  Any other operand is a leaf,
+    evaluated once on the sub-lattice of the axes it reads.  An axis both
+    operands of a chain instruction read stays a broadcast dimension of both
+    pairs; an axis only one of them reads is reduced out of its pair first.
+    The operands' values at each point of the kept axes then form a product
+    set, whose extremes lie at the endpoints (sums, differences) or the four
+    corners (products).
+
+    The pass steps aside, returning None, when the root is not such an
+    instruction, when a leaf or a kept array would exceed _BLOCK values (a
+    leaf with no kept axis is reduced in slabs instead), when a leaf raises
+    ExprEvalError, and when an extreme is not finite.
+    """
+    writer = {ins[1]: ins for ins in program.code}
+    if writer.get(program.result, (None,))[0] not in _RANGE_OPS:
+        return None
+    axes = [frozenset((k,)) for k in range(len(_AXES))]
+    axes += [frozenset()] * (len(program.template) - len(axes))
+    for _, out, a, b, *_ in program.code:
+        axes[out] = axes[a] | axes[b]
+    points = [env[name].size for name in _AXES]
+    values = dict(enumerate(_slab_args(env, None)))  # slot: its value on its sub-lattice
+    leaves = {}  # (slot, kept axes): its pair
+
+    def size(keep) -> int:
+        return math.prod(points[k] for k in keep)
+
+    def value(slot):
+        if slot not in values:
+            if slot not in writer:
+                return program.template[slot]
+            op, out, a, b, node, _ = writer[slot]
+            values[slot] = op(value(a), value(b), node or root)
+        return values[slot]
+
+    def in_slabs(slot) -> tuple:
+        need, todo = set(), [slot]
+        while todo:
+            s = todo.pop()
+            if s in writer and s not in need:
+                need.add(s)
+                todo += writer[s][2:4]
+        leaf = _Program(program.template, [ins for ins in program.code if ins[1] in need],
+                        slot, tuple(sorted(axes[slot])))
+        return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab), root),
+                              _blocks(leaf.reads, env))
+
+    def extremes(slot, keep) -> tuple:
+        op, _, a, b = writer.get(slot, (None,) * 4)[:4]
+        if op not in _RANGE_OPS:
+            if (slot, keep) not in leaves:
+                if size(axes[slot]) <= _BLOCK:
+                    leaves[slot, keep] = _narrowed(value(slot), value(slot), axes[slot] - keep)
+                elif keep:
+                    raise _StepAside
+                else:
+                    leaves[slot, keep] = _narrowed(*in_slabs(slot), frozenset())
+            return leaves[slot, keep]
+        if op is _negate:
+            lo, hi = extremes(a, keep)
+            return -hi, -lo
+        both = keep | (axes[a] & axes[b])
+        if size(both) > _BLOCK:
+            raise _StepAside
+        alo, ahi = extremes(a, both & axes[a])
+        blo, bhi = extremes(b, both & axes[b])
+        if op is _plus:
+            lo, hi = alo + blo, ahi + bhi
+        elif op is _minus:
+            lo, hi = alo - bhi, ahi - blo
+        else:
+            corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+            lo, hi = functools.reduce(np.minimum, corners), functools.reduce(np.maximum, corners)
+        return _narrowed(lo, hi, both - keep)
+
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # as in expr._run
+            lo, hi = extremes(program.result, frozenset())
+    except (ExprEvalError, _StepAside):
+        return None
+    return np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)
+
+
 def _sup_on_lattice(expression: Expression, envs: tuple,
                     what: str = "right-hand side undefined inside the box") -> float:
     """max |f| on the lattice env, or max |f(plus) - f(minus)| for envs (plus, minus).
 
-    The lattice is evaluated slab by slab, and each slab folds into a
-    running maximum.  Max is exact, so the result is that of one evaluation
-    of the whole lattice.  A failure in a slab repeats that evaluation, env
-    by env, so the error and its point are the whole lattice's.
+    A single env whose lattice takes more than one slab goes through the
+    range pass first.  Otherwise, or where that pass steps aside, the
+    lattice is evaluated slab by slab, and each slab folds into running
+    extremes.  Min and max are exact, so either way the result is that of
+    one evaluation of the whole lattice.  A failure in a slab repeats that
+    evaluation, env by env, so the error and its point are the whole
+    lattice's.
     """
-    sup = 0.0  # so an f that is zero everywhere gives +0.0, not -0.0
-    try:
-        for slab in _blocks(expression, envs[0]):
+    program = _program(expression)
+    slabs = _blocks(program.reads, envs[0])
+    extremes = None
+    if len(envs) == 1 and slabs != [None]:
+        extremes = _range_extremes(program, expression, envs[0])
+    if extremes is None:
+        def run(slab):
             vals = _evaluate_on(expression, envs[0], what, slab)
             if len(envs) == 2:
                 vals = vals - _evaluate_on(expression, envs[1], what, slab)
-            # max |vals| without an abs temporary; the reductions also take
-            # the float a constant expression evaluates to
-            sup = max(sup, np.maximum.reduce(vals, None), -np.minimum.reduce(vals, None))
-    except ExprEvalError:
-        for env in envs:
-            _evaluate_on(expression, env, what)
-        raise RuntimeError("a lattice slab failed but the whole lattice does not")
-    return float(sup)
+            return vals
+
+        try:
+            extremes = _slab_extremes(run, slabs)
+        except ExprEvalError:
+            for env in envs:
+                _evaluate_on(expression, env, what)
+            raise RuntimeError("a lattice slab failed but the whole lattice does not")
+    lo, hi = extremes
+    # 0.0 first, so an f that is zero everywhere gives +0.0, not -0.0
+    return float(max(0.0, hi, -lo))
 
 
 def _fd_partial_sup(expression: Expression, env: dict, var: str, width: float) -> float:
@@ -316,7 +473,9 @@ def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
 
     ks, when given, must be the four Lipschitz bounds (K1, K2, K3, K4) valid
     on D_M; otherwise they are estimated on the lattice.  Raises
-    DomainSamplingError when f cannot even be evaluated throughout the box.
+    DomainSamplingError when f, or a partial derivative or finite-difference
+    probe the estimate needs, cannot be evaluated throughout the box; its
+    message names which one.
     """
     box = DomainBox(M)
     supplied = ks is not None
@@ -340,7 +499,8 @@ def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
                 estimated.append(_fd_partial_sup(rhs, env, var, hi - lo))
                 fd_used.append(var)
             else:
-                estimated.append(_sup_on_lattice(partial, (env,)))
+                what = f"partial derivative df/d{var} undefined inside the box"
+                estimated.append(_sup_on_lattice(partial, (env,), what))
         ks = tuple(estimated)
 
     return ConditionReport(

@@ -403,6 +403,9 @@ def cmd_table(args) -> int:
         raise _InputError(f"bad --grids list {args.grids!r}") from None
     if not grids:
         raise _InputError("empty --grids list")
+    repeated = sorted({n for n in grids if grids.count(n) > 1})
+    if repeated:
+        raise _InputError(f"repeated grid size in --grids: {', '.join(map(str, repeated))}")
     out_dir = _out_dir(args)
 
     rows = []

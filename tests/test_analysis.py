@@ -30,7 +30,9 @@ from clampbeam.analysis import (
     solution_error_bounds,
 )
 from clampbeam.examples import get_example
-from clampbeam.expr import ExprEvalError, evaluate, parse
+from clampbeam.expr import (
+    BinOp, Call, ExprEvalError, Neg, Num, Var, _program, evaluate, parse, substitute,
+)
 from clampbeam.kernels import KERNEL_BOUNDS
 
 ROOT3 = math.sqrt(3.0)
@@ -185,6 +187,18 @@ class TestCheckConditions:
         assert point[3] == pytest.approx(-4.0 - 8e-6, rel=1e-12)
         assert "finite-difference probe left the domain of f" in str(info.value)
 
+    def test_failing_partial_names_itself(self):
+        # f is finite on the whole box; only df/du = 1e308*v overflows
+        rhs = parse("1e308*u*v + 1e308*y")
+        env = _lattice_env(DomainBox(4.0), LatticeSpec())
+        assert math.isfinite(analysis._sup_on_lattice(rhs, (env,)))
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(rhs, 4.0)
+        assert str(info.value).startswith(
+            "partial derivative df/du undefined inside the box: "
+            "non-finite result from '1e+308*v' at (x=0, u=-0.0104166667, ")
+        assert info.value.point == (0.0, -4.0 / 384.0, -4.0 / (72.0 * ROOT3), -4.0, -4.0)
+
     @pytest.mark.parametrize("text, index", [
         ("log(2.9 - x - 384*u - v)", (4, 4, 0, 4, 0)),
         ("sqrt(2.6 - x - 384*u - v + 0.5*z)", (1, 4, 0, 4, 0)),
@@ -252,7 +266,7 @@ class TestBlocks:
     def test_five_variable_right_sides_match_unblocked(self, text, M, fd, monkeypatch):
         rhs = parse(text)
         env = _lattice_env(DomainBox(M), LatticeSpec(points=17))
-        assert len(analysis._blocks(rhs, env)) > 1
+        assert len(analysis._blocks(_program(rhs).reads, env)) > 1
         blocked = _outcome(rhs, M, None, 17)
         assert blocked.fd_fallback == fd
         assert blocked == _unblocked(monkeypatch, rhs, M, None, 17)
@@ -273,7 +287,7 @@ class TestBlocks:
     def test_slabs_cover_the_lattice_in_order(self):
         rhs = parse("x*u*y*v*z")
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=17))
-        slabs = analysis._blocks(rhs, env)
+        slabs = analysis._blocks(_program(rhs).reads, env)
         assert len(slabs) > 1
         sizes = [analysis._evaluate_on(rhs, env, "", slab).size for slab in slabs]
         assert max(sizes) <= analysis._BLOCK and sum(sizes) == 17 ** 5
@@ -283,7 +297,7 @@ class TestBlocks:
     @pytest.mark.parametrize("text", ["u*z", "3"])
     def test_a_lattice_that_fits_is_one_slab(self, text):
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=25))
-        assert analysis._blocks(parse(text), env) == [None]
+        assert analysis._blocks(_program(parse(text)).reads, env) == [None]
 
     @pytest.mark.parametrize("points", [17, 25])
     def test_memory_does_not_grow_with_the_lattice(self, points):
@@ -299,6 +313,117 @@ class TestBlocks:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def _slab_path(rhs, M, ks, points):
+    """_outcome with the range pass turned off."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_range_extremes", lambda *args: None)
+        return _outcome(rhs, M, ks, points)
+
+
+def _range_runs(monkeypatch) -> list:
+    """A list that records, for every range pass from now on, whether it gave extremes."""
+    runs, range_extremes = [], analysis._range_extremes
+
+    def spy(*args):
+        extremes = range_extremes(*args)
+        runs.append(extremes is not None)
+        return extremes
+
+    monkeypatch.setattr(analysis, "_range_extremes", spy)
+    return runs
+
+
+_LITERALS = [0.0, -0.0, 1.0, 2.0, -0.5, 3.75, 1e308, -1e308, 1e-320, 1e-5]
+
+
+_VARIABLES = st.sampled_from("xuyvz").map(Var)
+_OPERANDS = st.recursive(
+    st.one_of(_VARIABLES, _VARIABLES, st.sampled_from(_LITERALS).map(Num)),
+    lambda sub: st.one_of(
+        st.tuples(st.sampled_from("*+-/"), sub, sub).map(lambda t: BinOp(*t)),
+        st.tuples(sub, st.sampled_from([2, 3, 0, 4, -1, -3])).map(
+            lambda t: BinOp("^", t[0], Num(float(t[1])))),
+        sub.map(Neg),
+        st.tuples(st.sampled_from(["sin", "atan", "exp", "abs", "sqrt", "log"]),
+                  sub).map(lambda t: Call(*t)),
+    ),
+    max_leaves=4)
+
+
+@st.composite
+def _range_trees(draw):
+    """Random right sides over x, u, y, v, z: a +, -, * chain over random operands."""
+    parts = draw(st.lists(_OPERANDS, min_size=2, max_size=6))
+    # shift the variables by one axis per operand, so the operands read
+    # several axes, some of them shared
+    parts = [substitute(part, {name: Var("xuyvz"[(k + i) % 5]) for k, name in enumerate("xuyvz")})
+             for i, part in enumerate(parts)]
+    while len(parts) > 1:
+        i = draw(st.integers(0, len(parts) - 2))
+        node = BinOp(draw(st.sampled_from("+-*")), parts[i], parts[i + 1])
+        parts[i:i + 2] = [Neg(node) if draw(st.booleans()) else node]
+    return parts[0]
+
+
+class TestRangePass:
+    """Extremes carried up the root's +, -, * chain equal the slab path's, bit for bit."""
+
+    @pytest.mark.parametrize("points", [17, 25])
+    @pytest.mark.parametrize("supplied", [True, False])
+    @pytest.mark.parametrize("ident", range(1, 7))
+    def test_examples_match_the_slab_path(self, ident, supplied, points, monkeypatch):
+        ex = get_example(ident)
+        rhs = ex.canonical().rhs
+        ks = (ex.ks or (1.0, 1.0, 1.0, 1.0)) if supplied else None
+        runs = _range_runs(monkeypatch)
+        assert _outcome(rhs, ex.M, ks, points) == _slab_path(rhs, ex.M, ks, points)
+        if ident in (1, 2):  # the examples that read four or five axes
+            assert runs and all(runs)
+
+    @pytest.mark.parametrize("text, M", [
+        ("(u*y)*(u*z)", 1.0),             # u is read by both factors
+        ("-(u - v)*(y - z)", 4.0),        # negation and differences
+        ("u*0 - v*0", 1.0),               # signed zeros
+        ("(u + 1)*(u - 1)*y", 1.0),       # u shared: its own corners would be wrong
+        ("(x + 1)*(v - 2)", 1.0),         # the extremes sit at the mixed corners
+        ("1e308*u*v + 1e308*y", 4.0),     # f finite, df/du overflows
+        ("x*u*y*v*z*1e308*1e308", 1.0),   # the extremes overflow
+        ("u*y*v*z - x^2*u", 1.0),
+    ])
+    @pytest.mark.parametrize("points, block", [(5, 2 ** 4), (9, 2 ** 6), (17, 2 ** 8)])
+    def test_fixed_cases_match_the_slab_path(self, text, M, points, block, monkeypatch):
+        rhs = parse(text)
+        monkeypatch.setattr(analysis, "_BLOCK", block)
+        runs = _range_runs(monkeypatch)
+        assert _outcome(rhs, M, None, points) == _slab_path(rhs, M, None, points)
+        assert runs
+
+    @given(tree=_range_trees(), points=st.sampled_from([5, 9, 17]),
+           M=st.sampled_from([1.0, 4.0]), scale=st.sampled_from([2, 3, 4]))
+    @settings(max_examples=300)
+    def test_random_right_sides_match_the_slab_path(self, tree, points, M, scale):
+        # a small block makes the lattice take several slabs, so the range
+        # pass runs, and sends its larger leaves through slabs of their own
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_BLOCK", points ** scale // 2)
+            assert _outcome(tree, M, None, points) == _slab_path(tree, M, None, points)
+
+    @pytest.mark.parametrize("text, ranged", [
+        ("sin(x*u*y*v*z)", False),        # the root is a leaf: slabs as before
+        ("sin(x*u*y*v*z) + 1", True),     # a five-axis leaf reduced in slabs
+    ])
+    def test_memory_stays_within_slabs(self, text, ranged, monkeypatch):
+        runs = _range_runs(monkeypatch)
+        tracemalloc.start()
+        try:
+            check_conditions(parse(text), 1.0, lattice=LatticeSpec(points=25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+        assert runs[0] is ranged
 
 
 class TestConditionReport:

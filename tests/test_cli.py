@@ -182,6 +182,20 @@ class TestCheck:
         assert "100, 0, 0, 0" in text
         assert "supplied" in text
 
+    def test_failing_partial_is_named(self, tmp_path, capsys):
+        # f is finite in the box; only df/du = 1e308*v overflows
+        path = _problem_file(tmp_path, "f = 1e308*u*v + 1e308*y\n")
+        assert main(["check", path, "--M", "4", "--out-dir", str(tmp_path)]) == 1
+        lines = [
+            "not certified: partial derivative df/du undefined inside the box: "
+            "non-finite result from '1e+308*v' at "
+            "(x=0, u=-0.0104166667, y=-0.032075015, v=-4, z=-4)",
+            "offending sample: (0, -0.0104166667, -0.032075015, -4, -4)",
+        ]
+        assert capsys.readouterr().out.splitlines()[:2] == lines
+        text = (tmp_path / "conditions.txt").read_text(encoding="utf-8")
+        assert text == "\n".join(lines) + "\n"
+
 
 class TestTable:
     def test_sorted_rows_match_solver(self, tmp_path, capsys):
@@ -219,6 +233,15 @@ class TestTable:
         assert capsys.readouterr().out.splitlines()[:2] == rows
         expect = "\n".join(["N,K,eu,e,status"] + rows) + "\n"
         assert (tmp_path / "table.csv").read_text(encoding="utf-8") == expect
+
+    @pytest.mark.parametrize("grids", ["16,16", "32,16,32"])
+    def test_repeated_grid_size_is_an_input_error(self, grids, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
+        assert main(["table", "example:1", "--grids", grids, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: repeated grid size in --grids: ")
+        assert solves == [] and not (tmp_path / "table.csv").exists()
 
     def test_bad_grid_list(self, tmp_path, capsys):
         assert main(["table", "example:1", "--grids", "ten",
