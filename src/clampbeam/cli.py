@@ -406,17 +406,18 @@ def cmd_table(args) -> int:
     repeated = sorted({n for n in grids if grids.count(n) > 1})
     if repeated:
         raise _InputError(f"repeated grid size in --grids: {', '.join(map(str, repeated))}")
+    configs = [_config_from(args, n) for n in sorted(grids)]  # every size, before any solve
     out_dir = _out_dir(args)
 
     rows = []
     has_exact = None
     all_ok = True
-    for n in sorted(grids):
-        report, err = _solve(problem, _config_from(args, n))
+    for config in configs:
+        report, err = _solve(problem, config)
         status = "converged" if err is None else report.failure or "failed"
         all_ok = all_ok and err is None
         has_exact = report.eu_history is not None
-        rows.append((n, report.iterations, report.final_eu, report.final_e, status))
+        rows.append((config.n, report.iterations, report.final_eu, report.final_e, status))
 
     ns, ks, eus, es, statuses = zip(*rows)
     header = ["N", "K"] + (["eu"] if has_exact else []) + ["e"]

@@ -601,7 +601,8 @@ def _at_fixed_x(expr: Expression, x):
     kept value, shared with later calls, and must not be written.  A failure
     decided here raises on every call, after the instructions ahead of it,
     whose failures still win.  When no instruction reads x there is nothing
-    to fold, and the program of expr serves as it is.
+    to fold, and the program of expr serves as it is.  Its reads attribute
+    lists the variable slots the program reads; the others are never used.
     """
     program = _program(expr)
     if 0 in program.reads:
@@ -610,6 +611,7 @@ def _at_fixed_x(expr: Expression, x):
     def at(u, y, v, z):
         return _run(program, (x, u, y, v, z), expr)
 
+    at.reads = program.reads
     return at
 
 

@@ -13,6 +13,11 @@ The three workhorses are all fourth-order accurate:
                      compact (Numerov-type) scheme for u'' = g with Dirichlet
                      data, exact whenever g is a polynomial of degree <= 3,
                      solved in closed form by two running sums
+
+A GridFunction's values are finite; the check records s = sup|values|.  Every
+intermediate and result of diff5's stencils is at most 128 s / (12 h) <= 16 n s
+for n >= 8, so when 32 n s is finite diff5 skips the scan of its output; the
+spare factor 2 covers rounding.
 """
 
 from __future__ import annotations
@@ -88,21 +93,24 @@ class GridFunction:
                 f"expected {self.grid.n + 1} values on a grid with n={self.grid.n}, "
                 f"got shape {vals.shape}"
             )
-        _freeze_finite(self.grid, vals)
+        object.__setattr__(self, "_sup", _checked_sup(self.grid, vals))
+        vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
     def __setstate__(self, state):
         _refreeze(self, state)
 
     @classmethod
-    def _adopt(cls, grid: Grid, vals: np.ndarray) -> "GridFunction":
+    def _adopt(cls, grid: Grid, vals: np.ndarray, finite: bool = False) -> "GridFunction":
         """Wrap a fresh float array of n+1 values that nothing else holds.
 
         For arrays this package has just allocated: no copy and no shape
-        check, but the finiteness check stays, so overflow still raises.
+        check, but the finiteness check stays unless the caller has made it.
         """
-        _freeze_finite(grid, vals)
         obj = object.__new__(cls)
+        if not finite:
+            object.__setattr__(obj, "_sup", _checked_sup(grid, vals))
+        vals.setflags(write=False)
         object.__setattr__(obj, "grid", grid)
         object.__setattr__(obj, "values", vals)
         return obj
@@ -113,11 +121,19 @@ class GridFunction:
         return cls(grid, vals)
 
 
-def _freeze_finite(grid: Grid, vals: np.ndarray) -> None:
-    if not np.isfinite(vals).all():
+def _checked_sup(grid: Grid, vals: np.ndarray) -> float:
+    """sup|vals|, deciding finiteness too; max and min spare a large array abs's temporary."""
+    big = len(vals) > 8192
+    sup = max(float(vals.max()), -float(vals.min())) if big else float(np.abs(vals).max())
+    if not math.isfinite(sup):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(f"non-finite value at node {bad} (x={bad * grid.h})")
-    vals.setflags(write=False)
+    return sup
+
+
+def _diff5_finite(f: GridFunction) -> bool:
+    """Whether the module docstring's bound, on a recorded sup, makes diff5(f) finite."""
+    return math.isfinite(32.0 * f.grid.n * f.__dict__.get("_sup", math.inf))
 
 
 def _refreeze(obj, state: dict) -> None:
@@ -169,7 +185,7 @@ def diff5(f: GridFunction) -> GridFunction:
     v0, v1, v2, v3, v4 = v[-5:].tolist()
     d[-2] = (-v0 + 6.0 * v1 - 18.0 * v2 + 10.0 * v3 + 3.0 * v4) / w
     d[-1] = (3.0 * v0 - 16.0 * v1 + 36.0 * v2 - 48.0 * v3 + 25.0 * v4) / w
-    return GridFunction._adopt(f.grid, d)
+    return GridFunction._adopt(f.grid, d, finite=_diff5_finite(f))
 
 
 def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> GridFunction:

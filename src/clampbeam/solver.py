@@ -6,7 +6,7 @@ iteration maps a triplet to the next by
 
   1. solving v'' = phi with v(0) = alpha, v(1) = beta        (v plays u''),
   2. solving u'' = v with u(0) = u(1) = 0,
-  3. differentiating u and v to get y (slope) and z (third derivative),
+  3. differentiating what f reads: u for y (slope), v for z (third derivative),
   4. refreshing the source, phi_new = f(x, u, y, v, z),
   5. refreshing the curvatures from weighted integrals of phi_new,
      using the already-updated alpha when computing beta.
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .numerics import (
     Grid,
     GridFunction,
+    _diff5_finite,
     _refreeze,
     _simpson,
     diff5,
@@ -83,12 +85,23 @@ def triplet_distance(s1: Triplet, s2: Triplet) -> float:
 
 @dataclass(frozen=True)
 class IterateProfile:
-    """The candidate solution an iteration state induces."""
+    """The candidate solution an iteration state induces; slopes as in step."""
 
     u: GridFunction
     du: GridFunction
     d2u: GridFunction
     d3u: GridFunction
+
+
+class _Slope(GridFunction):
+    """diff5(of), formed on first read; only for an of whose diff5 is provably finite."""
+
+    def __init__(self, of: GridFunction):
+        vars(self).update(grid=of.grid, _of=of)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        return diff5(self._of).values
 
 
 @dataclass(frozen=True)
@@ -116,9 +129,9 @@ class SolveReport:
     is known.  first_step is the triplet distance after the very first
     application of the map, the quantity the a-priori error envelope needs.
 
-    On failure profile and triplet are the last finite ones.  When the very
-    first application already fails, they are init_state's triplet and the
-    zero profile, and first_step is inf.
+    On failure profile and triplet are the last finite ones; when the very
+    first application fails, init_state's triplet and the zero profile, and
+    first_step is inf.  The profile's slopes are formed as in step.
     """
 
     converged: bool
@@ -173,10 +186,10 @@ class IterationLimitError(SolverError):
 
 
 def _source_values(problem: CanonicalProblem, profile: IterateProfile) -> np.ndarray:
-    """f at the nodes for a profile, as a fresh array."""
+    """f at the nodes for a profile: a fresh array, checked finite; reads what f reads."""
     grid = profile.u.grid
-    out = problem.f_on(grid)(
-        profile.u.values, profile.du.values, profile.d2u.values, profile.d3u.values)
+    f, args = problem.f_on(grid), (profile.u, profile.du, profile.d2u, profile.d3u)
+    out = f(*[gf.values if slot in f.reads else None for slot, gf in enumerate(args, 1)])
     if isinstance(out, float):  # f is constant
         return np.full(grid.n + 1, out)
     return out.copy()  # the evaluator's result may be shared
@@ -187,23 +200,31 @@ def _zero_profile(grid: Grid) -> IterateProfile:
     return IterateProfile(u=zero, du=zero, d2u=zero, d3u=zero)
 
 
-def _profile_from(state: Triplet) -> IterateProfile:
+def _profile_from(state: Triplet, problem: CanonicalProblem) -> IterateProfile:
+    reads = problem.f_on(state.source.grid).reads
     v = solve_second_order_bvp(state.source, state.alpha, state.beta)
     u = solve_second_order_bvp(v, 0.0, 0.0)
-    return IterateProfile(u=u, du=diff5(u), d2u=v, d3u=diff5(v))
+    # a slope f does not read (slot 2 is y, 4 is z) waits unless it could overflow
+    du, d3u = [_Slope(g) if slot not in reads and _diff5_finite(g) else diff5(g)
+               for slot, g in ((2, u), (4, v))]
+    return IterateProfile(u=u, du=du, d2u=v, d3u=d3u)
 
 
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
     """Starting triplet: source f(x,0,0,0,0), zero end curvatures."""
-    return Triplet(GridFunction._adopt(grid, _source_values(problem, _zero_profile(grid))),
-                   0.0, 0.0)
+    phi = _source_values(problem, _zero_profile(grid))
+    return Triplet(GridFunction._adopt(grid, phi, finite=True), 0.0, 0.0)
 
 
 def step(state: Triplet, problem: CanonicalProblem) -> tuple:
-    """One application of the fixed-point map; also returns the profile used."""
-    profile = _profile_from(state)
+    """One application of the fixed-point map; also returns the profile used.
+
+    Only what f reads is differentiated; a slope it does not read is formed
+    on first read, with the same values, and fails where it always did.
+    """
+    profile = _profile_from(state, problem)
     grid = state.source.grid
-    phi = GridFunction._adopt(grid, _source_values(problem, profile))
+    phi = GridFunction._adopt(grid, _source_values(problem, profile), finite=True)
     w_left, w_right = grid.slope_weights
     alpha = 3.0 * _simpson(w_left * phi.values, grid.h) - state.beta / 2.0
     beta = 3.0 * _simpson(w_right * phi.values, grid.h) - alpha / 2.0
@@ -217,7 +238,7 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     in the two curvature equations.
     """
     grid = state.source.grid
-    f_vals = _source_values(problem, _profile_from(state))
+    f_vals = _source_values(problem, _profile_from(state, problem))
     src_defect = float(np.abs(state.source.values - f_vals).max())
     w_left, w_right = grid.slope_weights
     i_left = _simpson(w_left * state.source.values, grid.h)

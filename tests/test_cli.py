@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from clampbeam import cli
 from clampbeam.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from clampbeam.expr import evaluate
-from clampbeam.numerics import Grid, GridFunction
+from clampbeam.numerics import Grid, GridFunction, diff5
 from clampbeam.problem import canonicalize, parse_problem_text
 from clampbeam.solver import SolverConfig, Triplet, residual, solve
 from clampbeam.examples import get_example
@@ -102,6 +102,17 @@ class TestSolve:
         phi = evaluate(problem.rhs, x, u, du, d2u, d3u)
         state = Triplet(GridFunction(Grid(80), phi), d2u[0], d2u[-1])
         assert residual(state, problem) <= 1e-8
+
+    @pytest.mark.parametrize("ident", [1, 3, 6])
+    def test_slope_columns_are_diff5(self, ident, tmp_path):
+        # 17 digits round-trip exactly, so the columns read back are the
+        # profile's arrays bit for bit, whether or not f reads the slopes
+        assert main(["solve", f"example:{ident}", "--out-dir", str(tmp_path), "--n", "100"]) == 0
+        header, rows = _read_csv(tmp_path / "solution.csv")
+        cols = dict(zip(header, np.array([[float(v) for v in row] for row in rows]).T))
+        for slope, of in (("du", "u"), ("d3u", "d2u")):
+            expect = diff5(GridFunction(Grid(100), cols[of])).values
+            assert cols[slope].tobytes() == expect.tobytes()
 
     def test_divergent_solve_writes_artifacts(self, tmp_path, capsys, monkeypatch):
         # relative names keep the test's own name out of the message checked
@@ -241,6 +252,14 @@ class TestTable:
         assert main(["table", "example:1", "--grids", grids, "--out-dir", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: repeated grid size in --grids: ")
+        assert solves == [] and not (tmp_path / "table.csv").exists()
+
+    def test_every_grid_size_is_checked_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        solves = []
+        monkeypatch.setattr(cli, "_solve", lambda *args: solves.append(args))
+        code = main(["table", "example:1", "--grids", "100000,100001", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: grid size must be even and >= 8, got 100001\n"
         assert solves == [] and not (tmp_path / "table.csv").exists()
 
     def test_bad_grid_list(self, tmp_path, capsys):

@@ -7,6 +7,7 @@ against manufactured solutions for the convergence order.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 from clampbeam.numerics import (
     Grid,
     GridFunction,
+    _diff5_finite,
     diff5,
     simpson,
     solve_second_order_bvp,
@@ -55,6 +57,17 @@ class TestGridFunction:
         vals[3] = np.nan
         with pytest.raises(ValueError, match="node 3"):
             GridFunction(g, vals)
+
+    @pytest.mark.parametrize("n", [8, 10000])  # small arrays take abs, large max and min
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_finiteness_check_records_sup(self, n, bad):
+        vals = np.sin(np.arange(n + 1.0))
+        vals[n // 2] = -1.5
+        f = GridFunction(Grid(n), vals)
+        assert vars(f)["_sup"] == 1.5 == sup_norm(f)
+        vals[3] = bad
+        with pytest.raises(ValueError, match=r"non-finite value at node 3 \("):
+            GridFunction(Grid(n), vals)
 
     def test_values_read_only_and_copied(self):
         g = Grid(8)
@@ -126,6 +139,40 @@ class TestDiff5:
         d = diff5(GridFunction.sample(g, lambda x: x))
         assert d.grid is g
         assert np.max(np.abs(d.values - 1.0)) < 1e-12
+
+    @staticmethod
+    def _bound(n):
+        """The largest s with 32 n s <= DBL_MAX."""
+        s = sys.float_info.max / (32 * n)
+        while not 32.0 * n * s <= sys.float_info.max:
+            s = np.nextafter(s, 0.0)
+        return float(s)
+
+    @given(data=st.data(), half=st.integers(min_value=4, max_value=40))
+    def test_finite_within_the_bound(self, data, half):
+        # diff5 skips the scan of its output for such values, so every
+        # stencil row must stay finite on them
+        n = 2 * half
+        s = self._bound(n)
+        values = st.one_of(st.floats(min_value=-s, max_value=s),
+                           st.sampled_from([s, -s, 0.0, -0.0, 5e-324]))
+        f = GridFunction(Grid(n), data.draw(st.lists(values, min_size=n + 1, max_size=n + 1)))
+        assert _diff5_finite(f)
+        assert np.isfinite(diff5(f).values).all()
+
+    @pytest.mark.parametrize("n", [8, 10, 1000])
+    def test_alternating_signs_at_the_bound(self, n):
+        # the worst case for the edge rows: every term adds up
+        s = self._bound(n)
+        f = GridFunction(Grid(n), s * (-1.0) ** np.arange(n + 1))
+        assert _diff5_finite(f)
+        assert np.isfinite(diff5(f).values).all()
+
+    def test_overflow_beyond_the_bound_still_raises(self):
+        f = GridFunction(Grid(8), 1e307 * (-1.0) ** np.arange(9))
+        assert not _diff5_finite(f)
+        with pytest.raises(ValueError, match=r"non-finite value at node 0 \(x=0.0\)"):
+            diff5(f)
 
 
 def _dense_solve(grid, rhs_values, left, right):

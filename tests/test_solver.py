@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import clampbeam.numerics as numerics
 import clampbeam.problem as problem_module
+import clampbeam.solver as solver_module
 from clampbeam.examples import get_example
 from clampbeam.expr import ExprEvalError, parse
 from clampbeam.numerics import Grid, GridFunction
@@ -287,7 +288,95 @@ class TestStepAndResidual:
             d_prev = d
 
 
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _report_of(cp, config):
+    try:
+        return solve(cp, config)
+    except SolverError as err:
+        return err.report
+
+
+def _assert_slopes_are_diff5(profile):
+    assert _same_bits(profile.du.values, numerics.diff5(profile.u).values)
+    assert _same_bits(profile.d3u.values, numerics.diff5(profile.d2u).values)
+    for gf in (profile.u, profile.du, profile.d2u, profile.d3u):
+        assert not gf.values.flags.writeable
+
+
+class TestSlopes:
+    """du and d3u are diff5 of u and d2u, whether or not f reads them."""
+
+    CASES = [(f"example:{i}", n) for i in range(1, 7) for n in (8, 100, 1000)]
+    CASES += [("f = 300*u + 1", 100)]
+
+    @staticmethod
+    def _problem(ref):
+        if ref.startswith("example:"):
+            return get_example(int(ref.split(":")[1])).canonical()
+        return _canon(ref)
+
+    @pytest.mark.parametrize("ref, n", CASES)
+    def test_reported_slopes(self, ref, n):
+        rep = _report_of(self._problem(ref), SolverConfig(n=n))
+        _assert_slopes_are_diff5(rep.profile)
+
+    @pytest.mark.parametrize("ref, n", CASES)
+    def test_slopes_of_step(self, ref, n):
+        cp = self._problem(ref)
+        _, profile = step(_report_of(cp, SolverConfig(n=n)).triplet, cp)
+        _assert_slopes_are_diff5(profile)
+
+    @pytest.mark.parametrize("ref, n", CASES)
+    def test_slopes_after_pickle(self, ref, n):
+        # pickled before any slope is read, and again after
+        rep = _report_of(self._problem(ref), SolverConfig(n=n))
+        unread = pickle.loads(pickle.dumps(rep))
+        _assert_slopes_are_diff5(unread.profile)
+        _assert_slopes_are_diff5(pickle.loads(pickle.dumps(rep)).profile)
+        assert _same_bits(unread.profile.du.values, rep.profile.du.values)
+        assert _same_bits(unread.profile.d3u.values, rep.profile.d3u.values)
+
+    @pytest.mark.parametrize("ident, per_step", [(1, 2), (2, 2), (3, 0), (6, 0)])
+    def test_diff5_only_for_what_f_reads(self, monkeypatch, ident, per_step):
+        # examples 1 and 2 read y and z, 3 and 6 neither; each step still
+        # runs both second-order solves, and the report forms each unread
+        # slope once, when it is read
+        calls = {"diff5": 0, "bvp": 0, "step": 0}
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(solver_module, "diff5", counted("diff5", solver_module.diff5))
+        monkeypatch.setattr(solver_module, "solve_second_order_bvp",
+                            counted("bvp", solver_module.solve_second_order_bvp))
+        monkeypatch.setattr(solver_module, "step", counted("step", solver_module.step))
+        rep = solver_module.solve(get_example(ident).canonical(), SolverConfig(n=100))
+        passes = rep.iterations + 1
+        assert calls["step"] == passes
+        assert calls["bvp"] == 2 * passes + 2  # and two for the report's residual
+        assert calls["diff5"] == per_step * (passes + 1)
+        for _ in range(2):
+            rep.profile.du.values, rep.profile.d3u.values
+        assert calls["diff5"] == per_step * (passes + 1) + (2 - per_step)
+
+
 class TestFailureModes:
+    def test_slope_overflow_fails_where_it_did(self):
+        # f reads only u, yet u''' overflows in diff5's edge rows: the pass
+        # must fail there rather than leave the slope unformed
+        grid = Grid(8)
+        state = Triplet(GridFunction(grid, np.zeros(9)), 1e307, -1e307)
+        with pytest.raises(ValueError) as info:
+            step(state, _canon("f = sin(u)"))
+        assert type(info.value) is ValueError
+        assert str(info.value) == "non-finite value at node 0 (x=0.0)"
+
     def test_divergence_detected_with_report(self):
         # 600 exceeds the smallest clamped eigenvalue of the fourth
         # derivative (about 500.56), so the linear iteration blows up
