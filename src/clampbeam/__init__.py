@@ -69,6 +69,7 @@ from .solver import (
     SolveReport,
     SolverConfig,
     SolverError,
+    StallError,
     Triplet,
     init_state,
     residual,
@@ -97,7 +98,7 @@ __all__ = [
     "hermite_cubic", "load_problem_file", "parse_problem_text",
     "recover_solution",
     "DivergenceError", "IterateProfile", "IterationLimitError", "SolveReport",
-    "SolverConfig", "SolverError", "Triplet", "init_state", "residual",
+    "SolverConfig", "SolverError", "StallError", "Triplet", "init_state", "residual",
     "solve", "step", "triplet_distance", "triplet_norm",
     "__version__",
 ]

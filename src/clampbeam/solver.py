@@ -13,7 +13,9 @@ iteration maps a triplet to the next by
 
 Under the contraction conditions (see analysis.check_conditions) the map has
 a unique fixed point and the iterates converge geometrically; the errors
-e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.
+e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.  A run
+whose least e(k) sits at that level, above tol, for _STALL_WINDOW passes
+stops there: more passes cannot lower it.
 """
 
 from __future__ import annotations
@@ -47,14 +49,21 @@ __all__ = [
     "SolverError",
     "DivergenceError",
     "IterationLimitError",
+    "StallError",
     "init_state",
     "step",
     "residual",
     "solve",
 ]
 
-# Consecutive growing e(k) after which the iteration counts as diverging.
+# Consecutive growing e(k), above the rounding floor, after which the
+# iteration counts as diverging.
 _DIVERGENCE_WINDOW = 5
+# Iterations without a new least e(k), once that least is at or below the
+# rounding floor _ROUNDING_FLOOR * max(1, sup|u_k|) (Higham 1993), after which
+# the iteration stops: more passes cannot lower e(k) to a tol below the floor.
+_STALL_WINDOW = 10
+_ROUNDING_FLOOR = 16.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -131,7 +140,13 @@ class SolveReport:
 
     On failure profile and triplet are the last finite ones; when the very
     first application fails, init_state's triplet and the zero profile, and
-    first_step is inf.  The profile's slopes are formed as in step.
+    first_step is inf.  The profile's slopes are formed as in step, but
+    always as plain GridFunctions.
+
+    failure names why a failed run stopped: "divergence" (e(k) grew above
+    the rounding floor, or the map could not be evaluated or overflowed),
+    "iteration-limit" (max_iter passes without reaching tol) or "floor"
+    (e(k) stalled at the rounding floor, above tol).  It is None on success.
     """
 
     converged: bool
@@ -185,6 +200,10 @@ class IterationLimitError(SolverError):
     pass
 
 
+class StallError(IterationLimitError):
+    """e(k) stalled at its rounding floor above tol: more passes cannot reach tol."""
+
+
 def _source_values(problem: CanonicalProblem, profile: IterateProfile) -> np.ndarray:
     """f at the nodes for a profile: a fresh array, checked finite; reads what f reads."""
     grid = profile.u.grid
@@ -208,6 +227,11 @@ def _profile_from(state: Triplet, problem: CanonicalProblem) -> IterateProfile:
     du, d3u = [_Slope(g) if slot not in reads and _diff5_finite(g) else diff5(g)
                for slot, g in ((2, u), (4, v))]
     return IterateProfile(u=u, du=du, d2u=v, d3u=d3u)
+
+
+def _formed(slope: GridFunction) -> GridFunction:
+    """slope as a plain GridFunction, formed now if it is a _Slope."""
+    return diff5(slope._of) if isinstance(slope, _Slope) else slope
 
 
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
@@ -268,8 +292,8 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
     first_step = float("inf")
     e_hist: list = []
     eu_hist: Optional[list] = [] if exact_gf is not None else None
-    prev_e = float("inf")
-    increases = 0
+    prev_e = best_e = float("inf")
+    increases = best_k = 0
 
     def _report(failure: Optional[str] = None) -> SolveReport:
         try:
@@ -281,7 +305,8 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
             iterations=len(e_hist),
             e_history=np.asarray(e_hist, dtype=float),
             eu_history=None if eu_hist is None else np.asarray(eu_hist, dtype=float),
-            profile=profile,
+            profile=IterateProfile(u=profile.u, du=_formed(profile.du), d2u=profile.d2u,
+                                   d3u=_formed(profile.d3u)),
             triplet=state,
             residual=res,
             first_step=first_step,
@@ -304,12 +329,20 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
             eu_hist.append(float(np.abs(profile.u.values - exact_gf.values).max()))
         if e <= config.tol:
             return _report()
-        increases = increases + 1 if e > prev_e else 0
+        floor = _ROUNDING_FLOOR * max(1.0, profile.u._sup)  # u's sup, recorded by its check
+        if e < best_e:
+            best_e, best_k = e, k
+        increases = increases + 1 if e > max(prev_e, floor) else 0
         prev_e = e
         if increases >= _DIVERGENCE_WINDOW:
             raise DivergenceError(
                 f"diverged: successive-iterate errors grew for {increases} consecutive iterations",
                 _report("divergence"))
+        if k - best_k >= _STALL_WINDOW and best_e <= floor:
+            raise StallError(
+                f"stalled at the rounding floor: the best e(k) {best_e:.3e} is at or below "
+                f"the floor {floor:.3e} but above tol={config.tol:g}, and no e(k) has gone "
+                f"below it for {k - best_k} iterations", _report("floor"))
     raise IterationLimitError(
         f"no convergence to tol={config.tol:g} within {config.max_iter} iterations",
         _report("iteration-limit"))

@@ -36,6 +36,8 @@ def _read_csv(path):
 
 # fails on its first pass (log of a negative value) and has an exact solution
 LOG_BLOWUP = "f = log(1 + 1000000*u) + 5000\nexact = 0\n"
+# e(k) stalls at its rounding floor (sup|u| ~ 6) above the default tol
+STALL = "f = 2400 + u*z/2 - y*v/4\n"
 
 
 def _problem_file(tmp_path, text, name="problem.txt"):
@@ -125,6 +127,18 @@ class TestSolve:
         _, rows = _read_csv(tmp_path / "convergence.csv")
         assert len(rows) >= 5
         assert (tmp_path / "solution.csv").exists()
+
+    def test_floor_stall_warns_and_writes_artifacts(self, tmp_path, capsys):
+        path = _problem_file(tmp_path, STALL)
+        assert main(["solve", path, "--out-dir", str(tmp_path)]) == 1
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "stalled at the rounding floor" in warnings[0] and "tol=1e-15" in warnings[0]
+        _, rows = _read_csv(tmp_path / "convergence.csv")
+        assert 10 < len(rows) <= 60
+        _, sol = _read_csv(tmp_path / "solution.csv")
+        assert len(sol) == 101
 
     def test_overflow_on_first_pass_writes_artifacts(self, tmp_path, capsys):
         path = _problem_file(tmp_path, "f = 1e308\n")
@@ -235,6 +249,16 @@ class TestTable:
         header, rows = _read_csv(tmp_path / "table.csv")
         assert header[-1] == "status"
         assert all(r[-1] == "divergence" for r in rows)
+
+    def test_floor_stall_rows(self, tmp_path):
+        # at n = 1000 one e(k) once fell below tol by luck; now both rows stall
+        path = _problem_file(tmp_path, STALL)
+        code = main(["table", path, "--grids", "100,1000", "--out-dir", str(tmp_path)])
+        assert code == 1
+        header, rows = _read_csv(tmp_path / "table.csv")
+        assert header == ["N", "K", "e", "status"]
+        assert [(r[0], r[-1]) for r in rows] == [("100", "floor"), ("1000", "floor")]
+        assert all(int(r[1]) <= 60 for r in rows)
 
     def test_first_pass_failure_with_exact_writes_nan(self, tmp_path, capsys):
         path = _problem_file(tmp_path, LOG_BLOWUP)

@@ -30,6 +30,7 @@ from clampbeam.solver import (
     IterationLimitError,
     SolverConfig,
     SolverError,
+    StallError,
     Triplet,
     init_state,
     residual,
@@ -343,7 +344,7 @@ class TestSlopes:
     def test_diff5_only_for_what_f_reads(self, monkeypatch, ident, per_step):
         # examples 1 and 2 read y and z, 3 and 6 neither; each step still
         # runs both second-order solves, and the report forms each unread
-        # slope once, when it is read
+        # slope once, so reading it costs nothing more
         calls = {"diff5": 0, "bvp": 0, "step": 0}
 
         def counted(name, fn):
@@ -360,10 +361,23 @@ class TestSlopes:
         passes = rep.iterations + 1
         assert calls["step"] == passes
         assert calls["bvp"] == 2 * passes + 2  # and two for the report's residual
-        assert calls["diff5"] == per_step * (passes + 1)
+        assert calls["diff5"] == per_step * (passes + 1) + (2 - per_step)
         for _ in range(2):
             rep.profile.du.values, rep.profile.d3u.values
         assert calls["diff5"] == per_step * (passes + 1) + (2 - per_step)
+
+    @pytest.mark.parametrize("ref, max_iter", [("example:3", 200), ("f = 500*u + 1", 5)])
+    def test_report_holds_plain_grid_functions(self, ref, max_iter):
+        # neither f reads a slope; the second report is a failure's
+        rep = _report_of(self._problem(ref), SolverConfig(n=16, max_iter=max_iter))
+        assert rep.converged == (max_iter == 200)
+        prof = rep.profile
+        for gf in (prof.u, prof.du, prof.d2u, prof.d3u):
+            assert type(gf) is GridFunction
+        assert "_Slope" not in repr(prof)
+        moved = dataclasses.replace(prof.du, values=prof.du.values + 1.0)
+        assert _same_bits(moved.values, prof.du.values + 1.0)
+        _assert_slopes_are_diff5(prof)
 
 
 class TestFailureModes:
@@ -391,6 +405,61 @@ class TestFailureModes:
         # the recorded errors really do grow at the tail
         tail = rep.e_history[-5:]
         assert np.all(np.diff(tail) > 0)
+
+    @pytest.mark.parametrize("n", [100, 200, 400, 1000, 10_000])
+    def test_stall_at_the_rounding_floor(self, n):
+        # sup|u| is about 6, so e(k) bottoms out near 1e-15..1e-14, at or
+        # below the floor 16 eps sup|u| ~ 2.1e-14 but above tol = 1e-15
+        with pytest.raises(StallError) as info:
+            solve(_canon("f = 2400 + u*z/2 - y*v/4"), SolverConfig(n=n))
+        assert isinstance(info.value, IterationLimitError)
+        rep = info.value.report
+        assert rep.failure == "floor" and not rep.converged
+        assert rep.iterations <= 60 and len(rep.e_history) == rep.iterations
+        sup_u = float(np.abs(rep.profile.u.values).max())
+        floor = solver_module._ROUNDING_FLOOR * max(1.0, sup_u)
+        best = rep.e_history.min()
+        assert 1e-15 < best <= floor
+        # the least e(k) came _STALL_WINDOW iterations before the stop
+        assert rep.iterations - 1 - int(rep.e_history.argmin()) == solver_module._STALL_WINDOW
+        message = str(info.value)
+        assert f"{best:.3e}" in message and f"floor {floor:.3e}" in message
+        assert "tol=1e-15" in message
+
+    @pytest.mark.parametrize("text, outcome, iterations", [
+        ("f = 300*u + 1", None, 90),                   # contracts slowly
+        ("f = 500*u + 1", IterationLimitError, 200),   # does not contract
+        ("f = 600*u + 1", DivergenceError, None),      # expands
+    ])
+    def test_slow_linear_problems_keep_their_outcome(self, text, outcome, iterations):
+        cp = _canon(text)
+        if outcome is None:
+            assert solve(cp, SolverConfig(n=100)).iterations == iterations
+            return
+        with pytest.raises(SolverError) as info:
+            solve(cp, SolverConfig(n=100))
+        assert type(info.value) is outcome
+        if iterations is not None:
+            assert info.value.report.iterations == iterations
+
+    def test_floor_noise_is_not_divergence(self, monkeypatch):
+        # e(k) falls to q and then rises ten times in a row, always at or
+        # below the floor 16 eps = 256 q: rounding noise, so the run stalls
+        # instead of diverging (sums of these multiples of q are exact)
+        q = 2.0 ** -56
+        errors = [2**40, 2**30, 2**20, 2**10] + list(range(1, 12))
+        offsets = iter(np.cumsum([0] + errors) * q)
+        real_step = solver_module.step
+
+        def noisy_step(state, problem):
+            new, profile = real_step(state, problem)
+            u = GridFunction(profile.u.grid, np.full_like(profile.u.values, next(offsets)))
+            return new, dataclasses.replace(profile, u=u)
+
+        monkeypatch.setattr(solver_module, "step", noisy_step)
+        with pytest.raises(StallError) as info:
+            solve(_canon("f = 24"), SolverConfig(n=16, tol=1e-30))
+        assert info.value.report.e_history.tolist() == [k * q for k in errors]
 
     def test_iteration_limit_with_report(self):
         cp = get_example(2).canonical()
