@@ -136,7 +136,7 @@ class LatticeSpec:
     points: int = 9
 
     def __post_init__(self):
-        if not isinstance(self.points, (int, np.integer)):
+        if isinstance(self.points, bool) or not isinstance(self.points, (int, np.integer)):
             raise ValueError(f"lattice points must be an integer, got {self.points!r}")
         if self.points < 5:
             raise ValueError(f"need at least 5 lattice points per axis, got {self.points!r}")

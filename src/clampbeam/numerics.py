@@ -48,7 +48,7 @@ class Grid:
     n: int
 
     def __post_init__(self):
-        if not isinstance(self.n, (int, np.integer)):
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)):
             raise ValueError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {self.n}")

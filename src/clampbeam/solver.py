@@ -6,7 +6,8 @@ iteration maps a triplet to the next by
 
   1. solving v'' = phi with v(0) = alpha, v(1) = beta        (v plays u''),
   2. solving u'' = v with u(0) = u(1) = 0,
-  3. differentiating what f reads: u for y (slope), v for z (third derivative),
+  3. the slopes y = u' and z = u''' as diff5 of u and v; the profile forms
+     each on first read, so a pass forms only those f reads,
   4. refreshing the source, phi_new = f(x, u, y, v, z),
   5. refreshing the curvatures from weighted integrals of phi_new,
      using the already-updated alpha when computing beta.
@@ -94,23 +95,22 @@ def triplet_distance(s1: Triplet, s2: Triplet) -> float:
 
 @dataclass(frozen=True)
 class IterateProfile:
-    """The candidate solution an iteration state induces; slopes as in step."""
+    """The candidate solution an iteration state induces: u and u''.
+
+    The slopes du = u' and d3u = u''' are diff5 of u and d2u, plain
+    GridFunctions formed on first read and then kept.
+    """
 
     u: GridFunction
-    du: GridFunction
     d2u: GridFunction
-    d3u: GridFunction
-
-
-class _Slope(GridFunction):
-    """diff5(of), formed on first read; only for an of whose diff5 is provably finite."""
-
-    def __init__(self, of: GridFunction):
-        vars(self).update(grid=of.grid, _of=of)
 
     @cached_property
-    def values(self) -> np.ndarray:
-        return diff5(self._of).values
+    def du(self) -> GridFunction:
+        return diff5(self.u)
+
+    @cached_property
+    def d3u(self) -> GridFunction:
+        return diff5(self.d2u)
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,9 @@ class SolverConfig:
 
     def __post_init__(self):
         Grid(self.n)  # borrow the grid-size rule (even, >= 8)
-        if not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be positive, got {self.tol!r}")
-        if not isinstance(self.max_iter, (int, np.integer)):
+        if isinstance(self.tol, bool) or not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be a positive number, got {self.tol!r}")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
@@ -140,8 +140,8 @@ class SolveReport:
 
     On failure profile and triplet are the last finite ones; when the very
     first application fails, init_state's triplet and the zero profile, and
-    first_step is inf.  The profile's slopes are formed as in step, but
-    always as plain GridFunctions.
+    first_step is inf.  The profile forms a slope f did not read on first
+    read, as step's does.
 
     failure names why a failed run stopped: "divergence" (e(k) grew above
     the rounding floor, or the map could not be evaluated or overflowed),
@@ -204,51 +204,46 @@ class StallError(IterationLimitError):
     """e(k) stalled at its rounding floor above tol: more passes cannot reach tol."""
 
 
-def _source_values(problem: CanonicalProblem, profile: IterateProfile) -> np.ndarray:
-    """f at the nodes for a profile: a fresh array, checked finite; reads what f reads."""
-    grid = profile.u.grid
-    f, args = problem.f_on(grid), (profile.u, profile.du, profile.d2u, profile.d3u)
-    out = f(*[gf.values if slot in f.reads else None for slot, gf in enumerate(args, 1)])
+def _source(problem: CanonicalProblem, grid: Grid, arg) -> np.ndarray:
+    """f at the nodes, a fresh array; arg(name) gives the node values of the
+    profile's u, du, d2u or d3u (f's u, y, v, z), asked only for what f reads."""
+    f = problem.f_on(grid)
+    args = [arg(name) if slot in f.reads else None
+            for slot, name in enumerate(("u", "du", "d2u", "d3u"), 1)]
+    out = f(*args)
     if isinstance(out, float):  # f is constant
         return np.full(grid.n + 1, out)
     return out.copy()  # the evaluator's result may be shared
 
 
-def _zero_profile(grid: Grid) -> IterateProfile:
-    zero = GridFunction(grid, np.zeros_like(grid.nodes))
-    return IterateProfile(u=zero, du=zero, d2u=zero, d3u=zero)
-
-
-def _profile_from(state: Triplet, problem: CanonicalProblem) -> IterateProfile:
-    reads = problem.f_on(state.source.grid).reads
+def _apply(state: Triplet, problem: CanonicalProblem) -> tuple:
+    """The first half of a pass: (phi, profile), f at the nodes of the profile
+    state induces, as a fresh array, and that profile."""
     v = solve_second_order_bvp(state.source, state.alpha, state.beta)
-    u = solve_second_order_bvp(v, 0.0, 0.0)
-    # a slope f does not read (slot 2 is y, 4 is z) waits unless it could overflow
-    du, d3u = [_Slope(g) if slot not in reads and _diff5_finite(g) else diff5(g)
-               for slot, g in ((2, u), (4, v))]
-    return IterateProfile(u=u, du=du, d2u=v, d3u=d3u)
-
-
-def _formed(slope: GridFunction) -> GridFunction:
-    """slope as a plain GridFunction, formed now if it is a _Slope."""
-    return diff5(slope._of) if isinstance(slope, _Slope) else slope
+    profile = IterateProfile(u=solve_second_order_bvp(v, 0.0, 0.0), d2u=v)
+    for of, slope in ((profile.u, "du"), (v, "d3u")):
+        if not _diff5_finite(of):  # f may not read it, but the pass fails where it always did
+            getattr(profile, slope)
+    phi = _source(problem, state.source.grid, lambda name: getattr(profile, name).values)
+    return phi, profile
 
 
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
     """Starting triplet: source f(x,0,0,0,0), zero end curvatures."""
-    phi = _source_values(problem, _zero_profile(grid))
+    zero = np.zeros(grid.n + 1)
+    phi = _source(problem, grid, lambda name: zero)
     return Triplet(GridFunction._adopt(grid, phi, finite=True), 0.0, 0.0)
 
 
 def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     """One application of the fixed-point map; also returns the profile used.
 
-    Only what f reads is differentiated; a slope it does not read is formed
-    on first read, with the same values, and fails where it always did.
+    Only the slopes f reads are differentiated during the pass; the profile
+    forms the others on first read, with the same values.
     """
-    profile = _profile_from(state, problem)
+    f_vals, profile = _apply(state, problem)
     grid = state.source.grid
-    phi = GridFunction._adopt(grid, _source_values(problem, profile), finite=True)
+    phi = GridFunction._adopt(grid, f_vals, finite=True)
     w_left, w_right = grid.slope_weights
     alpha = 3.0 * _simpson(w_left * phi.values, grid.h) - state.beta / 2.0
     beta = 3.0 * _simpson(w_right * phi.values, grid.h) - alpha / 2.0
@@ -262,7 +257,7 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     in the two curvature equations.
     """
     grid = state.source.grid
-    f_vals = _source_values(problem, _profile_from(state, problem))
+    f_vals, _ = _apply(state, problem)
     src_defect = float(np.abs(state.source.values - f_vals).max())
     w_left, w_right = grid.slope_weights
     i_left = _simpson(w_left * state.source.values, grid.h)
@@ -288,7 +283,8 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         exact_gf = problem.exact_on(grid)
 
     state = init_state(problem, grid)
-    profile = _zero_profile(grid)
+    zero = GridFunction(grid, np.zeros(grid.n + 1))
+    profile = IterateProfile(u=zero, d2u=zero)
     first_step = float("inf")
     e_hist: list = []
     eu_hist: Optional[list] = [] if exact_gf is not None else None
@@ -305,8 +301,7 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
             iterations=len(e_hist),
             e_history=np.asarray(e_hist, dtype=float),
             eu_history=None if eu_hist is None else np.asarray(eu_hist, dtype=float),
-            profile=IterateProfile(u=profile.u, du=_formed(profile.du), d2u=profile.d2u,
-                                   d3u=_formed(profile.d3u)),
+            profile=profile,
             triplet=state,
             residual=res,
             first_step=first_step,

@@ -76,6 +76,8 @@ class TestLatticeSpec:
     def test_non_integer(self):
         with pytest.raises(ValueError, match="must be an integer"):
             LatticeSpec(points=5.5)
+        with pytest.raises(ValueError, match="must be an integer, got True"):
+            LatticeSpec(points=True)
 
 
 class TestContractionFactor:

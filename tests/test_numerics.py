@@ -39,6 +39,12 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(n)
 
+    @pytest.mark.parametrize("n", [True, False])
+    def test_rejects_bool(self, n):
+        # bool subclasses int, but is no grid size
+        with pytest.raises(ValueError, match=f"grid size must be an integer, got {n}"):
+            Grid(n)
+
     def test_nodes_read_only(self):
         g = Grid(8)
         with pytest.raises(ValueError):

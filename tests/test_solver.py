@@ -27,6 +27,7 @@ from clampbeam.numerics import Grid, GridFunction
 from clampbeam.problem import RawProblem, canonicalize, parse_problem_text
 from clampbeam.solver import (
     DivergenceError,
+    IterateProfile,
     IterationLimitError,
     SolverConfig,
     SolverError,
@@ -60,10 +61,22 @@ class TestConfig:
     @pytest.mark.parametrize("kwargs", [
         dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0),
         dict(n=7), dict(n=6), dict(max_iter=2.5),
+        dict(n=True), dict(tol=True), dict(max_iter=True), dict(max_iter=False),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(n=True), "grid size must be an integer, got True"),
+        (dict(tol=True), "tol must be a positive number, got True"),
+        (dict(max_iter=True), "max_iter must be an integer, got True"),
+    ])
+    def test_bool_is_not_a_number(self, kwargs, message):
+        # bool subclasses int, yet True is no grid size, tolerance or budget
+        with pytest.raises(ValueError) as info:
+            SolverConfig(**kwargs)
+        assert str(info.value) == message
 
 
 class TestTriplet:
@@ -343,8 +356,8 @@ class TestSlopes:
     @pytest.mark.parametrize("ident, per_step", [(1, 2), (2, 2), (3, 0), (6, 0)])
     def test_diff5_only_for_what_f_reads(self, monkeypatch, ident, per_step):
         # examples 1 and 2 read y and z, 3 and 6 neither; each step still
-        # runs both second-order solves, and the report forms each unread
-        # slope once, so reading it costs nothing more
+        # runs both second-order solves.  The report's profile forms an
+        # unread slope with one diff5 on its first read, and then keeps it
         calls = {"diff5": 0, "bvp": 0, "step": 0}
 
         def counted(name, fn):
@@ -361,10 +374,14 @@ class TestSlopes:
         passes = rep.iterations + 1
         assert calls["step"] == passes
         assert calls["bvp"] == 2 * passes + 2  # and two for the report's residual
-        assert calls["diff5"] == per_step * (passes + 1) + (2 - per_step)
-        for _ in range(2):
-            rep.profile.du.values, rep.profile.d3u.values
-        assert calls["diff5"] == per_step * (passes + 1) + (2 - per_step)
+        formed = per_step * (passes + 1)  # none for an unread slope yet
+        assert calls["diff5"] == formed
+        for slope in ("du", "d3u"):
+            first = getattr(rep.profile, slope)
+            formed += per_step == 0
+            assert calls["diff5"] == formed
+            assert getattr(rep.profile, slope) is first
+            assert calls["diff5"] == formed
 
     @pytest.mark.parametrize("ref, max_iter", [("example:3", 200), ("f = 500*u + 1", 5)])
     def test_report_holds_plain_grid_functions(self, ref, max_iter):
@@ -378,6 +395,57 @@ class TestSlopes:
         moved = dataclasses.replace(prof.du, values=prof.du.values + 1.0)
         assert _same_bits(moved.values, prof.du.values + 1.0)
         _assert_slopes_are_diff5(prof)
+
+
+class TestIterateProfile:
+    """A profile holds u and u''; du and d3u are diff5 of them, formed on first read."""
+
+    @staticmethod
+    def _profile():
+        grid = Grid(16)
+        return IterateProfile(u=GridFunction.sample(grid, lambda x: np.sin(3.0 * x)),
+                              d2u=GridFunction.sample(grid, np.exp))
+
+    def test_slopes_are_diff5_and_kept(self):
+        prof = self._profile()
+        _assert_slopes_are_diff5(prof)
+        assert prof.du is prof.du and prof.d3u is prof.d3u
+        assert type(prof.du) is GridFunction and type(prof.d3u) is GridFunction
+
+    def test_fields_are_u_and_d2u(self):
+        prof = self._profile()
+        assert [f.name for f in dataclasses.fields(prof)] == ["u", "d2u"]
+        with pytest.raises(TypeError):
+            IterateProfile(u=prof.u, du=prof.u, d2u=prof.d2u)
+        with pytest.raises(TypeError):
+            IterateProfile(u=prof.u, d2u=prof.d2u, d3u=prof.d2u)
+
+    def test_replace_forms_the_new_slopes(self):
+        prof = self._profile()
+        prof.du, prof.d3u  # read before the replace
+        w = GridFunction.sample(prof.u.grid, lambda x: x ** 3 - x)
+        moved = dataclasses.replace(prof, u=w)
+        assert _same_bits(moved.du.values, numerics.diff5(w).values)
+        assert _same_bits(moved.d3u.values, prof.d3u.values)
+        _assert_slopes_are_diff5(moved)
+
+    def test_pickle_before_and_after_the_first_read(self):
+        prof = self._profile()
+        unread = pickle.loads(pickle.dumps(prof))
+        prof.du, prof.d3u
+        read = pickle.loads(pickle.dumps(prof))
+        for copy in (unread, read):
+            _assert_slopes_are_diff5(copy)
+            for slope in ("du", "d3u"):
+                assert _same_bits(getattr(copy, slope).values, getattr(prof, slope).values)
+
+    def test_repr_names_public_classes_only(self):
+        prof = self._profile()
+        expected = ("IterateProfile(u=GridFunction(grid=Grid(n=16)), "
+                    "d2u=GridFunction(grid=Grid(n=16)))")
+        assert repr(prof) == expected
+        prof.du, prof.d3u
+        assert repr(prof) == expected
 
 
 class TestFailureModes:
