@@ -38,9 +38,9 @@ the lattice is evaluated in slabs: only the axes f (or a partial) reads are
 cut, into slabs of at most _BLOCK values each, and each slab folds into
 running extremes.  The range pass keeps the same bound: a leaf larger than
 _BLOCK values is reduced in such slabs, and where that cannot be done the
-pass steps aside.  The check's memory is therefore bounded by a few arrays
-of _BLOCK values (512 KiB each), whatever the lattice size.  Only a failing
-evaluation repeats on the whole lattice, to name its first undefined point.
+pass steps aside.  A failure is traced to its first undefined point inside
+the first slab that fails.  The check's memory is therefore bounded by a
+few arrays of _BLOCK values (512 KiB each), whatever the lattice size.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -53,6 +53,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -99,7 +100,7 @@ class DomainBox:
     M: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.M) and self.M > 0):
+        if isinstance(self.M, bool) or not (isinstance(self.M, Real) and 0 < self.M < math.inf):
             raise ValueError(f"M must be a positive finite number, got {self.M!r}")
 
     @property
@@ -231,23 +232,25 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
     return env
 
 
-def _find_bad_point(expression: Expression, env: dict) -> tuple:
-    """First undefined sample in lattice (C) order, one axis at a time.
+def _find_bad_point(expression: Expression, args: list) -> tuple:
+    """First undefined point of the axes args in C order, and the error there.
 
     Evaluation is pointwise, so on each axis the first value whose slab
     (earlier axes pinned, later ones free) fails is the point's coordinate.
+    The error is that of the point alone.
     """
-    args = [env[name] for name in _AXES]
+    args = list(args)
     for k, axis in enumerate(args):
         for value in np.ravel(axis):
             args[k] = value
             try:
                 evaluate(expression, *args)
-            except ExprEvalError:
+            except ExprEvalError as err:
+                error = err
                 break
         else:
-            raise RuntimeError("vectorized evaluation failed but no lattice slab does")
-    return tuple(float(p) for p in args)
+            raise RuntimeError("a lattice slab failed but no point of it does")
+    return tuple(float(p) for p in args), error
 
 
 def _slab_args(env: dict, slab: Optional[tuple]) -> list:
@@ -256,23 +259,6 @@ def _slab_args(env: dict, slab: Optional[tuple]) -> list:
     if slab is None:
         return args
     return [a[(slice(None),) * k + (cut,)] for k, (a, cut) in enumerate(zip(args, slab))]
-
-
-def _evaluate_on(expression: Expression, env: dict, what: str, slab: Optional[tuple] = None):
-    """Evaluate on one slab of the lattice env, or on all of it when slab is None.
-
-    On the whole lattice a failure raises DomainSamplingError at its first
-    bad point; on a slab the ExprEvalError propagates, as it names a sample
-    of the slab and not of the lattice.
-    """
-    try:
-        return evaluate(expression, *_slab_args(env, slab))
-    except ExprEvalError as err:
-        if slab is not None:
-            raise
-        point = _find_bad_point(expression, env)
-        labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(_AXES, point))
-        raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
 
 
 def _blocks(reads: tuple, env: dict) -> list:
@@ -429,9 +415,10 @@ def _sup_on_lattice(expression: Expression, envs: tuple,
     range pass first.  Otherwise, or where that pass steps aside, the
     lattice is evaluated slab by slab, and each slab folds into running
     extremes.  Min and max are exact, so either way the result is that of
-    one evaluation of the whole lattice.  A failure in a slab repeats that
-    evaluation, env by env, so the error and its point are the whole
-    lattice's.
+    one evaluation of the whole lattice.  A failure rescans the slabs env by
+    env, in the same C order, and names the first undefined point of the
+    first slab that fails: slabs follow the axes f reads in C order, and an
+    axis f does not read takes its first value.
     """
     program = _program(expression)
     slabs = _blocks(program.reads, envs[0])
@@ -440,17 +427,23 @@ def _sup_on_lattice(expression: Expression, envs: tuple,
         extremes = _range_extremes(program, expression, envs[0])
     if extremes is None:
         def run(slab):
-            vals = _evaluate_on(expression, envs[0], what, slab)
+            vals = evaluate(expression, *_slab_args(envs[0], slab))
             if len(envs) == 2:
-                vals = vals - _evaluate_on(expression, envs[1], what, slab)
+                vals = vals - evaluate(expression, *_slab_args(envs[1], slab))
             return vals
 
         try:
             extremes = _slab_extremes(run, slabs)
         except ExprEvalError:
-            for env in envs:
-                _evaluate_on(expression, env, what)
-            raise RuntimeError("a lattice slab failed but the whole lattice does not")
+            for env, slab in itertools.product(envs, slabs):
+                args = _slab_args(env, slab)
+                try:
+                    evaluate(expression, *args)
+                except ExprEvalError:
+                    point, err = _find_bad_point(expression, args)
+                    labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(_AXES, point))
+                    raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
+            raise RuntimeError("a lattice slab failed but no slab does on its own")
     lo, hi = extremes
     # 0.0 first, so an f that is zero everywhere gives +0.0, not -0.0
     return float(max(0.0, hi, -lo))

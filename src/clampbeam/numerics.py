@@ -79,9 +79,9 @@ class Grid:
         return weights
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GridFunction:
-    """Immutable samples of a function at the nodes of a Grid."""
+    """Immutable samples of a function at the nodes of a Grid; equal only to itself."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -121,15 +122,16 @@ class SolverConfig:
 
     def __post_init__(self):
         Grid(self.n)  # borrow the grid-size rule (even, >= 8)
-        if isinstance(self.tol, bool) or not (np.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"tol must be a positive number, got {self.tol!r}")
+        tol = self.tol
+        if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 < tol < math.inf):
+            raise ValueError(f"tol must be a positive number, got {tol!r}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolveReport:
     """Outcome of a solve: final iterate, history and diagnostics.
 
@@ -147,6 +149,7 @@ class SolveReport:
     the rounding floor, or the map could not be evaluated or overflowed),
     "iteration-limit" (max_iter passes without reaching tol) or "floor"
     (e(k) stalled at the rounding floor, above tol).  It is None on success.
+    A report, which holds arrays, is equal only to itself.
     """
 
     converged: bool

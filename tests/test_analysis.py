@@ -13,7 +13,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from clampbeam import analysis
@@ -59,10 +59,13 @@ class TestDomainBox:
             assert lo == -hi and hi > 0
         assert ivs[3] == (-5.0, 5.0) and ivs[4] == (-5.0, 5.0)
 
-    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [0.0, -2.0, float("nan"), float("inf"),
+                                     "1e-3", None, 1j, True])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        # True is no M = 1, and a string, None or a complex number no M at all
+        with pytest.raises(ValueError) as info:
             DomainBox(bad)
+        assert str(info.value) == f"M must be a positive finite number, got {bad!r}"
 
 
 class TestLatticeSpec:
@@ -107,6 +110,21 @@ class TestContractionFactor:
     def test_validation(self, bad):
         with pytest.raises(ValueError):
             contraction_factor(*bad)
+
+
+def _first_undefined(expression, env):
+    """Brute-force oracle: (index, point, error) of the first undefined point in C order.
+
+    Every point of the lattice env is evaluated on its own; None when all are defined.
+    """
+    axes = [np.ravel(env[name]) for name in ("x", "u", "y", "v", "z")]
+    for idx in itertools.product(*(range(a.size) for a in axes)):
+        point = tuple(float(a[i]) for a, i in zip(axes, idx))
+        try:
+            evaluate(expression, *point)
+        except ExprEvalError as err:
+            return idx, point, err
+    return None
 
 
 class TestCheckConditions:
@@ -211,16 +229,10 @@ class TestCheckConditions:
     def test_bad_point_is_first_in_lattice_order(self, text, index):
         expression = parse(text)
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
-        axes = [np.ravel(env[name]) for name in ("x", "u", "y", "v", "z")]
-        # brute-force oracle: scalar evaluation of every point in C order
-        for idx in itertools.product(range(5), repeat=5):
-            point = tuple(float(a[i]) for a, i in zip(axes, idx))
-            try:
-                evaluate(expression, *point)
-            except ExprEvalError:
-                break
+        idx, point, error = _first_undefined(expression, env)
         assert idx == index
-        assert _find_bad_point(expression, env) == point
+        bad, err = _find_bad_point(expression, analysis._slab_args(env, None))
+        assert bad == point and str(err) == str(error)
 
     @pytest.mark.parametrize("ks", [(1.0, 2.0, 3.0), (1,) * 5, (-0.1, 0, 0, 0),
                                     (0, float("nan"), 0, 0)])
@@ -239,6 +251,14 @@ def _outcome(rhs, M, ks, points):
         return check_conditions(rhs, M, ks, LatticeSpec(points=points))
     except DomainSamplingError as err:
         return type(err), str(err), err.point
+
+
+def _failure_message(rhs, what, point):
+    """The message of a check that finds rhs undefined at point: the scalar error there."""
+    with pytest.raises(ExprEvalError) as info:
+        evaluate(rhs, *point)
+    labels = ", ".join(f"{n}={p:.9g}" for n, p in zip("xuyvz", point))
+    return f"{what}: {info.value} at ({labels})"
 
 
 def _unblocked(monkeypatch, rhs, M, ks, points):
@@ -273,25 +293,27 @@ class TestBlocks:
         assert blocked.fd_fallback == fd
         assert blocked == _unblocked(monkeypatch, rhs, M, None, 17)
 
-    @pytest.mark.parametrize("text, M, x", [
-        ("sqrt(0.95 - x + u*y*v*z)", 1.0, 1.0),              # only the last slab fails
-        ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, 0.0),          # a finite-difference probe fails
+    @pytest.mark.parametrize("text, M, x, what", [
+        # only the last slab fails
+        ("sqrt(0.95 - x + u*y*v*z)", 1.0, 1.0, "right-hand side undefined inside the box"),
+        # a finite-difference probe fails
+        ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, 0.0, "finite-difference probe left the domain of f"),
     ])
-    def test_failure_in_a_slab_names_the_lattice_point(self, text, M, x, monkeypatch):
+    def test_failure_in_a_slab_names_the_lattice_point(self, text, M, x, what, monkeypatch):
         rhs = parse(text)
         blocked = _outcome(rhs, M, None, 17)
         assert blocked == _unblocked(monkeypatch, rhs, M, None, 17)
         kind, message, point = blocked
         assert kind is DomainSamplingError and point[0] == x
-        # the sample index is the whole lattice's, not the failing slab's
-        assert f"at sample ({16 * int(x)}, " in message
+        # the error is that of the point alone, not of the slab or lattice
+        assert message == _failure_message(rhs, what, point)
 
     def test_slabs_cover_the_lattice_in_order(self):
         rhs = parse("x*u*y*v*z")
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=17))
         slabs = analysis._blocks(_program(rhs).reads, env)
         assert len(slabs) > 1
-        sizes = [analysis._evaluate_on(rhs, env, "", slab).size for slab in slabs]
+        sizes = [evaluate(rhs, *analysis._slab_args(env, slab)).size for slab in slabs]
         assert max(sizes) <= analysis._BLOCK and sum(sizes) == 17 ** 5
         starts = [tuple(cut.start or 0 for cut in slab) for slab in slabs]
         assert starts == sorted(starts) and len(set(starts)) == len(starts)
@@ -426,6 +448,94 @@ class TestRangePass:
             tracemalloc.stop()
         assert peak < 4e6
         assert runs[0] is ranged
+
+
+def _evaluated_sizes(monkeypatch) -> list:
+    """A list that records, for every evaluate call in analysis from now on, its broadcast size."""
+    sizes, original = [], analysis.evaluate
+
+    def spy(expression, *args):
+        sizes.append(np.broadcast(*args).size)
+        return original(expression, *args)
+
+    monkeypatch.setattr(analysis, "evaluate", spy)
+    return sizes
+
+
+@st.composite
+def _failing_trees(draw):
+    """Random right sides with a term of sqrt, log, asin or a quotient, often undefined."""
+    term = draw(st.one_of(
+        st.tuples(st.sampled_from(["sqrt", "log", "asin"]), _OPERANDS).map(lambda t: Call(*t)),
+        st.tuples(_OPERANDS, _OPERANDS).map(lambda t: BinOp("/", *t))))
+    parts = [draw(_range_trees()), term]
+    if draw(st.booleans()):
+        parts.reverse()
+    return BinOp(draw(st.sampled_from("+-*")), *parts)
+
+
+class TestFailures:
+    """A failing check scans its slabs: the first undefined point, with its own error."""
+
+    def test_failing_check_keeps_the_slab_memory_bound(self):
+        # one evaluation of the whole 25^5 lattice holds 78 MB arrays
+        rhs = parse("sqrt(0.95 - x + u*y*v*z)")
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainSamplingError):
+                check_conditions(rhs, 1.0, (0, 0, 0, 0), LatticeSpec(points=25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+    @pytest.mark.parametrize("text, M, ks, points, what", [
+        ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side"),
+        ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, None, 17, "finite-difference probe"),
+        ("sqrt(v + 1)*x*u*y*z", 1.0, None, 17, "partial derivative df/dv"),
+    ])
+    def test_no_evaluation_exceeds_a_slab(self, text, M, ks, points, what, monkeypatch):
+        sizes = _evaluated_sizes(monkeypatch)
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(parse(text), M, ks, LatticeSpec(points=points))
+        assert str(info.value).startswith(what)
+        assert sizes and max(sizes) <= analysis._BLOCK
+
+    @pytest.mark.parametrize("points", [9, 17])
+    def test_message_names_what_fails_at_the_point(self, points):
+        # log(0.001 - u) fails only at larger u; the first undefined point
+        # has the least u, where sqrt(u) fails and log is defined
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(parse("log(0.001 - u) + sqrt(u)*x*y*v*z"), 1.0, (0, 0, 0, 0),
+                             LatticeSpec(points=points))
+        assert info.value.point == (0.0, -1 / 384, -1 / (72 * ROOT3), -1.0, -1.0)
+        assert str(info.value).startswith(
+            "right-hand side undefined inside the box: sqrt of a negative value in "
+            "'sqrt(u)': argument -0.0026041666666666665 at (x=0, u=-0.00260416667, ")
+
+    def test_plus_probe_is_scanned_before_the_minus_probe(self, monkeypatch):
+        # the minus probe leaves [-1, 1] at u = -1, in the first slab; the plus
+        # probe only at u = 1, in a later one, and its point is the one named
+        rhs = parse("abs(u) + sqrt(1 - u*u)*x*y*v*z")
+        env = _lattice_env(DomainBox(384.0), LatticeSpec(points=17))
+        assert len(analysis._blocks(_program(rhs).reads, env)) > 1
+        blocked = _outcome(rhs, 384.0, None, 17)
+        assert blocked == _unblocked(monkeypatch, rhs, 384.0, None, 17)
+        assert blocked[0] is DomainSamplingError and blocked[2][:2] == (0.0, 1.0 + 2e-6)
+
+    @given(tree=_failing_trees(), M=st.sampled_from([1.0, 4.0]),
+           block=st.sampled_from([1, 3, 12, 60, 2 ** 62]))
+    @settings(max_examples=200)
+    def test_random_failures_name_the_first_undefined_point(self, tree, M, block):
+        # small blocks cut the 5^5 lattice into many slabs, 2^62 into none
+        first = _first_undefined(tree, _lattice_env(DomainBox(M), LatticeSpec(points=5)))
+        assume(first is not None)
+        point = first[1]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_BLOCK", block)
+            outcome = _outcome(tree, M, (0, 0, 0, 0), 5)
+        what = "right-hand side undefined inside the box"
+        assert outcome == (DomainSamplingError, _failure_message(tree, what, point), point)
 
 
 class TestConditionReport:

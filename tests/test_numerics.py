@@ -96,6 +96,16 @@ class TestGridFunction:
         f = GridFunction.sample(g, lambda x: x - 0.75)
         assert sup_norm(f) == pytest.approx(0.75)
 
+    def test_equal_only_to_itself(self):
+        # an ndarray field would make == ask numpy for a truth value and
+        # hash fail; a GridFunction is equal only to itself instead
+        f = GridFunction(Grid(8), np.zeros(9))
+        g = GridFunction(Grid(8), np.zeros(9))
+        assert f == f and not f != f
+        assert f != g and not f == g
+        assert hash(f) == hash(f)
+        assert len({f, g, f}) == 2
+
 
 class TestSimpson:
     @given(c0=COEF, c1=COEF, c2=COEF, c3=COEF)

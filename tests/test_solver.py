@@ -62,6 +62,7 @@ class TestConfig:
         dict(tol=0.0), dict(tol=-1.0), dict(max_iter=0),
         dict(n=7), dict(n=6), dict(max_iter=2.5),
         dict(n=True), dict(tol=True), dict(max_iter=True), dict(max_iter=False),
+        dict(tol="1e-3"), dict(tol=None), dict(tol=1j), dict(tol=float("nan")),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -71,9 +72,13 @@ class TestConfig:
         (dict(n=True), "grid size must be an integer, got True"),
         (dict(tol=True), "tol must be a positive number, got True"),
         (dict(max_iter=True), "max_iter must be an integer, got True"),
+        (dict(tol="1e-3"), "tol must be a positive number, got '1e-3'"),
+        (dict(tol=None), "tol must be a positive number, got None"),
+        (dict(tol=1j), "tol must be a positive number, got 1j"),
     ])
     def test_bool_is_not_a_number(self, kwargs, message):
-        # bool subclasses int, yet True is no grid size, tolerance or budget
+        # bool subclasses int, yet True is no grid size, tolerance or budget;
+        # nor is a string, None or a complex number a tolerance
         with pytest.raises(ValueError) as info:
             SolverConfig(**kwargs)
         assert str(info.value) == message
@@ -92,6 +97,17 @@ class TestTriplet:
         g = Grid(8)
         with pytest.raises(ValueError):
             Triplet(GridFunction.sample(g, lambda x: 0.0), float("nan"), 0.0)
+
+    def test_equality_does_not_raise(self):
+        # GridFunction compares by identity, so the dataclasses holding one
+        # compare field by field without asking an array for its truth value
+        zero = GridFunction.sample(Grid(8), lambda x: 0.0)
+        other = GridFunction.sample(Grid(8), lambda x: 0.0)
+        assert Triplet(zero, 1.0, 2.0) == Triplet(zero, 1.0, 2.0)
+        assert Triplet(zero, 1.0, 2.0) != Triplet(other, 1.0, 2.0)
+        assert hash(Triplet(zero, 1.0, 2.0)) == hash(Triplet(zero, 1.0, 2.0))
+        assert IterateProfile(zero, other) == IterateProfile(zero, other)
+        assert IterateProfile(zero, other) != IterateProfile(other, zero)
 
 
 class TestConstantSourceFamily:
@@ -143,6 +159,14 @@ class TestHistories:
         rep = solve(get_example(2).canonical(), SolverConfig(n=50))
         assert rep.eu_history is None
         assert rep.final_eu is None
+
+    def test_report_is_equal_only_to_itself(self):
+        # a report holds arrays: two runs with equal histories compare
+        # unequal instead of raising, and a report hashes
+        problem = get_example(1).canonical()
+        first, second = (solve(problem, SolverConfig(n=50)) for _ in range(2))
+        assert first == first and first != second
+        assert hash(first) == hash(first)
 
     def test_eu_nan_when_the_first_pass_fails(self):
         cp = _canon("f = log(1 + 1000000*u) + 5000\nexact = 0")
