@@ -17,30 +17,29 @@ where K1..K4 bound |df/du|, |df/dy|, |df/dv|, |df/dz| on D_M.  When the
 constants are not supplied they are estimated by maximizing the symbolic
 partial derivatives over a tensor lattice covering the box; right-hand
 sides that cannot be differentiated symbolically (abs) fall back to a
-centered finite-difference estimate on the same lattice.
+centered finite-difference probe, itself one expression, on the same lattice.
 
-sup|f| and K1..K4 come from the least and greatest value of an expression
-on the lattice.  The chain of +, -, * and unary minus at the root of the
-compiled expression is not evaluated point by point: a pair (lo, hi) is
-carried up it from its leaves, the other subtrees, each evaluated only on
-the sub-lattice of the axes it reads.  An axis both operands of an
-instruction read stays a broadcast dimension.  The cost thus follows the
-largest leaf sub-lattice, not points^k for the k axes f reads, and the
-result equals one evaluation of the whole lattice bit for bit:
+sup|f| and K1..K4 are each the largest |value| of one expression on the
+lattice, read off its exact least and greatest values.  Where the chain of
++, -, * and unary minus at the root of the compiled expression spans more
+than _BLOCK values, it is not evaluated point by point: a pair (lo, hi) is
+carried up it from its leaves, each evaluated only on the sub-lattice of
+the axes it reads.  An axis both operands of an instruction read stays a
+broadcast dimension.  The cost thus follows the largest leaf sub-lattice,
+not points^k for the k axes f reads, and the result equals one evaluation
+of the whole lattice bit for bit:
 
   rounded +, - and * are monotone in each operand while the other is fixed,
   so on a product of value sets their extremes lie at endpoints or corners,
   and each lo and hi is a value the whole-lattice evaluation computes too.
 
-Where that range pass does not apply (a lattice that fits one slab, a
-finite-difference probe, a leaf that fails, an extreme that is not finite)
-the lattice is evaluated in slabs: only the axes f (or a partial) reads are
-cut, into slabs of at most _BLOCK values each, and each slab folds into
-running extremes.  The range pass keeps the same bound: a leaf larger than
-_BLOCK values is reduced in such slabs, and where that cannot be done the
-pass steps aside.  A failure is traced to its first undefined point inside
-the first slab that fails.  The check's memory is therefore bounded by a
-few arrays of _BLOCK values (512 KiB each), whatever the lattice size.
+A leaf larger than _BLOCK values is evaluated in slabs: only the axes it
+reads are cut, into slabs of at most _BLOCK values each, and each slab
+folds into running extremes.  A chain instruction whose pair would be that
+large, or not finite, is such a leaf itself, so at worst the root is.  A
+failure is traced to its first undefined point inside the first slab that
+fails.  The check's memory is therefore bounded by a few arrays of _BLOCK
+values (512 KiB each), whatever the lattice size.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -59,9 +58,12 @@ from typing import Optional
 import numpy as np
 
 from .expr import (
+    BinOp,
     ExprDerivativeError,
     ExprEvalError,
     Expression,
+    Num,
+    Var,
     _minus,
     _negate,
     _plus,
@@ -71,6 +73,7 @@ from .expr import (
     _times,
     differentiate,
     evaluate,
+    substitute,
 )
 from .kernels import KERNEL_BOUNDS
 
@@ -307,7 +310,7 @@ _RANGE_OPS = (_plus, _minus, _times, _negate)
 
 
 class _StepAside(Exception):
-    """The range pass would break the memory bound or met a non-finite extreme."""
+    """A chain node would break the memory bound or met a non-finite extreme."""
 
 
 def _narrowed(lo, hi, axes: frozenset) -> tuple:
@@ -320,144 +323,118 @@ def _narrowed(lo, hi, axes: frozenset) -> tuple:
     return lo, hi
 
 
-def _range_extremes(program: _Program, root: Expression, env: dict) -> Optional[tuple]:
-    """(min, max) of program on the lattice env, or None where the slab path must run.
+def _extremes(program: _Program, root: Expression, env: dict) -> tuple:
+    """Exact (min, max) of program on the lattice env, or ExprEvalError.
 
-    The pass walks the root's chain of +, -, * and unary minus instructions
-    and carries a pair (lo, hi) up it.  Any other operand is a leaf,
-    evaluated once on the sub-lattice of the axes it reads.  An axis both
-    operands of a chain instruction read stays a broadcast dimension of both
-    pairs; an axis only one of them reads is reduced out of its pair first.
-    The operands' values at each point of the kept axes then form a product
-    set, whose extremes lie at the endpoints (sums, differences) or the four
-    corners (products).
-
-    The pass steps aside, returning None, when the root is not such an
-    instruction, when a leaf or a kept array would exceed _BLOCK values (a
-    leaf with no kept axis is reduced in slabs instead), when a leaf raises
-    ExprEvalError, and when an extreme is not finite.
+    A +, -, * or unary minus whose sub-lattice exceeds _BLOCK values is
+    decomposed: its pair (lo, hi) over the kept axes comes from its
+    operands' pairs, each keeping the axes both operands read, at the
+    endpoints (sums, differences) or four corners (products).  Any other
+    instruction is a leaf, run on the sub-lattice of the axes it reads, in
+    slabs when it keeps no axis.  A decomposed instruction keeping no axis
+    whose pair would exceed _BLOCK values or overflow is a leaf itself.
     """
+    points = [env[name].size for name in _AXES]
+
+    def size(axes) -> int:
+        return math.prod(points[k] for k in axes)
+
+    def in_slabs(leaf: _Program) -> tuple:
+        return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab), root),
+                              _blocks(leaf.reads, env))
+
+    if size(program.reads) <= _BLOCK:
+        return in_slabs(program)
     writer = {ins[1]: ins for ins in program.code}
-    if writer.get(program.result, (None,))[0] not in _RANGE_OPS:
-        return None
     axes = [frozenset((k,)) for k in range(len(_AXES))]
     axes += [frozenset()] * (len(program.template) - len(axes))
     for _, out, a, b, *_ in program.code:
         axes[out] = axes[a] | axes[b]
-    points = [env[name].size for name in _AXES]
-    values = dict(enumerate(_slab_args(env, None)))  # slot: its value on its sub-lattice
     leaves = {}  # (slot, kept axes): its pair
 
-    def size(keep) -> int:
-        return math.prod(points[k] for k in keep)
-
-    def value(slot):
-        if slot not in values:
-            if slot not in writer:
-                return program.template[slot]
-            op, out, a, b, node, _ = writer[slot]
-            values[slot] = op(value(a), value(b), node or root)
-        return values[slot]
-
-    def in_slabs(slot) -> tuple:
-        need, todo = set(), [slot]
-        while todo:
-            s = todo.pop()
-            if s in writer and s not in need:
-                need.add(s)
-                todo += writer[s][2:4]
-        leaf = _Program(program.template, [ins for ins in program.code if ins[1] in need],
-                        slot, tuple(sorted(axes[slot])))
-        return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab), root),
-                              _blocks(leaf.reads, env))
+    def leaf(slot, keep) -> tuple:
+        if keep and size(axes[slot]) > _BLOCK:
+            raise _StepAside
+        if (slot, keep) not in leaves:
+            need = {slot}  # the slots slot is computed from; code is in post-order
+            for _, out, a, b, *_ in reversed(program.code):
+                if out in need:
+                    need.update((a, b))
+            sub = _Program(program.template, [ins for ins in program.code if ins[1] in need],
+                           slot, tuple(sorted(axes[slot])))
+            if keep:
+                vals = _run(sub, _slab_args(env, None), root)
+                leaves[slot, keep] = _narrowed(vals, vals, axes[slot] - keep)
+            else:
+                leaves[slot, keep] = in_slabs(sub)
+        return leaves[slot, keep]
 
     def extremes(slot, keep) -> tuple:
         op, _, a, b = writer.get(slot, (None,) * 4)[:4]
-        if op not in _RANGE_OPS:
-            if (slot, keep) not in leaves:
-                if size(axes[slot]) <= _BLOCK:
-                    leaves[slot, keep] = _narrowed(value(slot), value(slot), axes[slot] - keep)
-                elif keep:
-                    raise _StepAside
-                else:
-                    leaves[slot, keep] = _narrowed(*in_slabs(slot), frozenset())
-            return leaves[slot, keep]
-        if op is _negate:
-            lo, hi = extremes(a, keep)
-            return -hi, -lo
-        both = keep | (axes[a] & axes[b])
-        if size(both) > _BLOCK:
-            raise _StepAside
-        alo, ahi = extremes(a, both & axes[a])
-        blo, bhi = extremes(b, both & axes[b])
-        if op is _plus:
-            lo, hi = alo + blo, ahi + bhi
-        elif op is _minus:
-            lo, hi = alo - bhi, ahi - blo
-        else:
-            corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-            lo, hi = functools.reduce(np.minimum, corners), functools.reduce(np.maximum, corners)
-        return _narrowed(lo, hi, both - keep)
+        if op not in _RANGE_OPS or size(axes[slot]) <= _BLOCK:
+            return leaf(slot, keep)
+        try:
+            if op is _negate:
+                lo, hi = extremes(a, keep)
+                return -hi, -lo
+            both = keep | (axes[a] & axes[b])
+            if size(both) > _BLOCK:
+                raise _StepAside
+            alo, ahi = extremes(a, both & axes[a])
+            blo, bhi = extremes(b, both & axes[b])
+            if op is _plus:
+                lo, hi = alo + blo, ahi + bhi
+            elif op is _minus:
+                lo, hi = alo - bhi, ahi - blo
+            else:
+                corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
+                lo, hi = functools.reduce(np.minimum, corners), functools.reduce(np.maximum, corners)
+            return _narrowed(lo, hi, both - keep)
+        except _StepAside:
+            if keep:
+                raise
+            return leaf(slot, keep)
 
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # as in expr._run
-            lo, hi = extremes(program.result, frozenset())
-    except (ExprEvalError, _StepAside):
-        return None
+    with np.errstate(over="ignore", invalid="ignore"):  # as in expr._run
+        lo, hi = extremes(program.result, frozenset())
     return np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)
 
 
-def _sup_on_lattice(expression: Expression, envs: tuple,
+def _sup_on_lattice(expression: Expression, env: dict,
                     what: str = "right-hand side undefined inside the box") -> float:
-    """max |f| on the lattice env, or max |f(plus) - f(minus)| for envs (plus, minus).
+    """max |expression| on the lattice env, from its exact extremes.
 
-    A single env whose lattice takes more than one slab goes through the
-    range pass first.  Otherwise, or where that pass steps aside, the
-    lattice is evaluated slab by slab, and each slab folds into running
-    extremes.  Min and max are exact, so either way the result is that of
-    one evaluation of the whole lattice.  A failure rescans the slabs env by
-    env, in the same C order, and names the first undefined point of the
-    first slab that fails: slabs follow the axes f reads in C order, and an
-    axis f does not read takes its first value.
+    A failure rescans the lattice's slabs in C order and names the first
+    undefined point of the first that fails; an axis the expression does
+    not read takes its first value.
     """
     program = _program(expression)
-    slabs = _blocks(program.reads, envs[0])
-    extremes = None
-    if len(envs) == 1 and slabs != [None]:
-        extremes = _range_extremes(program, expression, envs[0])
-    if extremes is None:
-        def run(slab):
-            vals = evaluate(expression, *_slab_args(envs[0], slab))
-            if len(envs) == 2:
-                vals = vals - evaluate(expression, *_slab_args(envs[1], slab))
-            return vals
-
-        try:
-            extremes = _slab_extremes(run, slabs)
-        except ExprEvalError:
-            for env, slab in itertools.product(envs, slabs):
-                args = _slab_args(env, slab)
-                try:
-                    evaluate(expression, *args)
-                except ExprEvalError:
-                    point, err = _find_bad_point(expression, args)
-                    labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(_AXES, point))
-                    raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
-            raise RuntimeError("a lattice slab failed but no slab does on its own")
-    lo, hi = extremes
+    try:
+        lo, hi = _extremes(program, expression, env)
+    except ExprEvalError:
+        for slab in _blocks(program.reads, env):
+            args = _slab_args(env, slab)
+            try:
+                evaluate(expression, *args)
+            except ExprEvalError:
+                point, err = _find_bad_point(expression, args)
+                labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(_AXES, point))
+                raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
+        raise RuntimeError("a lattice slab failed but no slab does on its own")
     # 0.0 first, so an f that is zero everywhere gives +0.0, not -0.0
     return float(max(0.0, hi, -lo))
 
 
 def _fd_partial_sup(expression: Expression, env: dict, var: str, width: float) -> float:
-    """Centered-difference bound estimate for |df/dvar| on the lattice."""
+    """Centered-difference bound estimate for |df/dvar| on the lattice.
+
+    The probe (f(var + delta) - f(var - delta)) / (2 delta) is one
+    expression, so a failure of either term, or an overflow, names a point.
+    """
     delta = 1e-6 * width if width > 0 else 1e-6
-    shifted_plus = dict(env)
-    shifted_minus = dict(env)
-    shifted_plus[var] = env[var] + delta
-    shifted_minus[var] = env[var] - delta
-    what = "finite-difference probe left the domain of f"
-    return _sup_on_lattice(expression, (shifted_plus, shifted_minus), what) / (2.0 * delta)
+    shifted = [substitute(expression, {var: BinOp(op, Var(var), Num(delta))}) for op in "+-"]
+    probe = BinOp("/", BinOp("-", *shifted), Num(2.0 * delta))
+    return _sup_on_lattice(probe, env, "finite-difference probe left the domain of f")
 
 
 def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
@@ -478,7 +455,7 @@ def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
             raise ValueError(f"ks must have four entries, got {len(ks)}")
         contraction_factor(*ks)  # rejects non-finite or negative constants
     env = _lattice_env(box, lattice)
-    sup_f = _sup_on_lattice(rhs, (env,))
+    sup_f = _sup_on_lattice(rhs, env)
 
     fd_used: list = []
     if not supplied:
@@ -493,7 +470,7 @@ def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
                 fd_used.append(var)
             else:
                 what = f"partial derivative df/d{var} undefined inside the box"
-                estimated.append(_sup_on_lattice(partial, (env,), what))
+                estimated.append(_sup_on_lattice(partial, env, what))
         ks = tuple(estimated)
 
     return ConditionReport(

@@ -199,19 +199,31 @@ class TestCheckConditions:
 
     def test_fd_probe_leaving_the_domain_below_names_the_point(self):
         # the box is fine (v + 4 >= 0 on v in [-4, 4]) but the lower
-        # finite-difference probe of v is not
+        # finite-difference probe of v is not; the point is the lattice's
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(parse("abs(v) + sqrt(v + 4)"), 4.0)
-        point = info.value.point
-        assert point[0] == 0.0 and point[4] == -4.0
-        assert point[3] == pytest.approx(-4.0 - 8e-6, rel=1e-12)
-        assert "finite-difference probe left the domain of f" in str(info.value)
+        assert info.value.point == (0.0, -4.0 / 384.0, -4.0 / (72.0 * ROOT3), -4.0, -4.0)
+        assert str(info.value).startswith(
+            "finite-difference probe left the domain of f: sqrt of a negative value in "
+            "'sqrt(v - 8e-06 + 4)': ")
+        assert str(info.value).endswith("v=-4, z=-4)")
+
+    @pytest.mark.parametrize("scale", ["1e308", "1e300"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_fd_probe_names_the_point(self, scale):
+        # the probes' difference overflows at u = 0 (1e308), or only its
+        # quotient by 2*delta does (1e300)
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(parse(f"abs(u) + {scale}*atan(1e20*u)"), 1.0)
+        assert str(info.value).startswith(
+            "finite-difference probe left the domain of f: non-finite result from ")
+        assert info.value.point == (0.0, 0.0, -1.0 / (72.0 * ROOT3), -1.0, -1.0)
 
     def test_failing_partial_names_itself(self):
         # f is finite on the whole box; only df/du = 1e308*v overflows
         rhs = parse("1e308*u*v + 1e308*y")
         env = _lattice_env(DomainBox(4.0), LatticeSpec())
-        assert math.isfinite(analysis._sup_on_lattice(rhs, (env,)))
+        assert math.isfinite(analysis._sup_on_lattice(rhs, env))
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(rhs, 4.0)
         assert str(info.value).startswith(
@@ -240,6 +252,7 @@ class TestCheckConditions:
         # bad constants are rejected before any of the lattice is evaluated
         calls = []
         monkeypatch.setattr(analysis, "evaluate", lambda *args: calls.append(args))
+        monkeypatch.setattr(analysis, "_run", lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             check_conditions(parse("u"), 1.0, ks=ks)
         assert calls == []
@@ -268,6 +281,12 @@ def _unblocked(monkeypatch, rhs, M, ks, points):
         return _outcome(rhs, M, ks, points)
 
 
+def _probe(rhs, var, delta):
+    """The centered finite-difference probe of rhs in var, as the check builds it."""
+    shifted = [substitute(rhs, {var: BinOp(op, Var(var), Num(delta))}) for op in "+-"]
+    return BinOp("/", BinOp("-", *shifted), Num(2.0 * delta))
+
+
 class TestBlocks:
     """The lattice is evaluated in slabs; results equal one evaluation of it all."""
 
@@ -293,20 +312,22 @@ class TestBlocks:
         assert blocked.fd_fallback == fd
         assert blocked == _unblocked(monkeypatch, rhs, M, None, 17)
 
-    @pytest.mark.parametrize("text, M, x, what", [
+    @pytest.mark.parametrize("text, M, x, what, probe", [
         # only the last slab fails
-        ("sqrt(0.95 - x + u*y*v*z)", 1.0, 1.0, "right-hand side undefined inside the box"),
-        # a finite-difference probe fails
-        ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, 0.0, "finite-difference probe left the domain of f"),
+        ("sqrt(0.95 - x + u*y*v*z)", 1.0, 1.0, "right-hand side undefined inside the box", None),
+        # the finite-difference probe in v fails
+        ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, 0.0, "finite-difference probe left the domain of f",
+         ("v", 8e-6)),
     ])
-    def test_failure_in_a_slab_names_the_lattice_point(self, text, M, x, what, monkeypatch):
+    def test_failure_in_a_slab_names_the_lattice_point(self, text, M, x, what, probe, monkeypatch):
         rhs = parse(text)
         blocked = _outcome(rhs, M, None, 17)
         assert blocked == _unblocked(monkeypatch, rhs, M, None, 17)
         kind, message, point = blocked
         assert kind is DomainSamplingError and point[0] == x
         # the error is that of the point alone, not of the slab or lattice
-        assert message == _failure_message(rhs, what, point)
+        failing = rhs if probe is None else _probe(rhs, *probe)
+        assert message == _failure_message(failing, what, point)
 
     def test_slabs_cover_the_lattice_in_order(self):
         rhs = parse("x*u*y*v*z")
@@ -338,24 +359,75 @@ class TestBlocks:
             tracemalloc.stop()
         assert peak < 4e6
 
+    @pytest.mark.parametrize("points", [5, 9])
+    @given(parts=st.lists(st.sampled_from([
+        "abs(u - 0.3*v)", "abs(y)*z", "exp(-x^2)", "u*v", "sin(y*z)", "abs(x - u*384)*v",
+        "z^3", "atan(y*72)", "abs(v*z - 1)", "-2.5", "1e300*u"]), min_size=1, max_size=4),
+        ops=st.lists(st.sampled_from("+-*"), min_size=3, max_size=3),
+        M=st.sampled_from([1.0, 4.0, 384.0]))
+    @settings(max_examples=60, deadline=None)
+    def test_fd_estimate_equals_the_difference_of_two_probes(self, points, parts, ops, M):
+        # K of a finite-difference variable is max|f(plus) - f(minus)| / (2 delta)
+        # on the whole lattice, bit for bit
+        text = "abs(u - v) + " + parts[0]
+        for op, part in zip(ops, parts[1:]):
+            text = f"({text}) {op} {part}"
+        rhs = parse(text)
+        box = DomainBox(M)
+        env = _lattice_env(box, LatticeSpec(points=points))
+        try:
+            report = check_conditions(rhs, M, lattice=LatticeSpec(points=points))
+        except DomainSamplingError:
+            report = None
+        assume(report is not None)
+        assert report.fd_fallback
+        intervals = dict(zip("xuyvz", box.axis_intervals()))
+        for var in report.fd_fallback:
+            lo, hi = intervals[var]
+            delta = 1e-6 * (hi - lo)
+            plus, minus = dict(env), dict(env)
+            plus[var], minus[var] = env[var] + delta, env[var] - delta
+            diff = evaluate(rhs, *analysis._slab_args(plus, None)) \
+                - evaluate(rhs, *analysis._slab_args(minus, None))
+            expected = max(0.0, float(np.max(np.abs(diff)))) / (2.0 * delta)
+            assert report.ks["uyvz".index(var)] == expected
+
+    def test_fd_check_keeps_the_slab_memory_bound(self):
+        # both probes of the whole 25^5 lattice would hold 78 MB arrays
+        rhs = parse("abs(u - 0.3*v)*y*z + exp(-x^2)")
+        tracemalloc.start()
+        try:
+            report = check_conditions(rhs, 4.0, lattice=LatticeSpec(points=25))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.fd_fallback == ("u", "v")
+        assert peak < 4e6
+
+
+def _reference_extremes(program, root, env):
+    """(min, max) of root on the lattice env: a fold of evaluate over its slabs."""
+    return analysis._slab_extremes(lambda slab: evaluate(root, *analysis._slab_args(env, slab)),
+                                   analysis._blocks(program.reads, env))
+
 
 def _slab_path(rhs, M, ks, points):
-    """_outcome with the range pass turned off."""
+    """_outcome with the lattice extremes taken from the slab fold instead."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_range_extremes", lambda *args: None)
+        patch.setattr(analysis, "_extremes", _reference_extremes)
         return _outcome(rhs, M, ks, points)
 
 
-def _range_runs(monkeypatch) -> list:
-    """A list that records, for every range pass from now on, whether it gave extremes."""
-    runs, range_extremes = [], analysis._range_extremes
+def _whole_runs(monkeypatch) -> list:
+    """A list that records, for every analysis._run from now on, the root whose
+    whole program it ran, or None when it ran a part of one."""
+    runs, run = [], analysis._run
 
-    def spy(*args):
-        extremes = range_extremes(*args)
-        runs.append(extremes is not None)
-        return extremes
+    def spy(program, values, root):
+        runs.append(root if program.result == _program(root).result else None)
+        return run(program, values, root)
 
-    monkeypatch.setattr(analysis, "_range_extremes", spy)
+    monkeypatch.setattr(analysis, "_run", spy)
     return runs
 
 
@@ -392,7 +464,7 @@ def _range_trees(draw):
 
 
 class TestRangePass:
-    """Extremes carried up the root's +, -, * chain equal the slab path's, bit for bit."""
+    """Extremes carried up the root's +, -, * chain equal a fold over slabs, bit for bit."""
 
     @pytest.mark.parametrize("points", [17, 25])
     @pytest.mark.parametrize("supplied", [True, False])
@@ -401,10 +473,13 @@ class TestRangePass:
         ex = get_example(ident)
         rhs = ex.canonical().rhs
         ks = (ex.ks or (1.0, 1.0, 1.0, 1.0)) if supplied else None
-        runs = _range_runs(monkeypatch)
+        runs = _whole_runs(monkeypatch)
         assert _outcome(rhs, ex.M, ks, points) == _slab_path(rhs, ex.M, ks, points)
         if ident in (1, 2):  # the examples that read four or five axes
-            assert runs and all(runs)
+            # a chain was decomposed, and only programs that fit a slab ran whole
+            assert None in runs
+            assert all(points ** len(_program(root).reads) <= analysis._BLOCK
+                       for root in runs if root is not None)
 
     @pytest.mark.parametrize("text, M", [
         ("(u*y)*(u*z)", 1.0),             # u is read by both factors
@@ -420,7 +495,7 @@ class TestRangePass:
     def test_fixed_cases_match_the_slab_path(self, text, M, points, block, monkeypatch):
         rhs = parse(text)
         monkeypatch.setattr(analysis, "_BLOCK", block)
-        runs = _range_runs(monkeypatch)
+        runs = _whole_runs(monkeypatch)
         assert _outcome(rhs, M, None, points) == _slab_path(rhs, M, None, points)
         assert runs
 
@@ -435,30 +510,37 @@ class TestRangePass:
             assert _outcome(tree, M, None, points) == _slab_path(tree, M, None, points)
 
     @pytest.mark.parametrize("text, ranged", [
-        ("sin(x*u*y*v*z)", False),        # the root is a leaf: slabs as before
+        ("sin(x*u*y*v*z)", False),        # the root is a leaf: run in slabs
         ("sin(x*u*y*v*z) + 1", True),     # a five-axis leaf reduced in slabs
     ])
     def test_memory_stays_within_slabs(self, text, ranged, monkeypatch):
-        runs = _range_runs(monkeypatch)
+        rhs = parse(text)
+        runs = _whole_runs(monkeypatch)
         tracemalloc.start()
         try:
-            check_conditions(parse(text), 1.0, lattice=LatticeSpec(points=25))
+            check_conditions(rhs, 1.0, lattice=LatticeSpec(points=25))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4e6
-        assert runs[0] is ranged
+        assert (rhs in runs) is not ranged
 
 
 def _evaluated_sizes(monkeypatch) -> list:
-    """A list that records, for every evaluate call in analysis from now on, its broadcast size."""
-    sizes, original = [], analysis.evaluate
+    """A list that records, for every evaluate and _run call in analysis from now on,
+    the broadcast size of the variables it reads."""
+    sizes, evaluate_, run = [], analysis.evaluate, analysis._run
 
-    def spy(expression, *args):
+    def spy_evaluate(expression, *args):
         sizes.append(np.broadcast(*args).size)
-        return original(expression, *args)
+        return evaluate_(expression, *args)
 
-    monkeypatch.setattr(analysis, "evaluate", spy)
+    def spy_run(program, values, root):
+        sizes.append(math.prod(np.broadcast_shapes(*(np.shape(values[k]) for k in program.reads))))
+        return run(program, values, root)
+
+    monkeypatch.setattr(analysis, "evaluate", spy_evaluate)
+    monkeypatch.setattr(analysis, "_run", spy_run)
     return sizes
 
 
@@ -513,15 +595,16 @@ class TestFailures:
             "right-hand side undefined inside the box: sqrt of a negative value in "
             "'sqrt(u)': argument -0.0026041666666666665 at (x=0, u=-0.00260416667, ")
 
-    def test_plus_probe_is_scanned_before_the_minus_probe(self, monkeypatch):
+    def test_probe_failure_names_the_first_lattice_point(self, monkeypatch):
         # the minus probe leaves [-1, 1] at u = -1, in the first slab; the plus
-        # probe only at u = 1, in a later one, and its point is the one named
+        # probe only at u = 1, in a later one: the first lattice point is named
         rhs = parse("abs(u) + sqrt(1 - u*u)*x*y*v*z")
         env = _lattice_env(DomainBox(384.0), LatticeSpec(points=17))
         assert len(analysis._blocks(_program(rhs).reads, env)) > 1
         blocked = _outcome(rhs, 384.0, None, 17)
         assert blocked == _unblocked(monkeypatch, rhs, 384.0, None, 17)
-        assert blocked[0] is DomainSamplingError and blocked[2][:2] == (0.0, 1.0 + 2e-6)
+        assert blocked[0] is DomainSamplingError and blocked[2][:2] == (0.0, -1.0)
+        assert "'sqrt(1 - (u - 2e-06)*(u - 2e-06))'" in blocked[1]
 
     @given(tree=_failing_trees(), M=st.sampled_from([1.0, 4.0]),
            block=st.sampled_from([1, 3, 12, 60, 2 ** 62]))

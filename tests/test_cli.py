@@ -221,6 +221,18 @@ class TestCheck:
         text = (tmp_path / "conditions.txt").read_text(encoding="utf-8")
         assert text == "\n".join(lines) + "\n"
 
+    # the difference of the two probes overflows at u = 0 (1e308), or only
+    # its quotient by 2*delta does (1e300)
+    @pytest.mark.parametrize("scale", ["1e308", "1e300"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_finite_difference_names_the_probe(self, scale, tmp_path, capsys):
+        path = _problem_file(tmp_path, f"f = abs(u) + {scale}*atan(1e20*u)\n")
+        assert main(["check", path, "--M", "1", "--out-dir", str(tmp_path)]) == 1
+        first, second = capsys.readouterr().out.splitlines()[:2]
+        assert first.startswith("not certified: finite-difference probe left the domain of f: "
+                                "non-finite result from ")
+        assert second == "offending sample: (0, 0, -0.00801875374, -1, -1)"
+
 
 class TestTable:
     def test_sorted_rows_match_solver(self, tmp_path, capsys):
