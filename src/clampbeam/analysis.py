@@ -96,6 +96,11 @@ _AXES = ("x", "u", "y", "v", "z")
 _BLOCK = 2 ** 16
 
 
+def _is_number(value) -> bool:
+    """value is a real number and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class DomainBox:
     """The certification box for a given curvature scale M."""
@@ -103,7 +108,7 @@ class DomainBox:
     M: float
 
     def __post_init__(self):
-        if isinstance(self.M, bool) or not (isinstance(self.M, Real) and 0 < self.M < math.inf):
+        if not (_is_number(self.M) and 0 < self.M < math.inf):
             raise ValueError(f"M must be a positive finite number, got {self.M!r}")
 
     @property
@@ -212,8 +217,8 @@ class ConditionReport:
 def contraction_factor(k1: float, k2: float, k3: float, k4: float) -> float:
     """q = K1/384 + K2/(72 sqrt 3) + K3 + K4; the map contracts when q < 1/2."""
     ks = (k1, k2, k3, k4)
-    if any(not np.isfinite(k) or k < 0 for k in ks):
-        raise ValueError(f"Lipschitz constants must be finite and nonnegative, got {ks!r}")
+    if not all(_is_number(k) and 0 <= k < math.inf for k in ks):
+        raise ValueError(f"Lipschitz constants must be finite and nonnegative numbers, got {ks!r}")
     return (k1 * KERNEL_BOUNDS.fourth_order
             + k2 * KERNEL_BOUNDS.fourth_order_dx
             + k3 + k4)
@@ -450,10 +455,10 @@ def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
     box = DomainBox(M)
     supplied = ks is not None
     if supplied:
+        if not isinstance(ks, (tuple, list, np.ndarray)) or len(ks) != 4:
+            raise ValueError(f"ks must be a sequence of four numbers, got {ks!r}")
+        contraction_factor(*ks)  # rejects non-numbers, non-finite or negative constants
         ks = tuple(float(k) for k in ks)
-        if len(ks) != 4:
-            raise ValueError(f"ks must have four entries, got {len(ks)}")
-        contraction_factor(*ks)  # rejects non-finite or negative constants
     env = _lattice_env(box, lattice)
     sup_f = _sup_on_lattice(rhs, env)
 
@@ -489,19 +494,19 @@ def apriori_bound(q: float, first_step: float, k: int) -> float:
     p_k = (q + 1/2)^k / (1/2 - q) * (distance between the first two
     iteration states).  Requires q < 1/2; the bound is vacuous otherwise.
     """
-    if not (np.isfinite(q) and 0.0 <= q < 0.5):
+    if not (_is_number(q) and 0.0 <= q < 0.5):
         raise ValueError(f"need 0 <= q < 1/2 for the envelope, got q={q!r}")
-    if not (np.isfinite(first_step) and first_step >= 0):
-        raise ValueError(f"first_step must be nonnegative, got {first_step!r}")
-    if k < 0:
-        raise ValueError(f"k must be nonnegative, got {k!r}")
+    if not (_is_number(first_step) and 0 <= first_step < math.inf):
+        raise ValueError(f"first_step must be a finite nonnegative number, got {first_step!r}")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     return (q + 0.5) ** k / (0.5 - q) * first_step
 
 
 def solution_error_bounds(p: float) -> tuple:
     """Bounds on (u, u', u'', u''') errors implied by a triplet-norm bound p."""
-    if not (np.isfinite(p) and p >= 0):
-        raise ValueError(f"p must be nonnegative, got {p!r}")
+    if not (_is_number(p) and 0 <= p < math.inf):
+        raise ValueError(f"p must be a finite nonnegative number, got {p!r}")
     return (
         p * KERNEL_BOUNDS.fourth_order,
         p * KERNEL_BOUNDS.fourth_order_dx,

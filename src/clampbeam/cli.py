@@ -69,7 +69,10 @@ class _InputError(Exception):
 
 def _out_dir(args) -> str:
     path = args.out_dir or os.environ.get("CLAMPBEAM_OUT_DIR") or "."
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as err:
+        raise _InputError(f"cannot create output directory {path!r}: {err}") from None
     return path
 
 
@@ -286,6 +289,8 @@ def _load(ref: str) -> tuple:
             loaded, label = load_problem_file(ref), ref
         except OSError as err:
             raise _InputError(f"cannot read problem file: {err}") from None
+        except UnicodeDecodeError as err:
+            raise _InputError(f"cannot read problem file: {ref!r} is not UTF-8 text: {err}") from None
         except ProblemFormatError as err:
             raise _InputError(f"{ref}: {err}") from None
     return loaded, canonicalize(loaded.raw), label

@@ -43,7 +43,6 @@ class BuiltinExample:
     exact_text: Optional[str] = None
     M: Optional[float] = None
     ks: Optional[tuple] = None
-    claim: str = "unique"  # "unique" (both conditions) or "exists" (boundedness only)
     note: str = ""
 
     def load(self) -> LoadedProblem:
@@ -112,7 +111,6 @@ EXAMPLES: tuple = (
         A1=1.0,
         M=5.0,
         ks=None,
-        claim="exists",
         note="sqrt(w) is defined only for w >= 0 and is not Lipschitz at "
              "w = 0, which the box boundary touches, so only existence is "
              "claimed: sup|f| <= sqrt(1 + M/384) + 1 <= M/2 for M = 5.  The "

@@ -23,9 +23,10 @@ f is compiled once, on its first evaluation, into a flat instruction list
 kept on the root node, in which equal subexpressions share one instruction.
 A fold then runs every instruction whose operands are all known and decides
 every check on a known operand.  Literals are known to every evaluation.  The
-solver evaluates f on a grid whose x never changes, so it folds the same
-program once more with x known, once per problem and grid.  Values, errors
-and the subtree an error names are those of a left-to-right walk of the tree.
+solver evaluates f on a grid whose x never changes, so it asks for the
+program folded once more with x known; the root keeps the last such fold,
+for one x array, next to its program.  Values, errors and the subtree an
+error names are those of a left-to-right walk of the tree.
 """
 
 from __future__ import annotations
@@ -100,11 +101,12 @@ class ExprDerivativeError(ExprError):
 
 
 class _Node:
-    """Base of the tree nodes: pickling leaves out the program a root keeps."""
+    """Base of the tree nodes: pickling leaves out the programs a root keeps."""
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_program", None)
+        state.pop("_program_at_x", None)
         return state
 
 
@@ -435,16 +437,11 @@ class _Program(NamedTuple):
     template: list  # slot values known before a run, None for the others
     code: list
     result: int
-    reads: tuple    # the variable slots the code or the result reads, ascending
-
-
-def _variables_read(read, result) -> tuple:
-    """The variable slots in read, a collection of the slots code reads, or result."""
-    return tuple([s for s in range(len(VARIABLES)) if s in read or s == result])
+    reads: tuple    # the variable slots the code or the result reads, ascending (after _fold)
 
 
 class _Compiler:
-    """Builds the unfolded _Program of one root.
+    """Builds the unfolded _Program of one root; _fold fills in its reads.
 
     Equal subtrees, found by value, share one slot.  An instruction's node is
     None for the root itself: the program is kept on its root, so it must not
@@ -456,11 +453,9 @@ class _Compiler:
         self.template: list = [None] * len(VARIABLES)
         self.code: list = []
         self.keys: dict = {}
-        self.reads: set = set()
 
     def program(self) -> _Program:
-        result = self.slot(self.root)
-        return _Program(self.template, self.code, result, _variables_read(self.reads, result))
+        return _Program(self.template, self.code, self.slot(self.root), ())
 
     def emit(self, key, op=None, a=0, b=0, node=None, value=None) -> int:
         """The slot of key, made on first use.
@@ -486,9 +481,7 @@ class _Compiler:
             b = self.slot(node.right)
             return self.emit((node.op, a, b), _BINARY[node.op], a, b, node)
         if isinstance(node, Var):
-            slot = _VARIABLE_SLOTS[node.name]
-            self.reads.add(slot)
-            return slot
+            return _VARIABLE_SLOTS[node.name]
         if isinstance(node, Num):
             return self.emit((type(node.value), repr(node.value)), value=node.value)
         if isinstance(node, Call):
@@ -548,8 +541,8 @@ def _fold(program: _Program, root, x=None) -> _Program:
     for s in range(len(vals)):
         if s not in last_read and s != program.result:
             vals[s] = None
-    return _Program(vals, [ins + (d,) for ins, d in zip(code, drops)], program.result,
-                    _variables_read(last_read, program.result))
+    reads = tuple([s for s in range(len(VARIABLES)) if s in last_read or s == program.result])
+    return _Program(vals, [ins + (d,) for ins, d in zip(code, drops)], program.result, reads)
 
 
 def _run(program: _Program, values: tuple, root):
@@ -564,13 +557,30 @@ def _run(program: _Program, values: tuple, root):
     return _result(vals[program.result], root)
 
 
-def _program(expr: Expression) -> _Program:
-    """The program of expr, compiled and folded on first use and kept on expr."""
-    program = getattr(expr, "__dict__", {}).get("_program")
+def _program(expr: Expression, x=None) -> _Program:
+    """The program of expr, compiled and folded on first use and kept on expr.
+
+    Given x, the program folded once more with x known, so what depends on x
+    alone is computed once, here; the root program itself when it does not
+    read x.  The last such fold is kept on expr with the x it was folded for,
+    and is made anew for any other x object.  Values, errors and the subtree
+    an error names stay those of evaluate, but a run may return a kept value,
+    which later runs share, so it must not be written.  A failure the fold
+    decides raises on every run, after the instructions ahead of it, whose
+    own failures still win.
+    """
+    kept = getattr(expr, "__dict__", {})
+    program = kept.get("_program")
     if program is None:
         program = _fold(_Compiler(expr).program(), expr)
         object.__setattr__(expr, "_program", program)
-    return program
+    if x is None or 0 not in program.reads:
+        return program
+    at_x = kept.get("_program_at_x")
+    if at_x is None or at_x[0] is not x:
+        at_x = (x, _fold(program, expr, x))
+        object.__setattr__(expr, "_program_at_x", at_x)
+    return at_x[1]
 
 
 def _result(out, expr):
@@ -590,29 +600,6 @@ def evaluate(expr: Expression, x, u, y, v, z):
     results raise ExprEvalError naming the failing subexpression.
     """
     return _run(_program(expr), (x, u, y, v, z), expr)
-
-
-def _at_fixed_x(expr: Expression, x):
-    """evaluate(expr, x, u, y, v, z) as a function of (u, y, v, z) for one fixed x.
-
-    The program of expr is folded once more with x known, so what depends on
-    x alone is computed here, once, and values, errors and the subtree an
-    error names stay those of evaluate.  The returned array may be such a
-    kept value, shared with later calls, and must not be written.  A failure
-    decided here raises on every call, after the instructions ahead of it,
-    whose failures still win.  When no instruction reads x there is nothing
-    to fold, and the program of expr serves as it is.  Its reads attribute
-    lists the variable slots the program reads; the others are never used.
-    """
-    program = _program(expr)
-    if 0 in program.reads:
-        program = _fold(program, expr, x)
-
-    def at(u, y, v, z):
-        return _run(program, (x, u, y, v, z), expr)
-
-    at.reads = program.reads
-    return at
 
 
 # ---------------------------------------------------------------------------

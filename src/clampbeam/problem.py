@@ -41,7 +41,6 @@ from .expr import (
     Neg,
     Num,
     Var,
-    _at_fixed_x,
     evaluate,
     parse,
     substitute,
@@ -200,27 +199,6 @@ class CanonicalProblem:
     @property
     def is_transformed(self) -> bool:
         return not (self.length == 1.0 and self.shift.is_zero and self.raw.a == 0.0)
-
-    def f_on(self, grid: Grid):
-        """f at the nodes of grid, as a function of (u, y, v, z).
-
-        It runs the program that evaluate runs for rhs, folded once more
-        with x set to the nodes: what x alone decides is computed once, here,
-        so the result may be shared and must not be written.  The evaluator
-        for the grid size asked for last is kept on the instance; it holds
-        the nodes, not the grid.
-        """
-        cached = self.__dict__.get("_f_on")
-        if cached is None or cached[0] != grid.n:
-            cached = (grid.n, _at_fixed_x(self.rhs, grid.nodes))
-            object.__setattr__(self, "_f_on", cached)
-        return cached[1]
-
-    def __getstate__(self):
-        # the evaluator is a closure, which cannot be pickled
-        state = dict(self.__dict__)
-        state.pop("_f_on", None)
-        return state
 
     def exact_on(self, grid: Grid) -> Optional[GridFunction]:
         """Exact canonical solution sampled at the nodes, if one was given."""

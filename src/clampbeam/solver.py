@@ -29,6 +29,7 @@ from typing import Optional
 
 import numpy as np
 
+from .expr import _program, _run
 from .numerics import (
     Grid,
     GridFunction,
@@ -210,13 +211,13 @@ class StallError(IterationLimitError):
 def _source(problem: CanonicalProblem, grid: Grid, arg) -> np.ndarray:
     """f at the nodes, a fresh array; arg(name) gives the node values of the
     profile's u, du, d2u or d3u (f's u, y, v, z), asked only for what f reads."""
-    f = problem.f_on(grid)
-    args = [arg(name) if slot in f.reads else None
+    program = _program(problem.rhs, grid.nodes)
+    args = [arg(name) if slot in program.reads else None
             for slot, name in enumerate(("u", "du", "d2u", "d3u"), 1)]
-    out = f(*args)
+    out = _run(program, [grid.nodes] + args, problem.rhs)
     if isinstance(out, float):  # f is constant
         return np.full(grid.n + 1, out)
-    return out.copy()  # the evaluator's result may be shared
+    return out.copy()  # the fold's kept values may be shared
 
 
 def _apply(state: Triplet, problem: CanonicalProblem) -> tuple:

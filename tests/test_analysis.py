@@ -106,9 +106,10 @@ class TestContractionFactor:
 
     @pytest.mark.parametrize("bad", [
         (-1.0, 0, 0, 0), (0, float("nan"), 0, 0), (0, 0, float("inf"), 0),
+        ("1", 0, 0, 0), (None, 0, 0, 0), (True, 0, 0, 0), (0, 0, 0, False),
     ])
     def test_validation(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="Lipschitz constants"):
             contraction_factor(*bad)
 
 
@@ -247,7 +248,8 @@ class TestCheckConditions:
         assert bad == point and str(err) == str(error)
 
     @pytest.mark.parametrize("ks", [(1.0, 2.0, 3.0), (1,) * 5, (-0.1, 0, 0, 0),
-                                    (0, float("nan"), 0, 0)])
+                                    (0, float("nan"), 0, 0), "1234",
+                                    (True, False, "0.5", 0), (1, 0, 0, True), 4.0])
     def test_ks_validation(self, ks, monkeypatch):
         # bad constants are rejected before any of the lattice is evaluated
         calls = []
@@ -680,10 +682,16 @@ class TestAprioriBound:
     @pytest.mark.parametrize("args", [
         (0.5, 1.0, 1), (0.7, 1.0, 1), (-0.1, 1.0, 1),
         (0.2, -1.0, 1), (0.2, 1.0, -1), (float("nan"), 1.0, 1),
+        ("0.1", 1.0, 3), (None, 1.0, 3), (False, 1.0, 3), (0.1, "1", 3), (0.1, True, 3),
+        (0.1, float("inf"), 3), (0.1, 1.0, 2.5), (0.1, 1.0, 2.0), (0.1, 1.0, True),
+        (0.1, 1.0, "3"),
     ])
     def test_validation(self, args):
         with pytest.raises(ValueError):
             apriori_bound(*args)
+
+    def test_integer_k_of_numpy(self):
+        assert apriori_bound(0.1, 1.0, np.int64(3)) == apriori_bound(0.1, 1.0, 3)
 
 
 class TestSolutionErrorBounds:
@@ -697,5 +705,6 @@ class TestSolutionErrorBounds:
         assert solution_error_bounds(0.0) == (0.0, 0.0, 0.0, 0.0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            solution_error_bounds(-1.0)
+        for bad in (-1.0, float("nan"), float("inf"), None, True, "1"):
+            with pytest.raises(ValueError, match="p must be"):
+                solution_error_bounds(bad)

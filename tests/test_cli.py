@@ -482,6 +482,33 @@ class TestInputHandling:
         assert main(["solve", "/no/such/file.txt"]) == 2
         assert "cannot read problem file" in capsys.readouterr().err
 
+    def test_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "problem.txt"
+        path.write_bytes(b"f = u\xff + 1\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(path), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read problem file") and "not UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "example:1"], ["check", "example:1"],
+        ["table", "example:1", "--grids", "16,32"], ["examples", "--run", "1"],
+    ], ids=["solve", "check", "table", "examples"])
+    def test_out_dir_that_is_a_file(self, command, below, tmp_path, capsys, monkeypatch):
+        # an input error before any solve or check runs, and nothing written
+        monkeypatch.chdir(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        target = taken / "sub" if below else taken
+        assert main(command + ["--out-dir", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: cannot create output directory '{target}'")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+        assert taken.read_text() == "kept\n"
+
     def test_unknown_key_named_with_line(self, tmp_path, capsys):
         path = _problem_file(tmp_path, "f = u\ngamma = 2\n")
         assert main(["solve", path, "--out-dir", str(tmp_path)]) == 2

@@ -330,9 +330,15 @@ def _outcome(fn, *args):
     return type(out), np.asarray(out).shape, np.asarray(out).tobytes()
 
 
+def _at_x(tree, x):
+    """tree as a function of (u, y, v, z), run as the solver runs it: the
+    program folded with x known, which the tree keeps between calls."""
+    return lambda *env: expr_module._run(expr_module._program(tree, x), (x,) + env, tree)
+
+
 def _assert_fixed_x_matches(tree, x, *envs):
-    """Calls of one fixed-x evaluator, in order, equal fresh evaluations."""
-    at = expr_module._at_fixed_x(tree, x)
+    """Runs of the program folded with x, in order, equal fresh evaluations."""
+    at = _at_x(tree, x)
     for env in envs + envs:  # the second round runs on filled x-only values
         assert _outcome(at, *env) == _outcome(evaluate, tree, x, *env)
 
@@ -385,7 +391,7 @@ class TestFixedX:
         tree = parse("log(u) + sqrt(x - 2)")
         zero, one = (np.zeros_like(XS),) * 4, (np.ones_like(XS),) * 4
         _assert_fixed_x_matches(tree, XS, zero, one)
-        at = expr_module._at_fixed_x(tree, XS)
+        at = _at_x(tree, XS)
         with pytest.raises(ExprEvalError, match="log of a non-positive"):
             at(*zero)
         with pytest.raises(ExprEvalError, match="sqrt of a negative"):
@@ -396,20 +402,21 @@ class TestFixedX:
         real = np.sin
         monkeypatch.setitem(expr_module._UFUNCS, "sin",
                             lambda a: calls.append(1) or real(a))
-        at = expr_module._at_fixed_x(parse("sin(x)*u + sin(u)"), XS)
+        at = _at_x(parse("sin(x)*u + sin(u)"), XS)
         for scale in (0.5, 1.0, 2.0):
             at(*_profile(scale))
         assert len(calls) == 1 + 3  # sin(x) once, sin(u) on every call
 
-    def test_reused_values_go_with_the_evaluator(self):
+    def test_reused_values_go_with_the_tree(self):
         # no reference cycle holds them until the next garbage collection;
         # with f = sin(x) the value returned is the reused array itself
         gc.disable()
         try:
-            at = expr_module._at_fixed_x(parse("sin(x)"), XS)
+            tree = parse("sin(x)")
+            at = _at_x(tree, XS)
             value = weakref.ref(at(*_profile(1.0)))
             assert value() is at(*_profile(2.0))
-            del at
+            del at, tree
             assert value() is None
         finally:
             gc.enable()
@@ -422,7 +429,7 @@ class TestFixedX:
 
 
 # ---------------------------------------------------------------------------
-# The compiled program behind evaluate and the fixed-x evaluator
+# The compiled program behind evaluate and the solver's fold at fixed x
 
 
 def _count_sin(monkeypatch):
@@ -517,7 +524,7 @@ class TestCompiledProgram:
         expect = (np.sin(w) * w + np.sin(w)).tobytes()
         assert evaluate(tree, XS, *profile).tobytes() == expect
         assert len(calls) == 1
-        at = expr_module._at_fixed_x(tree, XS)
+        at = _at_x(tree, XS)
         for _ in range(3):
             assert at(*profile).tobytes() == expect
         assert len(calls) == 1 + 3
@@ -588,10 +595,11 @@ class TestCompiledProgram:
         tree = parse("sqrt(u)/(x + 1) + 1")
         evaluate(tree, 1.0, 4.0, 0, 0, 0)
         evaluate(tree, 2.0, 4.0, 0, 0, 0)
-        expr_module._at_fixed_x(tree, XS)(*_profile(1.0))
+        _at_x(tree, XS)(*_profile(1.0))
         assert compiled == [tree]
+        assert {"_program", "_program_at_x"} <= set(vars(tree))
         copy = pickle.loads(pickle.dumps(tree))
-        assert copy == tree and "_program" not in vars(copy)
+        assert copy == tree and not {"_program", "_program_at_x"} & set(vars(copy))
 
     @pytest.mark.parametrize("source, fragment", [
         ("1/u", "division by zero in '1/u'"),
@@ -636,10 +644,32 @@ class TestFold:
         calls = []
         real = expr_module._fold
         monkeypatch.setattr(expr_module, "_fold", lambda *args: calls.append(1) or real(*args))
-        at = expr_module._at_fixed_x(tree, XS)
+        expr_module._program(tree, XS)
         assert len(calls) == folds
         _assert_fixed_x_matches(tree, XS, _profile(0.5), _profile(2.0))
-        assert _outcome(at, *_profile(1.0)) == _outcome(evaluate, tree, XS, *_profile(1.0))
+        assert _outcome(_at_x(tree, XS), *_profile(1.0)) == \
+            _outcome(evaluate, tree, XS, *_profile(1.0))
+        assert len(calls) == folds
+
+    def test_fold_is_kept_for_one_x_array(self, monkeypatch):
+        # equal nodes in another array fold again: the fold is keyed by the
+        # array object, not its values
+        tree = parse("sin(x)*u + x^2")
+        expr_module._program(tree)
+        folded_at = []
+        real = expr_module._fold
+        monkeypatch.setattr(expr_module, "_fold",
+                            lambda program, root, x=None: folded_at.append(x) or real(program, root, x))
+        first, other = XS.copy(), XS.copy()
+        kept = expr_module._program(tree, first)
+        for _ in range(3):
+            assert expr_module._program(tree, first) is kept
+        assert len(folded_at) == 1
+        expr_module._program(tree, other)
+        expr_module._program(tree, other)
+        expr_module._program(tree, first)
+        assert [x is first for x in folded_at] == [True, False, True]
+        assert expr_module._program(tree) is not kept  # the root program is apart
 
     @pytest.mark.parametrize("source", [
         "sin(x)*u + sin(x)^2",   # a kept reader, then a folded one
@@ -659,8 +689,8 @@ class TestFold:
             return parse("abs(" * 20 + var + ")" * 20)
 
         assert _peak_arrays(lambda: evaluate(chain("u"), xs, u, 0, 0, 0), xs.nbytes) < 2.5
-        assert _peak_arrays(lambda: expr_module._at_fixed_x(chain("x"), xs), xs.nbytes) < 2.5
-        at = expr_module._at_fixed_x(chain("u"), xs)
+        assert _peak_arrays(lambda: expr_module._program(chain("x"), xs), xs.nbytes) < 2.5
+        at = _at_x(chain("u"), xs)
         for _ in range(2):  # the first call and a later one
             assert _peak_arrays(lambda: at(u, 0, 0, 0), xs.nbytes) < 2.5
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clampbeam.numerics as numerics
-import clampbeam.problem as problem_module
+import clampbeam.expr as expr_module
 import clampbeam.solver as solver_module
 from clampbeam.examples import get_example
 from clampbeam.expr import ExprEvalError, parse
@@ -44,6 +44,11 @@ from clampbeam.solver import (
 
 def _canon(text: str):
     return canonicalize(parse_problem_text(text).raw)
+
+
+# a shifted interval with boundary data: most of the canonical f is x-only
+SHIFTED_TEXT = ("a = 0.5\nb = 1.6\nA1 = 1\nB1 = -0.5\nA2 = 0.3\nB2 = 2\n"
+                "f = 12 + u*z/2 - y*v/4 + y/4 + 24 - (x^3 - 2*x + 1)*sin(x)\n")
 
 
 def _keep_ref(refs: list, obj):
@@ -229,21 +234,32 @@ class TestStepAndResidual:
 
     def test_solve_constants_freed_with_report_and_problem(self, monkeypatch):
         # the slope weights live on the grid, the x-only values of f on the
-        # problem: both go, without a gc pass, once the report (or the
-        # exception) and the problem are dropped
+        # fold its rhs keeps: both go, without a gc pass, once the report (or
+        # the exception) and the problem are dropped
         refs = []
         for name in ("slope_kernel_left", "slope_kernel_right"):
             real = getattr(numerics, name)
             monkeypatch.setattr(numerics, name,
                                 lambda t, real=real: _keep_ref(refs, real(t)))
-        real_fixed_x = problem_module._at_fixed_x
-        monkeypatch.setattr(problem_module, "_at_fixed_x",
-                            lambda expr, x: _keep_ref(refs, real_fixed_x(expr, x)))
+        real_fold = expr_module._fold
+
+        def fold(program, root, x=None):
+            out = real_fold(program, root, x)
+            if x is not None:  # a fold at fixed x: keep a reference to each x-only value
+                for value in out.template:
+                    if isinstance(value, np.ndarray) and value is not x:
+                        _keep_ref(refs, value)
+            return out
+
+        monkeypatch.setattr(expr_module, "_fold", fold)
         for text, cfg, raised, built in [
-            ("f = 24", SolverConfig(n=32), None, 3),
-            ("f = 600*u + 1", SolverConfig(n=32), DivergenceError, 3),
+            ("f = 24", SolverConfig(n=32), None, 2),
+            ("f = 24 + sin(x)", SolverConfig(n=32), None, 3),
+            ("f = 600*u + 1", SolverConfig(n=32), DivergenceError, 2),
+            ("f = 600*u + cos(x)", SolverConfig(n=32), DivergenceError, 3),
             ("f = x + x^2 + u^2*v", SolverConfig(n=32, max_iter=3), IterationLimitError, 3),
-            ("f = log(u)", SolverConfig(n=32), ExprEvalError, 1),  # f undefined at u = 0
+            ("f = log(u)", SolverConfig(n=32), ExprEvalError, 0),  # f undefined at u = 0
+            ("f = log(u) + sin(x)", SolverConfig(n=32), ExprEvalError, 1),
         ]:
             refs.clear()
             gc.disable()
@@ -261,6 +277,37 @@ class TestStepAndResidual:
                 assert all(r() is None for r in refs), text
             finally:
                 gc.enable()
+
+    def test_interleaved_grids_match_a_fresh_problem(self):
+        # the rhs keeps one fold at fixed x, for the last nodes array it saw;
+        # switching grids, or to an equal grid with its own nodes, refolds
+        problem = _canon(SHIFTED_TEXT)
+        grids = [Grid(16), Grid(18)]
+        grids += [grids[0], Grid(16)]
+
+        def bits(state, profile=None):
+            arrays = [state.source.values] + ([] if profile is None else [profile.u.values])
+            return [a.tobytes() for a in arrays] + [state.alpha, state.beta]
+
+        states = []
+        for grid in grids:
+            states.append(init_state(problem, grid))
+            assert bits(states[-1]) == bits(init_state(_canon(SHIFTED_TEXT), grid))
+        for _ in range(2):
+            for state in states:
+                assert residual(state, problem) == residual(state, _canon(SHIFTED_TEXT))
+            for i, state in enumerate(states):
+                states[i], profile = step(state, problem)
+                assert bits(states[i], profile) == bits(*step(state, _canon(SHIFTED_TEXT)))
+
+    def test_solved_problem_holds_only_its_fields(self):
+        cp = _canon(SHIFTED_TEXT)
+        solve(cp, SolverConfig(n=32))
+        assert set(vars(cp)) == {f.name for f in dataclasses.fields(cp)} \
+            == {"rhs", "raw", "shift", "length"}
+        assert {"_program", "_program_at_x"} <= set(vars(cp.rhs))  # f reads x
+        for copy in (pickle.loads(pickle.dumps(cp)).rhs, pickle.loads(pickle.dumps(cp.rhs))):
+            assert copy == cp.rhs and not {"_program", "_program_at_x"} & set(vars(copy))
 
     def test_no_stale_x_only_values_across_problems(self):
         # step and residual on problem A, then on B on the same grid, give
