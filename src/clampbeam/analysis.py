@@ -52,7 +52,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -76,6 +75,7 @@ from .expr import (
     substitute,
 )
 from .kernels import KERNEL_BOUNDS
+from .numerics import _is_number
 
 __all__ = [
     "DomainBox",
@@ -94,11 +94,6 @@ _AXES = ("x", "u", "y", "v", "z")
 # on the mix of the certify benchmark 2^16 and 2^17 tie and 2^14, 2^15 and
 # 2^18 are slower; 2^16 takes fewer page faults on the small checks.
 _BLOCK = 2 ** 16
-
-
-def _is_number(value) -> bool:
-    """value is a real number and not a bool."""
-    return isinstance(value, Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ The three workhorses are all fourth-order accurate:
                      data, exact whenever g is a polynomial of degree <= 3,
                      solved in closed form by two running sums
 
+A GridFunction, SolveReport or RecoveredSolution owns read-only copies of its
+arrays, keeps them read-only through pickling, pickles only its fields and
+equals only itself; _Frozen, their base, carries these rules.
+
 A GridFunction's values are finite; the check records s = sup|values|.  Every
 intermediate and result of diff5's stencils is at most 128 s / (12 h) <= 16 n s
 for n >= 8, so when 32 n s is finite diff5 skips the scan of its output; the
@@ -23,8 +27,9 @@ spare factor 2 covers rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -41,8 +46,36 @@ __all__ = [
 ]
 
 
+def _is_number(value) -> bool:
+    """value is a real number and not a bool."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+class _Frozen:
+    """Base of the frozen dataclasses that hold or cache arrays: pickles only
+    their fields, dropping cached values, and makes array fields read-only
+    again on unpickling, since pickle drops an array's flag."""
+
+    def _own(self, *names):
+        """Replace the named array fields, where set, with read-only float copies."""
+        for name in names:
+            if getattr(self, name) is not None:
+                value = np.array(getattr(self, name), dtype=float)
+                value.setflags(write=False)
+                object.__setattr__(self, name, value)
+
+    def __getstate__(self):
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+
+
 @dataclass(frozen=True)
-class Grid:
+class Grid(_Frozen):
     """Uniform partition of [0,1] into n subintervals, n even and >= 8."""
 
     n: int
@@ -52,9 +85,6 @@ class Grid:
             raise ValueError(f"grid size must be an integer, got {self.n!r}")
         if self.n < 8 or self.n % 2 != 0:
             raise ValueError(f"grid size must be even and >= 8, got {self.n}")
-
-    def __getstate__(self):
-        return {"n": self.n}  # the cached arrays are rebuilt on first use
 
     @cached_property
     def h(self) -> float:
@@ -80,25 +110,20 @@ class Grid:
 
 
 @dataclass(frozen=True, eq=False)
-class GridFunction:
+class GridFunction(_Frozen):
     """Immutable samples of a function at the nodes of a Grid; equal only to itself."""
 
     grid: Grid
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.array(self.values, dtype=float)
-        if vals.shape != (self.grid.n + 1,):
+        self._own("values")
+        if self.values.shape != (self.grid.n + 1,):
             raise ValueError(
                 f"expected {self.grid.n + 1} values on a grid with n={self.grid.n}, "
-                f"got shape {vals.shape}"
+                f"got shape {self.values.shape}"
             )
-        object.__setattr__(self, "_sup", _checked_sup(self.grid, vals))
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    def __setstate__(self, state):
-        _refreeze(self, state)
+        object.__setattr__(self, "_sup", _checked_sup(self.grid, self.values))
 
     @classmethod
     def _adopt(cls, grid: Grid, vals: np.ndarray, finite: bool = False) -> "GridFunction":
@@ -134,17 +159,6 @@ def _checked_sup(grid: Grid, vals: np.ndarray) -> float:
 def _diff5_finite(f: GridFunction) -> bool:
     """Whether the module docstring's bound, on a recorded sup, makes diff5(f) finite."""
     return math.isfinite(32.0 * f.grid.n * f.__dict__.get("_sup", math.inf))
-
-
-def _refreeze(obj, state: dict) -> None:
-    """Unpickle a frozen dataclass, making its arrays read-only again.
-
-    pickle keeps an array's values but not its read-only flag.
-    """
-    obj.__dict__.update(state)
-    for value in state.values():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
 
 
 def sup_norm(f: GridFunction) -> float:

@@ -29,6 +29,8 @@ Lipschitz constants).  Unknown or duplicate keys are errors.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -46,7 +48,7 @@ from .expr import (
     substitute,
     variables_in,
 )
-from .numerics import Grid, GridFunction
+from .numerics import Grid, GridFunction, _Frozen, _is_number
 
 __all__ = [
     "RawProblem",
@@ -77,12 +79,7 @@ class RawProblem:
     exact: Optional[Expression] = None
 
     def __post_init__(self):
-        for name in ("a", "b", "A1", "B1", "A2", "B2"):
-            val = getattr(self, name)
-            if not np.isfinite(val):
-                raise ValueError(f"{name} must be finite, got {val!r}")
-        if not self.a < self.b:
-            raise ValueError(f"need a < b, got a={self.a!r}, b={self.b!r}")
+        hermite_cubic(self.a, self.b, self.A1, self.B1, self.A2, self.B2)  # checks the data
         if self.exact is not None:
             extra = variables_in(self.exact) - {"x"}
             if extra:
@@ -131,12 +128,19 @@ def hermite_cubic(a: float, b: float, A1: float, B1: float, A2: float, B2: float
     """The unique cubic with P(a)=A1, P(b)=B1, P'(a)=A2, P'(b)=B2.
 
     Built in the normalized coordinate s = (t-a)/(b-a) from the standard
-    Hermite basis, then expanded to monomial coefficients in t.
+    Hermite basis, then expanded to monomial coefficients in t.  The data
+    must be finite numbers, and the scale (b-a)^4 a finite nonzero double;
+    that bound keeps each divisor (b-a)^k, k <= 3, finite and nonzero too.
     """
-    if not all(np.isfinite(v) for v in (a, b, A1, B1, A2, B2)):
-        raise ValueError("boundary data must be finite")
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a!r}, b={b!r}")
+    for name, val in zip(("a", "b", "A1", "B1", "A2", "B2"), (a, b, A1, B1, A2, B2)):
+        if not (_is_number(val) and abs(val) <= sys.float_info.max):  # an int may exceed it
+            raise ValueError(f"{name} must be a finite number, got {val!r}")
+    try:  # b - a overflows to inf, (b - a)^4 to an OverflowError
+        ok = a < b and 0.0 < (float(b) - float(a)) ** 4 < math.inf
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"need a < b and (b-a)^4 a finite nonzero double, got a={a!r}, b={b!r}")
     L = b - a
     gap = B1 - A1
     m0 = L * A2
@@ -206,9 +210,7 @@ class CanonicalProblem:
             return None
         t = self.raw.a + self.length * grid.nodes
         w = evaluate(self.raw.exact, t, 0.0, 0.0, 0.0, 0.0)
-        vals = np.broadcast_to(np.asarray(w, dtype=float), grid.nodes.shape).copy()
-        vals -= self.shift.value(t)
-        return GridFunction(grid, vals)
+        return GridFunction(grid, np.asarray(w, dtype=float) - self.shift.value(t))
 
 
 def canonicalize(raw: RawProblem) -> CanonicalProblem:
@@ -250,8 +252,8 @@ def canonicalize(raw: RawProblem) -> CanonicalProblem:
     return CanonicalProblem(rhs=body, raw=raw, shift=shift, length=float(L))
 
 
-@dataclass(frozen=True)
-class RecoveredSolution:
+@dataclass(frozen=True, eq=False)
+class RecoveredSolution(_Frozen):
     """Raw-coordinate samples w(t_i) = u(x_i) + P(t_i), optionally w'."""
 
     t: np.ndarray
@@ -259,13 +261,7 @@ class RecoveredSolution:
     dw: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
-        self.t.setflags(write=False)
-        self.w.setflags(write=False)
-        if self.dw is not None:
-            object.__setattr__(self, "dw", np.asarray(self.dw, dtype=float))
-            self.dw.setflags(write=False)
+        self._own("t", "w", "dw")
 
 
 def recover_solution(u: GridFunction, problem: CanonicalProblem,

@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 from typing import Optional
 
 import numpy as np
@@ -34,7 +33,8 @@ from .numerics import (
     Grid,
     GridFunction,
     _diff5_finite,
-    _refreeze,
+    _Frozen,
+    _is_number,
     _simpson,
     diff5,
     solve_second_order_bvp,
@@ -96,7 +96,7 @@ def triplet_distance(s1: Triplet, s2: Triplet) -> float:
 
 
 @dataclass(frozen=True)
-class IterateProfile:
+class IterateProfile(_Frozen):
     """The candidate solution an iteration state induces: u and u''.
 
     The slopes du = u' and d3u = u''' are diff5 of u and d2u, plain
@@ -123,9 +123,8 @@ class SolverConfig:
 
     def __post_init__(self):
         Grid(self.n)  # borrow the grid-size rule (even, >= 8)
-        tol = self.tol
-        if isinstance(tol, bool) or not (isinstance(tol, Real) and 0 < tol < math.inf):
-            raise ValueError(f"tol must be a positive number, got {tol!r}")
+        if not (_is_number(self.tol) and 0 < self.tol < math.inf):
+            raise ValueError(f"tol must be a positive number, got {self.tol!r}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
             raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
@@ -133,7 +132,7 @@ class SolverConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class SolveReport:
+class SolveReport(_Frozen):
     """Outcome of a solve: final iterate, history and diagnostics.
 
     e_history[k-1] holds e(k) for k = 1..iterations; eu_history lines up
@@ -150,7 +149,7 @@ class SolveReport:
     the rounding floor, or the map could not be evaluated or overflowed),
     "iteration-limit" (max_iter passes without reaching tol) or "floor"
     (e(k) stalled at the rounding floor, above tol).  It is None on success.
-    A report, which holds arrays, is equal only to itself.
+    A report owns read-only copies of its histories and is equal only to itself.
     """
 
     converged: bool
@@ -164,12 +163,7 @@ class SolveReport:
     failure: Optional[str] = None
 
     def __post_init__(self):
-        for history in (self.e_history, self.eu_history):
-            if history is not None:
-                history.setflags(write=False)
-
-    def __setstate__(self, state):
-        _refreeze(self, state)
+        self._own("e_history", "eu_history")
 
     @property
     def grid(self) -> Grid:
@@ -303,8 +297,8 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         return SolveReport(
             converged=failure is None,
             iterations=len(e_hist),
-            e_history=np.asarray(e_hist, dtype=float),
-            eu_history=None if eu_hist is None else np.asarray(eu_hist, dtype=float),
+            e_history=e_hist,
+            eu_history=eu_hist,
             profile=profile,
             triplet=state,
             residual=res,

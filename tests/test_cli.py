@@ -509,6 +509,17 @@ class TestInputHandling:
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert taken.read_text() == "kept\n"
 
+    @pytest.mark.parametrize("interval", ["b = 1e80", "a = -1e308\nb = 1e308"],
+                             ids=["scale-overflows", "length-overflows"])
+    def test_interval_too_long(self, interval, tmp_path, capsys):
+        # (b-a)^4 or b - a overflows: an input error, before canonicalize
+        path = _problem_file(tmp_path, f"f = u + 1\n{interval}\n")
+        out = tmp_path / "out"
+        assert main(["solve", path, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "(b-a)^4 a finite nonzero double" in err
+        assert not out.exists()
+
     def test_unknown_key_named_with_line(self, tmp_path, capsys):
         path = _problem_file(tmp_path, "f = u\ngamma = 2\n")
         assert main(["solve", path, "--out-dir", str(tmp_path)]) == 2

@@ -7,6 +7,7 @@ against manufactured solutions for the convergence order.
 """
 
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -105,6 +106,16 @@ class TestGridFunction:
         assert f != g and not f == g
         assert hash(f) == hash(f)
         assert len({f, g, f}) == 2
+
+    def test_pickle_keeps_only_the_fields(self):
+        # the recorded sup is dropped, so diff5 of the copy scans its output
+        # again; its bits are the original's
+        f = GridFunction.sample(Grid(16), lambda x: np.sin(3.0 * x))
+        assert f.__getstate__().keys() == {"grid", "values"}
+        copy = pickle.loads(pickle.dumps(f))
+        assert vars(copy).keys() == {"grid", "values"}
+        assert not copy.values.flags.writeable
+        assert diff5(copy).values.tobytes() == diff5(f).values.tobytes()
 
 
 class TestSimpson:

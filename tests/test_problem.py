@@ -8,6 +8,7 @@ numpy.polynomial, which the package itself does not import.
 """
 
 import math
+import pickle
 import struct
 import subprocess
 import sys
@@ -23,12 +24,13 @@ import clampbeam
 import clampbeam.problem as problem_module
 from clampbeam.examples import get_example
 from clampbeam.expr import evaluate, parse
-from clampbeam.numerics import Grid
+from clampbeam.numerics import Grid, GridFunction, diff5
 from clampbeam.problem import (
     CanonicalProblem,
     CubicInterpolant,
     ProblemFormatError,
     RawProblem,
+    RecoveredSolution,
     canonicalize,
     hermite_cubic,
     load_problem_file,
@@ -92,6 +94,15 @@ class TestHermiteCubic:
             hermite_cubic(1.0, 1.0, 0, 0, 0, 0)
         with pytest.raises(ValueError):
             hermite_cubic(2.0, 1.0, 0, 0, 0, 0)
+        # (b-a)^4 overflows, b - a overflows, (b-a)^4 underflows to 0
+        for a, b in [(0.0, 1e80), (-1e308, 1e308), (0.0, 1e-90)]:
+            with pytest.raises(ValueError, match=r"\(b-a\)\^4 a finite nonzero double"):
+                hermite_cubic(a, b, 0, 0, 0, 0)
+        # bools and non-numbers get the package's error, not numpy's
+        for args in [(0, True, 0, 0, 0, 0), ("0", 1, 0, 0, 0, 0), (0, 1, 0, 0, None, 0),
+                     (0, 1, 10**400, 0, 0, 0)]:
+            with pytest.raises(ValueError, match="must be a finite number"):
+                hermite_cubic(*args)
 
 
 def _numpy_compose(coeffs, a, L):
@@ -189,6 +200,12 @@ class TestRawProblem:
             RawProblem(rhs=rhs, A1=float("inf"))
         with pytest.raises(ValueError, match="variable x"):
             RawProblem(rhs=rhs, exact=parse("x + u"))
+        for bad in [dict(b=True), dict(B2=True), dict(a="0"), dict(A1=None), dict(b=10**400)]:
+            with pytest.raises(ValueError, match="must be a finite number"):
+                RawProblem(rhs=rhs, **bad)
+        for bad in [dict(b=1e80), dict(a=-1e308, b=1e308), dict(b=1e-90)]:
+            with pytest.raises(ValueError, match=r"\(b-a\)\^4 a finite nonzero double"):
+                RawProblem(rhs=rhs, **bad)
 
     def test_homogeneous_unit_detection(self):
         rhs = parse("u")
@@ -262,7 +279,6 @@ class TestRecoverSolution:
         raw = RawProblem(rhs=parse("1"), a=1.0, b=3.0, A1=2.0, B1=4.0, A2=-1.0, B2=0.5)
         cp = canonicalize(raw)
         g = Grid(10)
-        from clampbeam.numerics import GridFunction
         u = GridFunction.sample(g, lambda x: x**2 * (1 - x) ** 2)
         du = GridFunction.sample(g, lambda x: 2 * x * (1 - x) * (1 - 2 * x))
         rec = recover_solution(u, cp, du)
@@ -275,10 +291,33 @@ class TestRecoverSolution:
     def test_without_slope(self):
         cp = canonicalize(RawProblem(rhs=parse("1")))
         g = Grid(8)
-        from clampbeam.numerics import GridFunction
         rec = recover_solution(GridFunction.sample(g, lambda x: 0.0 * x), cp)
         assert rec.dw is None
         np.testing.assert_array_equal(rec.t, g.nodes)
+
+    @staticmethod
+    def _recovered(times=1):
+        cp = get_example(3).canonical()
+        u = GridFunction.sample(Grid(16), lambda x: x**2 * (1 - x) ** 2)
+        return [recover_solution(u, cp, diff5(u)) for _ in range(times)]
+
+    def test_pickled_arrays_stay_read_only(self):
+        rec = pickle.loads(pickle.dumps(self._recovered()[0]))
+        assert not any(a.flags.writeable for a in (rec.t, rec.w, rec.dw))
+
+    def test_owns_copies_of_the_callers_arrays(self):
+        t, w, dw = np.linspace(0.0, 2.0, 9), np.ones(9), np.zeros(9)
+        rec = RecoveredSolution(t=t, w=w, dw=dw)
+        for mine, kept in ((t, rec.t), (w, rec.w), (dw, rec.dw)):
+            assert mine.flags.writeable and not kept.flags.writeable
+            assert not np.shares_memory(mine, kept)
+
+    def test_equal_only_to_itself(self):
+        # ndarray fields would make == ask numpy for a truth value and hash fail
+        first, second = self._recovered(times=2)
+        assert first == first and second == second
+        assert first != second and not first == second
+        assert len({first, second, first}) == 2
 
 
 class TestProblemFiles:

@@ -359,6 +359,14 @@ class TestStepAndResidual:
         with pytest.raises(ValueError):
             rep2.profile.u.values[3] = 1e300
 
+    def test_report_owns_copies_of_the_callers_histories(self):
+        rep = solve(get_example(1).canonical(), SolverConfig(n=16))
+        mine = np.arange(3.0)
+        moved = dataclasses.replace(rep, e_history=mine, eu_history=mine)
+        for kept in (moved.e_history, moved.eu_history):
+            assert not kept.flags.writeable and not np.shares_memory(mine, kept)
+        assert mine.flags.writeable
+
     def test_step_reduces_distance_to_limit(self):
         cp = get_example(4).canonical()
         rep = solve(cp, SolverConfig(n=50))
