@@ -20,7 +20,9 @@ sides that cannot be differentiated symbolically (abs) fall back to a
 centered finite-difference probe, itself one expression, on the same lattice.
 
 sup|f| and K1..K4 are each the largest |value| of one expression on the
-lattice, read off its exact least and greatest values.  Where the chain of
+lattice, read off its exact least and greatest values.  A constant partial
+(a literal, or one that folds to a finite literal c) needs no lattice: its
+sup is |c|.  Where the chain of
 +, -, * and unary minus at the root of the compiled expression spans more
 than _BLOCK values, it is not evaluated point by point: a pair (lo, hi) is
 carried up it from its leaves, each evaluated only on the sub-lattice of
@@ -226,9 +228,11 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
     once broadcasts to points^k values for the k axes f reads; _blocks cuts
     that evaluation into slabs.
     """
+    steps = np.arange(spec.points)
     env = {}
     for idx, (name, (lo, hi)) in enumerate(zip(_AXES, box.axis_intervals())):
-        pts = np.linspace(lo, hi, spec.points)
+        pts = steps * ((hi - lo) / (spec.points - 1)) + lo  # np.linspace, bit for bit
+        pts[-1] = hi
         shape = [1] * len(_AXES)
         shape[idx] = spec.points
         env[name] = pts.reshape(shape)
@@ -406,8 +410,16 @@ def _sup_on_lattice(expression: Expression, env: dict,
 
     A failure rescans the lattice's slabs in C order and names the first
     undefined point of the first that fails; an axis the expression does
-    not read takes its first value.
+    not read takes its first value.  An expression that is, or folds to, a
+    finite constant c needs no lattice: its sup is |c|.
     """
+    c = expression.value if isinstance(expression, Num) else None  # compiles nothing
+    if c is None:
+        program = _program(expression)
+        if not (program.code or program.reads):
+            c = program.template[program.result]
+    if c is not None and math.isfinite(c):
+        return float(max(0.0, c, -c))  # as below, -0.0 gives +0.0
     program = _program(expression)
     try:
         lo, hi = _extremes(program, expression, env)

@@ -150,28 +150,27 @@ _TOKEN_RE = re.compile(
   | (?P<number>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op>[-+*/^()])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
 def _tokenize(source: str):
     tokens = []
-    pos = 0
-    while pos < len(source):
-        m = _TOKEN_RE.match(source, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {source[pos]!r}", source, pos)
-        if m.lastgroup == "number":
+    for m in _TOKEN_RE.finditer(source):
+        kind, pos = m.lastgroup, m.start()
+        if kind == "number":
             value = float(m.group())
             if not math.isfinite(value):
                 raise ExprSyntaxError("number literal overflows a double", source, pos)
             tokens.append(("number", value, pos))
-        elif m.lastgroup == "ident":
+        elif kind == "ident":
             tokens.append(("ident", m.group(), pos))
-        elif m.lastgroup == "op":
+        elif kind == "op":
             tokens.append((m.group(), m.group(), pos))
-        pos = m.end()
+        elif kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}", source, pos)
     tokens.append(("end", "", len(source)))
     return tokens
 
@@ -443,9 +442,9 @@ class _Program(NamedTuple):
 class _Compiler:
     """Builds the unfolded _Program of one root; _fold fills in its reads.
 
-    Equal subtrees, found by value, share one slot.  An instruction's node is
-    None for the root itself: the program is kept on its root, so it must not
-    hold it.
+    Equal subtrees, found by value, share one slot; a subtree the tree holds
+    more than once is walked once.  An instruction's node is None for the
+    root itself: the program is kept on its root, so it must not hold it.
     """
 
     def __init__(self, root: Expression):
@@ -453,6 +452,7 @@ class _Compiler:
         self.template: list = [None] * len(VARIABLES)
         self.code: list = []
         self.keys: dict = {}
+        self.walked: dict = {}  # id(node): its slot
 
     def program(self) -> _Program:
         return _Program(self.template, self.code, self.slot(self.root), ())
@@ -471,6 +471,16 @@ class _Compiler:
         return slot
 
     def slot(self, node) -> int:
+        if isinstance(node, Var):
+            return _VARIABLE_SLOTS[node.name]
+        if isinstance(node, Num):
+            return self.emit((type(node.value), repr(node.value)), value=node.value)
+        slot = self.walked.get(id(node))
+        if slot is None:
+            slot = self.walked[id(node)] = self.walk(node)
+        return slot
+
+    def walk(self, node) -> int:
         if isinstance(node, BinOp):
             a = self.slot(node.left)
             if node.op == "^":
@@ -480,10 +490,6 @@ class _Compiler:
                     return self.emit(("^k", a, k), _repeated_power, a, k_slot, node)
             b = self.slot(node.right)
             return self.emit((node.op, a, b), _BINARY[node.op], a, b, node)
-        if isinstance(node, Var):
-            return _VARIABLE_SLOTS[node.name]
-        if isinstance(node, Num):
-            return self.emit((type(node.value), repr(node.value)), value=node.value)
         if isinstance(node, Call):
             a = self.slot(node.arg)
             return self.emit((node.fn, a), _call, a, a, node)
@@ -709,36 +715,30 @@ def differentiate(expr: Expression, var: str) -> Expression:
     """
     if var not in ("u", "y", "v", "z"):
         raise ValueError(f"derivative target must be one of u, y, v, z, got {var!r}")
-    return _diff(expr, var)
+    partial = _diff(expr, var)
+    return _num(0.0) if partial is None else partial
 
 
 def _diff(node, var):
-    if var not in variables_in(node):
-        # a subtree free of the target differentiates to zero, even when
-        # it contains functions with no pointwise rule (abs)
-        return _num(0.0)
-    if isinstance(node, Var):
-        return _num(1.0)
-    if isinstance(node, Neg):
-        return _neg(_diff(node.operand, var))
-    if isinstance(node, Call):
-        rule = _CHAIN.get(node.fn)
-        if rule is None:
-            raise ExprDerivativeError(
-                f"no derivative rule for '{node.fn}' in '{to_source(node)}'")
-        return _mul(rule(node.arg), _diff(node.arg, var))
+    """d node / d var, or None when node does not read var.
+
+    One walk: a node learns whether it reads var from its operands' results,
+    and a subtree free of the target differentiates to zero, even when it
+    contains functions with no pointwise rule (abs).
+    """
     if isinstance(node, BinOp):
         a, b = node.left, node.right
-        da = _diff(a, var)
+        da, db = _diff(a, var), _diff(b, var)
+        if da is None and db is None:
+            return None
+        if node.op == "^" and db is None:
+            # power rule: the exponent does not involve the target variable
+            return _mul(_mul(b, _pow(a, _sub(b, _num(1.0)))), da)
+        da, db = (_num(0.0) if d is None else d for d in (da, db))
         if node.op == "^":
-            if var not in variables_in(b):
-                # power rule: the exponent does not involve the target variable
-                return _mul(_mul(b, _pow(a, _sub(b, _num(1.0)))), da)
-            db = _diff(b, var)
             # general case via exp(b*log(a)); defined for a > 0
             inner = _add(_mul(db, Call("log", a)), _mul(b, _div(da, a)))
             return _mul(_pow(a, b), inner)
-        db = _diff(b, var)
         if node.op == "+":
             return _add(da, db)
         if node.op == "-":
@@ -746,6 +746,22 @@ def _diff(node, var):
         if node.op == "*":
             return _add(_mul(da, b), _mul(a, db))
         return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, _num(2.0)))
+    if isinstance(node, Var):
+        return _num(1.0) if node.name == var else None
+    if isinstance(node, Num):
+        return None
+    if isinstance(node, Call):
+        rule = _CHAIN.get(node.fn)
+        if rule is None:  # the argument is not walked again below, so this stays linear
+            if var in variables_in(node.arg):
+                raise ExprDerivativeError(
+                    f"no derivative rule for '{node.fn}' in '{to_source(node)}'")
+            return None
+        d = _diff(node.arg, var)
+        return None if d is None else _mul(rule(node.arg), d)
+    if isinstance(node, Neg):
+        d = _diff(node.operand, var)
+        return None if d is None else _neg(d)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -754,7 +770,11 @@ def _diff(node, var):
 
 
 def substitute(expr: Expression, mapping: dict) -> Expression:
-    """Replace variables by expressions, rebuilding the tree."""
+    """Replace variables by expressions, rebuilding the subtrees that change.
+
+    A subtree that reads no mapped variable is shared with expr, so expr
+    itself comes back when it reads none.
+    """
     for key in mapping:
         if key not in VARIABLES:
             raise ValueError(f"cannot substitute unknown variable {key!r}")
@@ -762,16 +782,22 @@ def substitute(expr: Expression, mapping: dict) -> Expression:
 
 
 def _subst(node, mapping):
-    if isinstance(node, Num):
-        return node
+    """node with the mapped variables replaced; a subtree nothing in changes is kept."""
+    if isinstance(node, BinOp):
+        left, right = _subst(node.left, mapping), _subst(node.right, mapping)
+        if left is node.left and right is node.right:
+            return node
+        return BinOp(node.op, left, right)
     if isinstance(node, Var):
         return mapping.get(node.name, node)
-    if isinstance(node, Neg):
-        return Neg(_subst(node.operand, mapping))
-    if isinstance(node, BinOp):
-        return BinOp(node.op, _subst(node.left, mapping), _subst(node.right, mapping))
+    if isinstance(node, Num):
+        return node
     if isinstance(node, Call):
-        return Call(node.fn, _subst(node.arg, mapping))
+        arg = _subst(node.arg, mapping)
+        return node if arg is node.arg else Call(node.fn, arg)
+    if isinstance(node, Neg):
+        operand = _subst(node.operand, mapping)
+        return node if operand is node.operand else Neg(operand)
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -132,9 +132,11 @@ def hermite_cubic(a: float, b: float, A1: float, B1: float, A2: float, B2: float
     must be finite numbers, and the scale (b-a)^4 a finite nonzero double;
     that bound keeps each divisor (b-a)^k, k <= 3, finite and nonzero too.
     """
-    for name, val in zip(("a", "b", "A1", "B1", "A2", "B2"), (a, b, A1, B1, A2, B2)):
-        if not (_is_number(val) and abs(val) <= sys.float_info.max):  # an int may exceed it
-            raise ValueError(f"{name} must be a finite number, got {val!r}")
+    data = (a, b, A1, B1, A2, B2)  # plain finite floats, as problem files give, pass at once
+    if not all(type(val) is float and -math.inf < val < math.inf for val in data):
+        for name, val in zip(("a", "b", "A1", "B1", "A2", "B2"), data):
+            if not (_is_number(val) and abs(val) <= sys.float_info.max):  # an int may exceed it
+                raise ValueError(f"{name} must be a finite number, got {val!r}")
     try:  # b - a overflows to inf, (b - a)^4 to an OverflowError
         ok = a < b and 0.0 < (float(b) - float(a)) ** 4 < math.inf
     except OverflowError:
@@ -325,7 +327,7 @@ def parse_problem_text(text: str) -> LoadedProblem:
             except ValueError:
                 raise ProblemFormatError(
                     f"line {lineno}: {key} needs a number, got {value!r}") from None
-            if not np.isfinite(number):
+            if not math.isfinite(number):
                 raise ProblemFormatError(f"line {lineno}: {key} must be finite")
             seen[key] = number
         else:

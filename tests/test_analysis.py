@@ -31,8 +31,10 @@ from clampbeam.analysis import (
 )
 from clampbeam.examples import get_example
 from clampbeam.expr import (
-    BinOp, Call, ExprEvalError, Neg, Num, Var, _program, evaluate, parse, substitute,
+    BinOp, Call, ExprDerivativeError, ExprEvalError, Neg, Num, Var, _program, differentiate,
+    evaluate, parse, substitute,
 )
+from clampbeam.problem import canonicalize, parse_problem_text
 from clampbeam.kernels import KERNEL_BOUNDS
 
 ROOT3 = math.sqrt(3.0)
@@ -621,6 +623,146 @@ class TestFailures:
             outcome = _outcome(tree, M, (0, 0, 0, 0), 5)
         what = "right-hand side undefined inside the box"
         assert outcome == (DomainSamplingError, _failure_message(tree, what, point), point)
+
+
+def _linspace_env(box, points):
+    """The lattice axes as np.linspace builds them, each broadcastable on its own axis."""
+    return {name: np.linspace(lo, hi, points).reshape([points if k == i else 1 for k in range(5)])
+            for i, (name, (lo, hi)) in enumerate(zip("xuyvz", box.axis_intervals()))}
+
+
+def _reference_sup(expression, env, what):
+    """max |expression| from an evaluation of every lattice point, constants
+    included; a failure is named as the check names it."""
+    try:
+        lo, hi = _reference_extremes(_program(expression), expression, env)
+    except ExprEvalError:
+        return analysis._sup_on_lattice(expression, env, what)  # raises
+    return float(max(0.0, hi, -lo))
+
+
+def _reference_check(rhs, M, points):
+    """(sup_f, ks, fd_fallback) from _reference_sup of f and of each partial or
+    probe, or the failure's type, message and point."""
+    box = DomainBox(M)
+    env = _linspace_env(box, points)
+    intervals = dict(zip("xuyvz", box.axis_intervals()))
+    try:
+        sup_f = _reference_sup(rhs, env, "right-hand side undefined inside the box")
+        ks, fd = [], []
+        for var in "uyvz":
+            try:
+                partial = differentiate(rhs, var)
+                what = f"partial derivative df/d{var} undefined inside the box"
+            except ExprDerivativeError:
+                lo, hi = intervals[var]
+                partial = _probe(rhs, var, 1e-6 * (hi - lo))
+                what = "finite-difference probe left the domain of f"
+                fd.append(var)
+            ks.append(_reference_sup(partial, env, what))
+    except DomainSamplingError as err:
+        return type(err), str(err), err.point
+    return repr(sup_f), repr(tuple(ks)), tuple(fd)
+
+
+# The certify benchmark's right sides: the examples with coefficients
+# shrunk, and the two shapes whose partials need finite differences.
+CERTIFY_TEXTS = [
+    "f = 12.0 + 0.49*u*z - 0.24*y*v + 0.25*y\nM = 36.0\n",
+    "f = 1.0*x + 0.97*x^2 + 0.93*u^2*v + 0.9*y*sin(z)\nM = 5.0\n",
+    "f = 0.95*u^2*sin(u) + 0.9*sin(x)\nA1 = 1.0\nM = 6.0\n",
+    "f = 0.97*u*sin(u) + 0.93*exp(-x^2)\nA1 = 1.0\nM = 6.0\n",
+    "f = 1.0*sqrt(u)*sin(exp(u)) + 1.0*exp(-x^2)\nA1 = 1.0\nM = 5.0\n",
+    "f = 0.91*u^5\nB1 = 1.87\nB2 = 5.61\nM = 100.0\n",
+    "f = 0.5*abs(y) + 0.75*x\nM = 5.0\n",
+    "f = 0.25*abs(u - 0.3*v) + 0.8*exp(-x^2)\nM = 4.0\n",
+    "f = sqrt(u + 0.7*(1 - 3*x^2 + 2*x^3))*sin(exp(u + 0.7*(1 - 3*x^2 + 2*x^3))) + exp(-x^2)\n"
+    "M = 5.0\n",
+]
+
+
+def _rebuilt(node):
+    """An equal tree in which no subtree object is held twice."""
+    if isinstance(node, BinOp):
+        return BinOp(node.op, _rebuilt(node.left), _rebuilt(node.right))
+    if isinstance(node, Neg):
+        return Neg(_rebuilt(node.operand))
+    if isinstance(node, Call):
+        return Call(node.fn, _rebuilt(node.arg))
+    return Num(node.value) if isinstance(node, Num) else Var(node.name)
+
+
+class TestFrontEnd:
+    """What a check does before the lattice: axes, partials, constants, probes."""
+
+    @pytest.mark.parametrize("M", [1.0, 4.0, 5.0, 6.0, 36.0, 100.0, 1.0 / 3.0, 1e-300, 1e300])
+    def test_lattice_axes_equal_linspace_bit_for_bit(self, M):
+        box = DomainBox(M)
+        for points in range(5, 70):
+            env = _lattice_env(box, LatticeSpec(points=points))
+            expected = _linspace_env(box, points)
+            for name in "xuyvz":
+                assert env[name].shape == expected[name].shape
+                assert env[name].tobytes() == expected[name].tobytes()
+
+    @pytest.mark.parametrize("points", [5, 9, 17])
+    @pytest.mark.parametrize("source", [f"example:{i}" for i in range(1, 7)] + CERTIFY_TEXTS)
+    def test_reports_equal_every_partial_on_the_lattice(self, source, points):
+        if source.startswith("example:"):
+            ex = get_example(int(source.split(":")[1]))
+            rhs, M = ex.canonical().rhs, ex.M
+        else:
+            loaded = parse_problem_text(source)
+            rhs, M = canonicalize(loaded.raw).rhs, loaded.M
+        got = _outcome(rhs, M, None, points)
+        if isinstance(got, ConditionReport):
+            got = repr(got.sup_f), repr(got.ks), got.fd_fallback
+        assert got == _reference_check(rhs, M, points)
+
+    def test_a_literal_needs_no_program(self, monkeypatch):
+        env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
+        monkeypatch.setattr(analysis, "_program", None)  # a compile would fail
+        assert repr(analysis._sup_on_lattice(Num(-0.0), env)) == "0.0"
+        assert repr(analysis._sup_on_lattice(Num(0.0), env)) == "0.0"
+        assert analysis._sup_on_lattice(Num(-2.5), env) == 2.5
+
+    def test_negative_zero_right_side_gives_positive_zero(self):
+        report = check_conditions(parse("-0"), 1.0)
+        assert repr(report.sup_f) == "0.0" and repr(report.ks) == "(0.0, 0.0, 0.0, 0.0)"
+
+    @pytest.mark.parametrize("source, k1", [
+        ("-2.5*u + x", 2.5),                       # a negative literal
+        ("u*cos(2) + x", float(abs(np.cos(2.0)))),  # a partial that folds to a literal
+    ])
+    def test_constant_partials_skip_the_lattice(self, source, k1, monkeypatch):
+        rhs = parse(source)
+        runs, extremes = [], analysis._extremes
+        monkeypatch.setattr(analysis, "_extremes",
+                            lambda program, root, env: runs.append(root) or extremes(program, root, env))
+        report = check_conditions(rhs, 1.0)
+        assert report.ks == (k1, 0.0, 0.0, 0.0)
+        assert runs == [rhs]  # f alone reached the lattice
+
+    def test_an_overflowing_literal_partial_still_fails(self):
+        rhs = parse("1e308*u*10")
+        assert differentiate(rhs, "u") == Num(math.inf)
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(rhs, 1.0, lattice=LatticeSpec(points=5))
+        point = tuple(lo for lo, _ in DomainBox(1.0).axis_intervals())
+        assert info.value.point == point
+        assert str(info.value) == _failure_message(
+            Num(math.inf), "partial derivative df/du undefined inside the box", point)
+
+    @pytest.mark.parametrize("points", [9, 17])
+    @pytest.mark.parametrize("text, M", [
+        ("0.25*abs(u - 0.3*v) + 0.8*exp(-x^2)", 4.0), ("0.5*abs(y) + 0.75*x", 5.0),
+        ("0.2*abs(u - 0.3*v)*y*z + 0.8*exp(-x^2)", 4.0), ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0),
+    ])
+    def test_probes_sharing_subtrees_give_the_same_reports(self, text, M, points, monkeypatch):
+        rhs = parse(text)
+        shared = _outcome(rhs, M, None, points)
+        monkeypatch.setattr(analysis, "substitute", lambda e, m: _rebuilt(substitute(e, m)))
+        assert repr(_outcome(rhs, M, None, points)) == repr(shared)
 
 
 class TestConditionReport:

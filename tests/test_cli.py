@@ -1,4 +1,5 @@
-"""Command-line workflows, exercised in process through main(argv).
+"""Command-line workflows, exercised in process through main(argv), and
+the module entry points in a child process.
 
 Artifact contracts checked here: CSV numbers carry 17 significant digits
 so doubles survive a write/read cycle, runs are byte-deterministic, and a
@@ -8,13 +9,18 @@ its residual.
 
 import csv
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import clampbeam
 from clampbeam import cli
 from clampbeam.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from clampbeam.expr import evaluate
@@ -547,3 +553,25 @@ class TestInputHandling:
                      "--out-dir", str(chosen)]) == 0
         assert (chosen / "solution.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+def _run_module(*args):
+    """python -m args in a child process that imports this checkout's clampbeam."""
+    src = str(Path(clampbeam.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+
+
+class TestModuleEntryPoints:
+    @pytest.mark.parametrize("module", ["clampbeam", "clampbeam.cli"])
+    def test_examples_list(self, module):
+        out = _run_module(module, "examples", "--list")
+        assert out.returncode == 0
+        assert "example 1" in out.stdout
+
+    @pytest.mark.parametrize("module", ["clampbeam", "clampbeam.cli"])
+    def test_missing_problem_file_is_an_input_error(self, module, tmp_path):
+        out = _run_module(module, "check", str(tmp_path / "missing.txt"), "--out-dir", str(tmp_path))
+        assert out.returncode == 2
+        assert out.stderr.startswith("error:") and out.stdout == ""

@@ -229,6 +229,18 @@ class TestSubstitute:
         with pytest.raises(ValueError, match="unknown variable"):
             substitute(parse("u"), {"q": Num(1.0)})
 
+    def test_a_tree_free_of_the_mapped_variables_comes_back_itself(self):
+        tree = parse("sin(x)*y + exp(-z^2)/v")
+        assert substitute(tree, {"u": parse("x^2")}) is tree
+        assert substitute(tree, {}) is tree
+
+    def test_only_the_path_to_a_mapped_variable_is_rebuilt(self):
+        tree = parse("sin(x)*y + exp(-z^2)*u")
+        out = substitute(tree, {"u": Num(2.0)})
+        assert out == parse("sin(x)*y + exp(-z^2)*2")
+        assert out.left is tree.left and out.right.left is tree.right.left
+        assert out is not tree and out.right is not tree.right
+
 
 class TestRendering:
     @pytest.mark.parametrize("source", GOLDEN_SOURCES)
@@ -315,6 +327,85 @@ class TestRenderingProperty:
         if abs(fd) > 1e6:  # wildly curved near a domain edge; FD unreliable
             return
         assert sym == pytest.approx(fd, rel=5e-4, abs=5e-4)
+
+
+def _naive_diff(node, var):
+    """Reference partial: the rules read directly, asking at every node
+    whether its subtree reads var (quadratic in the depth)."""
+    m = expr_module
+    if var not in variables_in(node):
+        return m._num(0.0)
+    if isinstance(node, Var):
+        return m._num(1.0)
+    if isinstance(node, Neg):
+        return m._neg(_naive_diff(node.operand, var))
+    if isinstance(node, Call):
+        rule = m._CHAIN.get(node.fn)
+        if rule is None:
+            raise ExprDerivativeError(f"no derivative rule for '{node.fn}' in '{to_source(node)}'")
+        return m._mul(rule(node.arg), _naive_diff(node.arg, var))
+    a, b = node.left, node.right
+    da = _naive_diff(a, var)
+    if node.op == "^":
+        if var not in variables_in(b):
+            return m._mul(m._mul(b, m._pow(a, m._sub(b, m._num(1.0)))), da)
+        db = _naive_diff(b, var)
+        inner = m._add(m._mul(db, Call("log", a)), m._mul(b, m._div(da, a)))
+        return m._mul(m._pow(a, b), inner)
+    db = _naive_diff(b, var)
+    if node.op == "+":
+        return m._add(da, db)
+    if node.op == "-":
+        return m._sub(da, db)
+    if node.op == "*":
+        return m._add(m._mul(da, b), m._mul(a, db))
+    return m._div(m._sub(m._mul(da, b), m._mul(a, db)), m._pow(b, m._num(2.0)))
+
+
+def _partial_outcome(fn, tree, var):
+    """repr of the partial (so -0.0 and 0.0 differ), or the error's type and message."""
+    try:
+        return repr(fn(tree, var))
+    except ExprDerivativeError as err:
+        return type(err), str(err)
+
+
+def _node_count(node) -> int:
+    children = {BinOp: ("left", "right"), Neg: ("operand",), Call: ("arg",)}.get(type(node), ())
+    return 1 + sum(_node_count(getattr(node, name)) for name in children)
+
+
+class TestLinearDifferentiate:
+    @settings(max_examples=300)
+    @given(tree=st.one_of(_trees(), _trees(4),
+                          st.tuples(_trees(2), _trees(2)).map(
+                              lambda t: substitute(t[0], {"u": t[1], "v": t[1]}))),
+           var=st.sampled_from("uyvz"))
+    def test_equals_the_naive_rules(self, tree, var):
+        assert _partial_outcome(differentiate, tree, var) == _partial_outcome(_naive_diff, tree, var)
+
+    @pytest.mark.parametrize("source", [
+        "abs(abs(u) + y)", "abs(x)*u + abs(y)", "sin(abs(v))*abs(u)", "u^abs(y)", "abs(u)^y",
+        "u - u", "-0*u", "(u*0)^2", "exp(y)^u", "(u + 1)^(u*0)",
+    ])
+    def test_fixed_cases_equal_the_naive_rules(self, source):
+        for var in "uyvz":
+            assert _partial_outcome(differentiate, parse(source), var) == \
+                _partial_outcome(_naive_diff, parse(source), var)
+
+    @pytest.mark.parametrize("source", [
+        "u" + " + u" * 99, "(" * 45 + "u" + "*y + 1)" * 45, "sin(" * 99 + "u*v" + ")" * 99])
+    def test_each_node_is_met_once(self, source, monkeypatch):
+        # and no node asks again which variables its subtree reads
+        tree = parse(source)
+        calls, real = [], expr_module._diff
+        monkeypatch.setattr(expr_module, "_diff",
+                            lambda node, var: calls.append(node) or real(node, var))
+        monkeypatch.setattr(expr_module, "variables_in", None)
+        for var in "uyvz":
+            calls.clear()
+            differentiate(tree, var)
+            assert len(calls) == _node_count(tree)
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +638,18 @@ class TestCompiledProgram:
         for env in (POINT, (XS[::5],) + tuple(a[::5] for a in _profile(-1.3)),
                     tuple(lattice[name] for name in "xuyvz")):
             assert _outcome(evaluate, tree, *env) == _outcome(_walk_evaluate, tree, *env)
+
+    def test_a_subtree_held_twice_is_walked_once(self, monkeypatch):
+        shared = parse("sin(u + x^2)")
+        tree = BinOp("+", shared, BinOp("*", shared, Var("y")))
+        walked, real = [], expr_module._Compiler.walk
+        monkeypatch.setattr(expr_module._Compiler, "walk",
+                            lambda self, node: walked.append(node) or real(self, node))
+        program = expr_module._Compiler(tree).program()
+        assert len(walked) == 5  # +, sin, u + x^2, x^2 and *, each once
+        copy = parse(to_source(tree))  # the same tree with no subtree held twice
+        assert copy == tree and copy.left is not copy.right.left
+        assert repr(expr_module._Compiler(copy).program()) == repr(program)
 
     def test_equal_subtrees_share_one_instruction(self):
         # u + P(x) of a shifted problem appears once per occurrence of u in F
