@@ -22,26 +22,23 @@ centered finite-difference probe, itself one expression, on the same lattice.
 sup|f| and K1..K4 are each the largest |value| of one expression on the
 lattice, read off its exact least and greatest values.  A constant partial
 (a literal, or one that folds to a finite literal c) needs no lattice: its
-sup is |c|.  Where the chain of
-+, -, * and unary minus at the root of the compiled expression spans more
-than _BLOCK values, it is not evaluated point by point: a pair (lo, hi) is
-carried up it from its leaves, each evaluated only on the sub-lattice of
-the axes it reads.  An axis both operands of an instruction read stays a
-broadcast dimension.  The cost thus follows the largest leaf sub-lattice,
-not points^k for the k axes f reads, and the result equals one evaluation
-of the whole lattice bit for bit:
+sup is |c|.  Where the expression spans more than _BLOCK values, the chain
+of +, -, * and unary minus at the root of its program is not evaluated
+point by point but carried as pairs (lo, hi) over its shared axes, those
+it reads through more than one leaf.  The one invariant:
 
-  rounded +, - and * are monotone in each operand while the other is fixed,
-  so on a product of value sets their extremes lie at endpoints or corners,
-  and each lo and hi is a value the whole-lattice evaluation computes too.
+  with the shared axes held fixed, every other axis occurs once, and then
+  interval evaluation gives the exact range (Moore, Kearfott & Cloud,
+  Introduction to Interval Analysis, SIAM 2009); rounded +, - and * are
+  monotone in each operand, so every lo and hi, taken at endpoints or
+  corners, is a value one evaluation of the whole lattice computes too.
 
-A leaf larger than _BLOCK values is evaluated in slabs: only the axes it
-reads are cut, into slabs of at most _BLOCK values each, and each slab
-folds into running extremes.  A chain instruction whose pair would be that
-large, or not finite, is such a leaf itself, so at worst the root is.  A
-failure is traced to its first undefined point inside the first slab that
-fails.  The check's memory is therefore bounded by a few arrays of _BLOCK
-values (512 KiB each), whatever the lattice size.
+Each leaf is evaluated only on the sub-lattice of the axes it reads, yet
+the result equals the whole lattice's bit for bit.  Everything else, and
+the whole program when its shared axes exceed _BLOCK values, is evaluated
+in slabs of at most _BLOCK values (512 KiB) that fold into running
+extremes; a failure is traced to its first undefined point inside the
+first slab that fails.  Memory thus stays a few such arrays at any lattice.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -53,6 +50,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -70,6 +68,7 @@ from .expr import (
     _plus,
     _Program,
     _program,
+    _result,
     _run,
     _times,
     differentiate,
@@ -107,6 +106,8 @@ class DomainBox:
     def __post_init__(self):
         if not (_is_number(self.M) and 0 < self.M < math.inf):
             raise ValueError(f"M must be a positive finite number, got {self.M!r}")
+        if self.M > sys.float_info.max / 2:  # the box width 2M must be finite
+            raise ValueError(f"M must be at most {sys.float_info.max / 2!r}, got {self.M!r}")
 
     @property
     def u_bound(self) -> float:
@@ -313,30 +314,15 @@ def _slab_extremes(run, slabs: list) -> tuple:
 _RANGE_OPS = (_plus, _minus, _times, _negate)
 
 
-class _StepAside(Exception):
-    """A chain node would break the memory bound or met a non-finite extreme."""
-
-
-def _narrowed(lo, hi, axes: frozenset) -> tuple:
-    """(lo, hi) reduced over the lattice axes given; both must stay finite."""
-    if axes:
-        lo = np.minimum.reduce(lo, tuple(sorted(axes)), keepdims=True)
-        hi = np.maximum.reduce(hi, tuple(sorted(axes)), keepdims=True)
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        raise _StepAside
-    return lo, hi
-
-
 def _extremes(program: _Program, root: Expression, env: dict) -> tuple:
     """Exact (min, max) of program on the lattice env, or ExprEvalError.
 
-    A +, -, * or unary minus whose sub-lattice exceeds _BLOCK values is
-    decomposed: its pair (lo, hi) over the kept axes comes from its
-    operands' pairs, each keeping the axes both operands read, at the
-    endpoints (sums, differences) or four corners (products).  Any other
-    instruction is a leaf, run on the sub-lattice of the axes it reads, in
-    slabs when it keeps no axis.  A decomposed instruction keeping no axis
-    whose pair would exceed _BLOCK values or overflow is a leaf itself.
+    The chain is the +, -, * and unary minus instructions on more than
+    _BLOCK values reached from the root through such instructions; its
+    other operands are leaves.  Invariant: with the axes the chain reads
+    through more than one leaf held fixed, every other axis occurs once, so
+    one pass of pairs (lo, hi) up the chain, at endpoints or corners, is
+    exact.  When those shared axes exceed _BLOCK values, all runs in slabs.
     """
     points = [env[name].size for name in _AXES]
 
@@ -349,59 +335,56 @@ def _extremes(program: _Program, root: Expression, env: dict) -> tuple:
 
     if size(program.reads) <= _BLOCK:
         return in_slabs(program)
-    writer = {ins[1]: ins for ins in program.code}
     axes = [frozenset((k,)) for k in range(len(_AXES))]
     axes += [frozenset()] * (len(program.template) - len(axes))
     for _, out, a, b, *_ in program.code:
         axes[out] = axes[a] | axes[b]
-    leaves = {}  # (slot, kept axes): its pair
-
-    def leaf(slot, keep) -> tuple:
-        if keep and size(axes[slot]) > _BLOCK:
-            raise _StepAside
-        if (slot, keep) not in leaves:
-            need = {slot}  # the slots slot is computed from; code is in post-order
-            for _, out, a, b, *_ in reversed(program.code):
-                if out in need:
-                    need.update((a, b))
-            sub = _Program(program.template, [ins for ins in program.code if ins[1] in need],
-                           slot, tuple(sorted(axes[slot])))
-            if keep:
-                vals = _run(sub, _slab_args(env, None), root)
-                leaves[slot, keep] = _narrowed(vals, vals, axes[slot] - keep)
-            else:
-                leaves[slot, keep] = in_slabs(sub)
-        return leaves[slot, keep]
-
-    def extremes(slot, keep) -> tuple:
-        op, _, a, b = writer.get(slot, (None,) * 4)[:4]
-        if op not in _RANGE_OPS or size(axes[slot]) <= _BLOCK:
-            return leaf(slot, keep)
-        try:
+    uses = [0] * len(axes)  # occurrences of each slot in the chain, counted along the DAG
+    uses[program.result] = 1
+    chain = {}  # out: its instruction, in reverse code order
+    for ins in reversed(program.code):
+        op, out, a, b = ins[:4]
+        if uses[out] and op in _RANGE_OPS and size(axes[out]) > _BLOCK:
+            chain[out] = ins
+            uses[a] += uses[out]
+            uses[b] += 0 if op is _negate else uses[out]
+    leaves = [s for s, n in enumerate(uses) if n and s not in chain]
+    shared = {k for k in range(len(_AXES)) if sum(uses[s] for s in leaves if k in axes[s]) > 1}
+    if size(shared) > _BLOCK or any(axes[s] & shared and size(axes[s]) > _BLOCK for s in leaves):
+        return in_slabs(program)
+    pairs = {}
+    for s in leaves:
+        need = {s}  # the slots s is computed from; code is in post-order
+        for _, out, a, b, *_ in reversed(program.code):
+            if out in need:
+                need.update((a, b))
+        leaf = _Program(program.template, [ins for ins in program.code if ins[1] in need],
+                        s, tuple(sorted(axes[s])))
+        if axes[s] & shared:
+            vals, cut = _run(leaf, _slab_args(env, None), root), tuple(sorted(axes[s] - shared))
+            pairs[s] = (np.minimum.reduce(vals, cut, keepdims=True),
+                        np.maximum.reduce(vals, cut, keepdims=True))
+        else:
+            pairs[s] = in_slabs(leaf)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in expr._run
+        for op, out, a, b, _, drops in reversed(chain.values()):
+            (alo, ahi), (blo, bhi) = pairs[a], pairs[b]
             if op is _negate:
-                lo, hi = extremes(a, keep)
-                return -hi, -lo
-            both = keep | (axes[a] & axes[b])
-            if size(both) > _BLOCK:
-                raise _StepAside
-            alo, ahi = extremes(a, both & axes[a])
-            blo, bhi = extremes(b, both & axes[b])
-            if op is _plus:
-                lo, hi = alo + blo, ahi + bhi
+                pairs[out] = -ahi, -alo
+            elif op is _plus:
+                pairs[out] = alo + blo, ahi + bhi
             elif op is _minus:
-                lo, hi = alo - bhi, ahi - blo
+                pairs[out] = alo - bhi, ahi - blo
             else:
                 corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-                lo, hi = functools.reduce(np.minimum, corners), functools.reduce(np.maximum, corners)
-            return _narrowed(lo, hi, both - keep)
-        except _StepAside:
-            if keep:
-                raise
-            return leaf(slot, keep)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # as in expr._run
-        lo, hi = extremes(program.result, frozenset())
-    return np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)
+                pairs[out] = functools.reduce(np.minimum, corners), functools.reduce(np.maximum, corners)
+            for s in drops:  # pairs no later instruction reads
+                del pairs[s]
+        lo, hi = pairs[program.result]
+        # Every pair is a value the whole-lattice run computes, and only +, -,
+        # * and negation lie above it, so a pair that is not finite means that
+        # run fails too; _sup_on_lattice's rescan then names the point.
+        return tuple(_result((np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)), root))
 
 
 def _sup_on_lattice(expression: Expression, env: dict,

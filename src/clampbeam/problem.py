@@ -204,7 +204,7 @@ class CanonicalProblem:
 
     @property
     def is_transformed(self) -> bool:
-        return not (self.length == 1.0 and self.shift.is_zero and self.raw.a == 0.0)
+        return not self.raw.is_homogeneous_unit
 
     def exact_on(self, grid: Grid) -> Optional[GridFunction]:
         """Exact canonical solution sampled at the nodes, if one was given."""

@@ -70,6 +70,17 @@ class TestDomainBox:
         assert str(info.value) == f"M must be a positive finite number, got {bad!r}"
 
 
+    def test_m_whose_box_width_overflows_is_rejected(self):
+        with pytest.raises(ValueError) as info:
+            DomainBox(1e308)
+        assert str(info.value) == "M must be at most 8.988465674311579e+307, got 1e+308"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_largest_m_keeps_a_finite_box(self):
+        report = check_conditions(parse("v"), 8.9e307)
+        assert report.sup_f == 8.9e307 and report.ks == (0.0, 0.0, 1.0, 0.0)
+
+
 class TestLatticeSpec:
     def test_default(self):
         assert LatticeSpec().points == 9
@@ -494,6 +505,10 @@ class TestRangePass:
         ("1e308*u*v + 1e308*y", 4.0),     # f finite, df/du overflows
         ("x*u*y*v*z*1e308*1e308", 1.0),   # the extremes overflow
         ("u*y*v*z - x^2*u", 1.0),
+        ("(u*y - v)*(u*y - v)", 1.0),     # the chain reads one slot twice
+        ("x - x + u*y*v*z", 1.0),         # x read by one leaf only
+        ("-(u*y*z)*-(u*y*z) + v", 1.0),   # a negation read twice
+        ("(y*v - 1e308*u)*(y*v - 1e308*u)*z", 1.0),  # a square that overflows
     ])
     @pytest.mark.parametrize("points, block", [(5, 2 ** 4), (9, 2 ** 6), (17, 2 ** 8)])
     def test_fixed_cases_match_the_slab_path(self, text, M, points, block, monkeypatch):
@@ -502,6 +517,15 @@ class TestRangePass:
         runs = _whole_runs(monkeypatch)
         assert _outcome(rhs, M, None, points) == _slab_path(rhs, M, None, points)
         assert runs
+
+    def test_shared_axes_beyond_the_block_run_the_whole_program(self, monkeypatch):
+        # every axis is read by two leaves or more, and 17^5 values exceed _BLOCK
+        rhs = parse("sin(u*y*v) + cos(u*y*z) + exp(-u*v*z) + atan(y*v*z)"
+                    " + sin(x*u*y) + cos(x*v*z) + x")
+        runs = _whole_runs(monkeypatch)
+        ks = (1.0, 1.0, 0.1, 0.1)
+        assert _outcome(rhs, 1.0, ks, 17) == _slab_path(rhs, 1.0, ks, 17)
+        assert len(runs) > 1 and all(root is rhs for root in runs)
 
     @given(tree=_range_trees(), points=st.sampled_from([5, 9, 17]),
            M=st.sampled_from([1.0, 4.0]), scale=st.sampled_from([2, 3, 4]))

@@ -205,6 +205,13 @@ class TestCheck:
         assert "Lipschitz constants must be finite and nonnegative" in capsys.readouterr().err
         assert not (tmp_path / "conditions.txt").exists()
 
+    def test_m_whose_box_width_overflows_is_an_input_error(self, tmp_path, capsys):
+        # above float_info.max / 2 the axes of v and z would hold NaN
+        code = main(["check", "example:1", "--M", "1e308", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "M must be at most 8.988465674311579e+307, got 1e+308" in capsys.readouterr().err
+        assert not (tmp_path / "conditions.txt").exists()
+
     def test_k_flags_supply_constants(self, tmp_path, capsys):
         code = main(["check", "example:1", "--K1", "100",
                      "--out-dir", str(tmp_path)])
