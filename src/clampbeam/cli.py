@@ -19,8 +19,9 @@ magnitudes, rounding near a tie) is formatted by Python itself, so the
 bytes never rest on the fast path.
 
 Output goes to --out-dir, else the CLAMPBEAM_OUT_DIR environment variable,
-else the current directory.  Exit status: 0 converged or certified,
-1 failed condition check or divergence, 2 input error.
+else the current directory, created only once every input is resolved and
+validated, so an input error creates nothing.  Exit status: 0 converged or
+certified, 1 failed condition check or divergence, 2 input error.
 
 Problem-file format: UTF-8 text, one ``key = value`` pair per line, ``#``
 starts a comment.  Keys: a, b (interval, default [0,1]); A1, B1, A2, B2
@@ -38,11 +39,11 @@ import argparse
 import functools
 import os
 import sys
-from typing import Optional
 
 import numpy as np
 
 from .analysis import (
+    DomainBox,
     DomainSamplingError,
     LatticeSpec,
     check_conditions,
@@ -50,6 +51,7 @@ from .analysis import (
 )
 from .examples import EXAMPLES, get_example
 from .expr import ExprError
+from .numerics import Grid
 from .problem import (
     CanonicalProblem,
     LoadedProblem,
@@ -268,22 +270,17 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _example(ident: int):
-    try:
-        return get_example(ident)
-    except KeyError as err:
-        raise _InputError(str(err.args[0])) from None
-
-
 def _load(ref: str) -> tuple:
     """Returns (LoadedProblem, CanonicalProblem, label) for a path or ``example:N``."""
     if ref.startswith("example:"):
         ident_text = ref.split(":", 1)[1]
         try:
-            ident = int(ident_text)
+            example = get_example(int(ident_text))
         except ValueError:
             raise _InputError(f"bad example id {ident_text!r}") from None
-        loaded, label = _example(ident).load(), f"example {ident}"
+        except KeyError as err:
+            raise _InputError(str(err.args[0])) from None
+        loaded, label = example.load(), f"example {example.ident}"
     else:
         try:
             loaded, label = load_problem_file(ref), ref
@@ -296,11 +293,16 @@ def _load(ref: str) -> tuple:
     return loaded, canonicalize(loaded.raw), label
 
 
-def _config_from(args, n: int) -> SolverConfig:
+def _config_from(args, n: int, problem: CanonicalProblem) -> SolverConfig:
     try:
-        return SolverConfig(n=n, tol=args.tol, max_iter=args.max_iter)
+        config = SolverConfig(n=n, tol=args.tol, max_iter=args.max_iter)
     except ValueError as err:
         raise _InputError(str(err)) from None
+    try:
+        problem.exact_on(Grid(n))
+    except ValueError as err:  # an ExprEvalError too
+        raise _InputError(f"exact solution undefined on the n={n} grid: {err}") from None
+    return config
 
 
 def _solve(problem: CanonicalProblem, config: SolverConfig) -> tuple:
@@ -356,48 +358,47 @@ def _run_solve(problem: CanonicalProblem, config: SolverConfig, out_dir: str,
 
 def cmd_solve(args) -> int:
     _, problem, label = _load(args.problem)
-    return _run_solve(problem, _config_from(args, args.n), _out_dir(args), tag=f"{label}: ")
+    config = _config_from(args, args.n, problem)
+    return _run_solve(problem, config, _out_dir(args), tag=f"{label}: ")
 
 
-def _ks_from_flags(args) -> Optional[tuple]:
-    flags = (args.K1, args.K2, args.K3, args.K4)
-    if all(k is None for k in flags):
-        return None
-    return tuple(0.0 if k is None else k for k in flags)
-
-
-def _run_check(loaded: LoadedProblem, problem: CanonicalProblem, args,
-               out_dir: str, prefix: str = "") -> int:
+def _check_inputs(loaded: LoadedProblem, args) -> tuple:
+    """(M, ks, lattice) from the flags or else the problem, checked as check_conditions would."""
     M = args.M if args.M is not None else loaded.M
     if M is None:
         raise _InputError("no M given: pass --M or put an M key in the problem file")
-    ks = _ks_from_flags(args)
-    if ks is None:
-        ks = loaded.ks
+    flags = (args.K1, args.K2, args.K3, args.K4)
+    ks = loaded.ks if all(k is None for k in flags) else tuple(0.0 if k is None else k for k in flags)
     try:
-        report = check_conditions(problem.rhs, M, ks, LatticeSpec(points=args.lattice))
+        lattice = LatticeSpec(points=args.lattice)
+        DomainBox(M)
+        if ks is not None:
+            contraction_factor(*ks)
+    except ValueError as err:
+        raise _InputError(str(err)) from None
+    return M, ks, lattice
+
+
+def _run_check(problem: CanonicalProblem, inputs: tuple, out_dir: str, prefix: str = "") -> int:
+    try:
+        report = check_conditions(problem.rhs, *inputs)
         lines, code = report.summary_lines(), 0 if report.certified else 1
     except DomainSamplingError as err:
         point = ", ".join(f"{p:.9g}" for p in err.point)
         lines, code = [f"not certified: {err}", f"offending sample: ({point})"], 1
-    except ValueError as err:
-        raise _InputError(str(err)) from None
     for line in lines:
         print(line)
     path = os.path.join(out_dir, prefix + "conditions.txt")
-    _write_text(path, lines)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {path}")
     return code
 
 
-def _write_text(path: str, lines) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def cmd_check(args) -> int:
     loaded, problem, _ = _load(args.problem)
-    return _run_check(loaded, problem, args, _out_dir(args))
+    inputs = _check_inputs(loaded, args)
+    return _run_check(problem, inputs, _out_dir(args))
 
 
 def cmd_table(args) -> int:
@@ -411,17 +412,16 @@ def cmd_table(args) -> int:
     repeated = sorted({n for n in grids if grids.count(n) > 1})
     if repeated:
         raise _InputError(f"repeated grid size in --grids: {', '.join(map(str, repeated))}")
-    configs = [_config_from(args, n) for n in sorted(grids)]  # every size, before any solve
+    configs = [_config_from(args, n, problem) for n in sorted(grids)]  # every size, before any solve
     out_dir = _out_dir(args)
 
     rows = []
-    has_exact = None
+    has_exact = problem.raw.exact is not None
     all_ok = True
     for config in configs:
         report, err = _solve(problem, config)
         status = "converged" if err is None else report.failure or "failed"
         all_ok = all_ok and err is None
-        has_exact = report.eu_history is not None
         rows.append((config.n, report.iterations, report.final_eu, report.final_e, status))
 
     ns, ks, eus, es, statuses = zip(*rows)
@@ -456,20 +456,20 @@ def cmd_examples(args) -> int:
                 print(f"  note:     {ex.note}")
         return 0
 
-    ex = _example(args.run)
-    loaded = ex.load()
-    problem = canonicalize(loaded.raw)
+    loaded, problem, _ = _load(f"example:{args.run}")
+    inputs = _check_inputs(loaded, args)
+    config = _config_from(args, args.n, problem)
     out_dir = _out_dir(args)
+    ex = get_example(args.run)
     prefix = f"example{ex.ident}_"
 
     print(f"== check (example {ex.ident}: {ex.slug}) ==")
-    check_code = _run_check(loaded, problem, args, out_dir, prefix=prefix)
-    if check_code != 0:
+    if _run_check(problem, inputs, out_dir, prefix=prefix) != 0:
         print("warning: conditions not certified; attempting the solve anyway",
               file=sys.stderr)
 
     print(f"== solve (example {ex.ident}: {ex.slug}) ==")
-    return _run_solve(problem, _config_from(args, args.n), out_dir, prefix)
+    return _run_solve(problem, config, out_dir, prefix)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -131,6 +131,7 @@ def hermite_cubic(a: float, b: float, A1: float, B1: float, A2: float, B2: float
     Hermite basis, then expanded to monomial coefficients in t.  The data
     must be finite numbers, and the scale (b-a)^4 a finite nonzero double;
     that bound keeps each divisor (b-a)^k, k <= 3, finite and nonzero too.
+    The data must also be small enough that every coefficient is finite.
     """
     data = (a, b, A1, B1, A2, B2)  # plain finite floats, as problem files give, pass at once
     if not all(type(val) is float and -math.inf < val < math.inf for val in data):
@@ -148,7 +149,11 @@ def hermite_cubic(a: float, b: float, A1: float, B1: float, A2: float, B2: float
     m0 = L * A2
     m1 = L * B2
     in_s = [A1, m0, 3.0 * gap - 2.0 * m0 - m1, -2.0 * gap + m0 + m1]
-    return CubicInterpolant(*_compose_affine(in_s, -a / L, 1.0 / L))
+    coeffs = _compose_affine(in_s, -a / L, 1.0 / L)
+    if not all(-math.inf < c < math.inf for c in coeffs):  # NaN fails too
+        raise ValueError(f"boundary data A1={A1!r}, B1={B1!r}, A2={A2!r}, B2={B2!r} on "
+                         f"[{a!r}, {b!r}]: the cubic through them does not fit in a double")
+    return CubicInterpolant(*coeffs)
 
 
 def _poly_expr(coeffs) -> Expression:
@@ -212,7 +217,8 @@ class CanonicalProblem:
             return None
         t = self.raw.a + self.length * grid.nodes
         w = evaluate(self.raw.exact, t, 0.0, 0.0, 0.0, 0.0)
-        return GridFunction(grid, np.asarray(w, dtype=float) - self.shift.value(t))
+        with np.errstate(over="ignore", invalid="ignore"):  # GridFunction rejects non-finite w - P
+            return GridFunction(grid, np.asarray(w, dtype=float) - self.shift.value(t))
 
 
 def canonicalize(raw: RawProblem) -> CanonicalProblem:
@@ -339,16 +345,8 @@ def parse_problem_text(text: str) -> LoadedProblem:
         raise ProblemFormatError("missing required key 'f'")
 
     try:
-        raw = RawProblem(
-            rhs=seen["f"],
-            a=seen.get("a", 0.0),
-            b=seen.get("b", 1.0),
-            A1=seen.get("A1", 0.0),
-            B1=seen.get("B1", 0.0),
-            A2=seen.get("A2", 0.0),
-            B2=seen.get("B2", 0.0),
-            exact=seen.get("exact"),
-        )
+        raw = RawProblem(rhs=seen["f"], exact=seen.get("exact"),
+                         **{key: seen[key] for key in _NUMERIC_KEYS[:6] if key in seen})
     except ValueError as err:
         raise ProblemFormatError(str(err)) from None
 

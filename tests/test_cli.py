@@ -44,6 +44,17 @@ def _read_csv(path):
 LOG_BLOWUP = "f = log(1 + 1000000*u) + 5000\nexact = 0\n"
 # e(k) stalls at its rounding floor (sup|u| ~ 6) above the default tol
 STALL = "f = 2400 + u*z/2 - y*v/4\n"
+# problem files named in the argv of an input-error case
+BAD_INPUT_FILES = {
+    "no-m": "f = sin(u)\n",
+    # log(x) is undefined at the node x = 0
+    "log-exact": "f = u + 1\nexact = log(x)\n",
+    # the shift P is finite, but w - P overflows at t = 0
+    "overflowing-exact": "f = u\nA1 = -5e307\nexact = 1.5e308 + x\n",
+}
+LOG_EXACT_ERROR = ("exact solution undefined on the n=100 grid: log of a non-positive value "
+                   "in 'log(x)': argument 0.0 at sample 0")
+OVERFLOWING_EXACT_ERROR = "exact solution undefined on the n=100 grid: non-finite value at node 0 (x=0.0)"
 
 
 def _problem_file(tmp_path, text, name="problem.txt"):
@@ -193,23 +204,11 @@ class TestCheck:
         text = (tmp_path / "conditions.txt").read_text(encoding="utf-8")
         assert "offending sample" in text
 
-    def test_missing_m_is_an_input_error(self, tmp_path, capsys):
-        path = _problem_file(tmp_path, "f = sin(u)\n")
-        assert main(["check", path, "--out-dir", str(tmp_path)]) == 2
-        assert "no M given" in capsys.readouterr().err
-
     def test_bad_k_flag_is_an_input_error_before_sampling(self, tmp_path, capsys):
         # example 5 is undefined in its box, but the constants are checked first
         code = main(["check", "example:5", "--K1=-1", "--out-dir", str(tmp_path)])
         assert code == 2
         assert "Lipschitz constants must be finite and nonnegative" in capsys.readouterr().err
-        assert not (tmp_path / "conditions.txt").exists()
-
-    def test_m_whose_box_width_overflows_is_an_input_error(self, tmp_path, capsys):
-        # above float_info.max / 2 the axes of v and z would hold NaN
-        code = main(["check", "example:1", "--M", "1e308", "--out-dir", str(tmp_path)])
-        assert code == 2
-        assert "M must be at most 8.988465674311579e+307, got 1e+308" in capsys.readouterr().err
         assert not (tmp_path / "conditions.txt").exists()
 
     def test_k_flags_supply_constants(self, tmp_path, capsys):
@@ -521,6 +520,35 @@ class TestInputHandling:
         assert err.startswith(f"error: cannot create output directory '{target}'")
         assert [p.name for p in tmp_path.iterdir()] == ["taken"]
         assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("argv, message", [
+        # above float_info.max / 2 the axes of v and z would hold NaN
+        (["check", "example:1", "--M", "1e308"], "M must be at most 8.988465674311579e+307, got 1e+308"),
+        (["check", "example:1", "--K1=-1"],
+         "Lipschitz constants must be finite and nonnegative numbers, got (-1.0, 0.0, 0.0, 0.0)"),
+        (["check", "example:1", "--lattice", "3"], "need at least 5 lattice points per axis, got 3"),
+        (["check", "no-m"], "no M given: pass --M or put an M key in the problem file"),
+        (["examples", "--run", "1", "--n", "7"], "grid size must be even and >= 8, got 7"),
+        (["examples", "--run", "1", "--tol", "-1"], "tol must be a positive number, got -1.0"),
+        (["examples", "--run", "1", "--max-iter", "0"], "max_iter must be at least 1, got 0"),
+        (["examples", "--run", "1", "--lattice", "3"], "need at least 5 lattice points per axis, got 3"),
+        (["examples", "--run", "1", "--M", "1e308"], "M must be at most 8.988465674311579e+307, got 1e+308"),
+        (["solve", "log-exact"], LOG_EXACT_ERROR),
+        (["table", "log-exact"], LOG_EXACT_ERROR),
+        (["solve", "overflowing-exact"], OVERFLOWING_EXACT_ERROR),
+        (["table", "overflowing-exact"], OVERFLOWING_EXACT_ERROR),
+    ], ids=["check-M", "check-K1", "check-lattice", "check-no-M", "examples-n", "examples-tol",
+            "examples-max-iter", "examples-lattice", "examples-M", "solve-log-exact",
+            "table-log-exact", "solve-overflowing-exact", "table-overflowing-exact"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_input_error_creates_nothing(self, argv, message, tmp_path, capsys):
+        # every input is resolved before --out-dir is created or anything runs
+        argv = [_problem_file(tmp_path, BAD_INPUT_FILES[arg], f"{arg}.txt")
+                if arg in BAD_INPUT_FILES else arg for arg in argv]
+        out = tmp_path / "out"
+        assert main(argv + ["--out-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("interval", ["b = 1e80", "a = -1e308\nb = 1e308"],
                              ids=["scale-overflows", "length-overflows"])

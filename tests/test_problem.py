@@ -206,6 +206,10 @@ class TestRawProblem:
         for bad in [dict(b=1e80), dict(a=-1e308, b=1e308), dict(b=1e-90)]:
             with pytest.raises(ValueError, match=r"\(b-a\)\^4 a finite nonzero double"):
                 RawProblem(rhs=rhs, **bad)
+        # finite data whose cubic has a NaN or infinite coefficient
+        for bad in [dict(b=10.0, A2=1e308), dict(A1=-1.7e308)]:
+            with pytest.raises(ValueError, match="the cubic through them does not fit in a double"):
+                RawProblem(rhs=rhs, **bad)
 
     def test_homogeneous_unit_detection(self):
         rhs = parse("u")
