@@ -13,7 +13,9 @@ Two conditions are checked there:
                                          (uniqueness in the box, and a
                                          geometric error envelope),
 
-where K1..K4 bound |df/du|, |df/dy|, |df/dv|, |df/dz| on D_M.  When the
+where K1..K4 bound |df/du|, |df/dy|, |df/dv|, |df/dz| on D_M.  The factors
+(1/384, 1/(72 sqrt 3), 1, 1) are _SCALES, the one source of the box's
+half-widths, of q's weights and of solution_error_bounds.  When the
 constants are not supplied they are estimated by maximizing the symbolic
 partial derivatives over a tensor lattice covering the box; right-hand
 sides that cannot be differentiated symbolically (abs) fall back to a
@@ -95,6 +97,11 @@ _AXES = ("x", "u", "y", "v", "z")
 # on the mix of the certify benchmark 2^16 and 2^17 tie and 2^14, 2^15 and
 # 2^18 are slower; 2^16 takes fewer page faults on the small checks.
 _BLOCK = 2 ** 16
+# The scale factors of the axes u, y, v, z, that is of u and its first three
+# derivatives: the kernel bounds 1/384 and 1/(72 sqrt 3), then 1 and 1.  The
+# half-widths of D_M are M times them, q weighs K1..K4 by them, and
+# solution_error_bounds scales a triplet-norm bound p by them.
+_SCALES = (KERNEL_BOUNDS.fourth_order, KERNEL_BOUNDS.fourth_order_dx, 1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -109,31 +116,9 @@ class DomainBox:
         if self.M > sys.float_info.max / 2:  # the box width 2M must be finite
             raise ValueError(f"M must be at most {sys.float_info.max / 2!r}, got {self.M!r}")
 
-    @property
-    def u_bound(self) -> float:
-        return self.M * KERNEL_BOUNDS.fourth_order
-
-    @property
-    def y_bound(self) -> float:
-        return self.M * KERNEL_BOUNDS.fourth_order_dx
-
-    @property
-    def v_bound(self) -> float:
-        return self.M
-
-    @property
-    def z_bound(self) -> float:
-        return self.M
-
     def axis_intervals(self) -> tuple:
         """(lo, hi) per axis in the order (x, u, y, v, z)."""
-        return (
-            (0.0, 1.0),
-            (-self.u_bound, self.u_bound),
-            (-self.y_bound, self.y_bound),
-            (-self.v_bound, self.v_bound),
-            (-self.z_bound, self.z_bound),
-        )
+        return ((0.0, 1.0),) + tuple((-self.M * c, self.M * c) for c in _SCALES)
 
 
 @dataclass(frozen=True)
@@ -217,9 +202,7 @@ def contraction_factor(k1: float, k2: float, k3: float, k4: float) -> float:
     ks = (k1, k2, k3, k4)
     if not all(_is_number(k) and 0 <= k < math.inf for k in ks):
         raise ValueError(f"Lipschitz constants must be finite and nonnegative numbers, got {ks!r}")
-    return (k1 * KERNEL_BOUNDS.fourth_order
-            + k2 * KERNEL_BOUNDS.fourth_order_dx
-            + k3 + k4)
+    return sum((k * c for k, c in zip(ks, _SCALES)), -0.0)  # -0.0 + x is x, even for x = -0.0
 
 
 def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
@@ -497,9 +480,4 @@ def solution_error_bounds(p: float) -> tuple:
     """Bounds on (u, u', u'', u''') errors implied by a triplet-norm bound p."""
     if not (_is_number(p) and 0 <= p < math.inf):
         raise ValueError(f"p must be a finite nonnegative number, got {p!r}")
-    return (
-        p * KERNEL_BOUNDS.fourth_order,
-        p * KERNEL_BOUNDS.fourth_order_dx,
-        p,
-        p,
-    )
+    return tuple(p * c for c in _SCALES)

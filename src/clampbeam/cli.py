@@ -84,11 +84,12 @@ _CSV_CHUNK_ROWS = 4096
 def _write_csv(path: str, header, columns) -> None:
     """Write equal-length columns as CSV, streamed in bounded row chunks.
 
-    Strings are written as they are, integers in decimal and everything
-    else as ``'%.17g' % v`` (round-trips exactly).  Fields are never quoted:
-    the artifacts hold only numbers and status words.  Each column of a
-    chunk becomes one zero-padded block of ASCII bytes; the blocks are
-    interleaved with the separators and the padding is dropped on write.
+    A column holds floats, integers or strings: strings are written as they
+    are, integers in decimal and floats as ``'%.17g' % v`` (round-trips
+    exactly).  Fields are never quoted: the artifacts hold only numbers and
+    status words.  Each column of a chunk becomes one zero-padded block of
+    ASCII bytes; the blocks are interleaved with the separators and the
+    padding is dropped on write.
     """
     columns = [np.asarray(col) for col in columns]
     with open(path, "wb") as fh:
@@ -113,10 +114,8 @@ def _csv_field_block(col: np.ndarray) -> np.ndarray:
         return _format_floats(col.astype(np.float64, copy=False))
     if kind == "i":
         text = col.astype(bytes)
-    elif kind == "U":
+    else:  # status words
         text = np.char.encode(col, "utf-8")
-    else:
-        text = np.array([b"%.17g" % v for v in col.tolist()], dtype=bytes)
     return text.view(np.uint8).reshape(len(col), text.dtype.itemsize)
 
 
@@ -293,22 +292,23 @@ def _load(ref: str) -> tuple:
     return loaded, canonicalize(loaded.raw), label
 
 
-def _config_from(args, n: int, problem: CanonicalProblem) -> SolverConfig:
+def _config_from(args, n: int, problem: CanonicalProblem) -> tuple:
+    """(config, exact): the solver flags for n intervals, checked, and the exact
+    solution's samples on that grid, or None when the problem has none."""
     try:
         config = SolverConfig(n=n, tol=args.tol, max_iter=args.max_iter)
     except ValueError as err:
         raise _InputError(str(err)) from None
     try:
-        problem.exact_on(Grid(n))
+        return config, problem.exact_on(Grid(n))
     except ValueError as err:  # an ExprEvalError too
         raise _InputError(f"exact solution undefined on the n={n} grid: {err}") from None
-    return config
 
 
-def _solve(problem: CanonicalProblem, config: SolverConfig) -> tuple:
+def _solve(problem: CanonicalProblem, config: SolverConfig, exact) -> tuple:
     """Returns (report, error): the partial report and the SolverError on failure."""
     try:
-        return solve(problem, config), None
+        return solve(problem, config, exact), None
     except SolverError as err:
         return err.report, err
 
@@ -335,10 +335,10 @@ def _write_solve_artifacts(report: SolveReport, problem: CanonicalProblem,
     return [conv_path, sol_path]
 
 
-def _run_solve(problem: CanonicalProblem, config: SolverConfig, out_dir: str,
+def _run_solve(problem: CanonicalProblem, config: SolverConfig, exact, out_dir: str,
                prefix: str = "", tag: str = "") -> int:
     """Solve, print the outcome (tagged) and the summary, write the artifacts."""
-    report, err = _solve(problem, config)
+    report, err = _solve(problem, config, exact)
     if err is None:
         print(f"{tag}converged in {report.iterations} iterations, "
               f"residual {report.residual:.3e}")
@@ -358,8 +358,8 @@ def _run_solve(problem: CanonicalProblem, config: SolverConfig, out_dir: str,
 
 def cmd_solve(args) -> int:
     _, problem, label = _load(args.problem)
-    config = _config_from(args, args.n, problem)
-    return _run_solve(problem, config, _out_dir(args), tag=f"{label}: ")
+    config, exact = _config_from(args, args.n, problem)
+    return _run_solve(problem, config, exact, _out_dir(args), tag=f"{label}: ")
 
 
 def _check_inputs(loaded: LoadedProblem, args) -> tuple:
@@ -418,11 +418,11 @@ def cmd_table(args) -> int:
     rows = []
     has_exact = problem.raw.exact is not None
     all_ok = True
-    for config in configs:
-        report, err = _solve(problem, config)
+    while configs:  # a grid's samples are freed once its solve ends
+        report, err = _solve(problem, *configs.pop(0))
         status = "converged" if err is None else report.failure or "failed"
         all_ok = all_ok and err is None
-        rows.append((config.n, report.iterations, report.final_eu, report.final_e, status))
+        rows.append((report.grid.n, report.iterations, report.final_eu, report.final_e, status))
 
     ns, ks, eus, es, statuses = zip(*rows)
     header = ["N", "K"] + (["eu"] if has_exact else []) + ["e"]
@@ -458,7 +458,7 @@ def cmd_examples(args) -> int:
 
     loaded, problem, _ = _load(f"example:{args.run}")
     inputs = _check_inputs(loaded, args)
-    config = _config_from(args, args.n, problem)
+    config, exact = _config_from(args, args.n, problem)
     out_dir = _out_dir(args)
     ex = get_example(args.run)
     prefix = f"example{ex.ident}_"
@@ -469,7 +469,7 @@ def cmd_examples(args) -> int:
               file=sys.stderr)
 
     print(f"== solve (example {ex.ident}: {ex.slug}) ==")
-    return _run_solve(problem, config, out_dir, prefix)
+    return _run_solve(problem, config, exact, out_dir, prefix)
 
 
 def _build_parser() -> argparse.ArgumentParser:

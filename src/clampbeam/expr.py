@@ -43,14 +43,6 @@ __all__ = [
     "ExprSyntaxError",
     "ExprEvalError",
     "ExprDerivativeError",
-    "Num",
-    "Var",
-    "Neg",
-    "BinOp",
-    "Call",
-    "Expression",
-    "VARIABLES",
-    "FUNCTIONS",
     "parse",
     "evaluate",
     "differentiate",

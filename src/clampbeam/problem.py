@@ -118,10 +118,6 @@ class CubicInterpolant:
     def jerk(self, t):
         return 6.0 * self.c3 + 0.0 * t
 
-    @property
-    def is_zero(self) -> bool:
-        return self.coeffs == (0.0, 0.0, 0.0, 0.0)
-
 
 def hermite_cubic(a: float, b: float, A1: float, B1: float, A2: float, B2: float
                   ) -> CubicInterpolant:
@@ -202,10 +198,6 @@ class CanonicalProblem:
     raw: RawProblem
     shift: CubicInterpolant
     length: float  # b - a
-
-    @property
-    def scale(self) -> float:
-        return self.length ** 4
 
     @property
     def is_transformed(self) -> bool:

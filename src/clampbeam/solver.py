@@ -268,24 +268,26 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
 # Overflow only ever yields non-finite values, which are reported as divergence.
 @np.errstate(over="ignore", invalid="ignore")
 def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
-          exact=None) -> SolveReport:
+          exact: Optional[GridFunction] = None) -> SolveReport:
     """Iterate to a fixed point; raises on divergence or iteration budget.
 
-    exact overrides the problem's own exact solution for error tracking;
-    pass a callable of the canonical coordinate returning node values.
+    exact, when given, is the exact solution's samples on the solve's grid,
+    a GridFunction on config.n intervals; the solve runs on that grid and
+    tracks eu(k) against them.  With None it tracks the problem's own exact
+    solution, if there is one.
     """
-    grid = Grid(config.n)
-    if exact is not None:
-        exact_gf = GridFunction.sample(grid, exact)
-    else:
-        exact_gf = problem.exact_on(grid)
+    grid = Grid(config.n) if exact is None else exact.grid
+    if grid.n != config.n:
+        raise ValueError(f"exact samples on a grid of n={grid.n}, but the solve has n={config.n}")
+    if exact is None:
+        exact = problem.exact_on(grid)
 
     state = init_state(problem, grid)
     zero = GridFunction(grid, np.zeros(grid.n + 1))
     profile = IterateProfile(u=zero, d2u=zero)
     first_step = float("inf")
     e_hist: list = []
-    eu_hist: Optional[list] = [] if exact_gf is not None else None
+    eu_hist: Optional[list] = [] if exact is not None else None
     prev_e = best_e = float("inf")
     increases = best_k = 0
 
@@ -319,7 +321,7 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         e = float(np.abs(profile.u.values - prev_u).max())
         e_hist.append(e)
         if eu_hist is not None:
-            eu_hist.append(float(np.abs(profile.u.values - exact_gf.values).max()))
+            eu_hist.append(float(np.abs(profile.u.values - exact.values).max()))
         if e <= config.tol:
             return _report()
         floor = _ROUNDING_FLOOR * max(1.0, profile.u._sup)  # u's sup, recorded by its check

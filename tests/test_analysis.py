@@ -9,11 +9,13 @@ constants; for the rest we only require a certificate, not tightness.
 
 import itertools
 import math
+import struct
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from clampbeam import analysis
@@ -40,18 +42,24 @@ from clampbeam.kernels import KERNEL_BOUNDS
 ROOT3 = math.sqrt(3.0)
 
 
+def _bits(*values):
+    """The bytes of values as doubles, so that 0.0 and -0.0 differ."""
+    return struct.pack(f"<{len(values)}d", *values)
+
+
 class TestDomainBox:
+    @staticmethod
+    def _expected_half_widths(M):
+        scales = (KERNEL_BOUNDS.fourth_order, KERNEL_BOUNDS.fourth_order_dx, 1.0, 1.0)
+        return tuple((-M * c, M * c) for c in scales)
+
     def test_unit_box_matches_kernel_bounds(self):
-        box = DomainBox(1.0)
-        assert box.u_bound == KERNEL_BOUNDS.fourth_order
-        assert box.y_bound == KERNEL_BOUNDS.fourth_order_dx
-        assert box.v_bound == 1.0
-        assert box.z_bound == 1.0
+        ivs = DomainBox(1.0).axis_intervals()[1:]
+        assert _bits(*sum(ivs, ())) == _bits(*sum(self._expected_half_widths(1.0), ()))
 
     def test_scaling(self):
-        box = DomainBox(36.0)
-        assert box.u_bound == pytest.approx(36.0 / 384.0)
-        assert box.y_bound == pytest.approx(36.0 / (72.0 * ROOT3))
+        ivs = DomainBox(36.0).axis_intervals()[1:]
+        assert _bits(*sum(ivs, ())) == _bits(*sum(self._expected_half_widths(36.0), ()))
 
     def test_axis_intervals(self):
         box = DomainBox(5.0)
@@ -858,6 +866,27 @@ class TestAprioriBound:
 
     def test_integer_k_of_numpy(self):
         assert apriori_bound(0.1, 1.0, np.int64(3)) == apriori_bound(0.1, 1.0, 3)
+
+
+# finite and nonnegative as the validators see it: -0.0 passes 0 <= k
+NONNEGATIVE = st.floats(min_value=-0.0, max_value=sys.float_info.max)
+
+
+class TestScales:
+    """q and the error bounds equal the paper's formulas bit for bit."""
+
+    C1, C2 = KERNEL_BOUNDS.fourth_order, KERNEL_BOUNDS.fourth_order_dx
+
+    @given(NONNEGATIVE, NONNEGATIVE, NONNEGATIVE, NONNEGATIVE)
+    @example(-0.0, -0.0, -0.0, -0.0)
+    def test_contraction_factor(self, k1, k2, k3, k4):
+        expected = k1 * self.C1 + k2 * self.C2 + k3 + k4
+        assert _bits(contraction_factor(k1, k2, k3, k4)) == _bits(expected)
+
+    @given(NONNEGATIVE)
+    @example(-0.0)
+    def test_solution_error_bounds(self, p):
+        assert _bits(*solution_error_bounds(p)) == _bits(p * self.C1, p * self.C2, p, p)
 
 
 class TestSolutionErrorBounds:

@@ -25,7 +25,7 @@ from clampbeam import cli
 from clampbeam.cli import _CSV_CHUNK_ROWS, _write_csv, main
 from clampbeam.expr import evaluate
 from clampbeam.numerics import Grid, GridFunction, diff5
-from clampbeam.problem import canonicalize, parse_problem_text
+from clampbeam.problem import CanonicalProblem, canonicalize, parse_problem_text
 from clampbeam.solver import SolverConfig, Triplet, residual, solve
 from clampbeam.examples import get_example
 
@@ -487,6 +487,26 @@ class TestExamples:
     def test_unknown_id(self, tmp_path, capsys):
         assert main(["examples", "--run", "9", "--out-dir", str(tmp_path)]) == 2
         assert "no built-in example 9" in capsys.readouterr().err
+
+
+class TestExactSamples:
+    @pytest.mark.parametrize("argv, calls", [
+        (["solve", "example:1", "--n", "64"], 1),
+        (["table", "example:1", "--grids", "16,32"], 2),
+        (["examples", "--run", "1", "--n", "64"], 1),
+    ], ids=["solve", "table", "examples"])
+    def test_each_grid_is_sampled_once(self, argv, calls, tmp_path, capsys, monkeypatch):
+        # the samples that validate exact are the ones the solve tracks eu against
+        grids = []
+        real = CanonicalProblem.exact_on
+
+        def spy(problem, grid):
+            grids.append(grid.n)
+            return real(problem, grid)
+
+        monkeypatch.setattr(CanonicalProblem, "exact_on", spy)
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        assert len(grids) == calls and len(set(grids)) == calls
 
 
 class TestInputHandling:

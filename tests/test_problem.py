@@ -77,7 +77,7 @@ class TestHermiteCubic:
         assert hermite_cubic(0, 1, 1, 0, 0, 0).coeffs == (1.0, 0.0, -3.0, 2.0)
         # data (0,1.87,0,5.61) on [0,1] gives 1.87 t^3
         assert hermite_cubic(0, 1, 0, 1.87, 0, 5.61).coeffs == (0.0, 0.0, 0.0, 1.87)
-        assert hermite_cubic(0, 1, 0, 0, 0, 0).is_zero
+        assert hermite_cubic(0, 1, 0, 0, 0, 0).coeffs == (0.0, 0.0, 0.0, 0.0)
 
     def test_derivative_methods(self):
         p = hermite_cubic(0, 1, 0, 1, 0, 0)
@@ -224,7 +224,7 @@ class TestCanonicalize:
         cp = canonicalize(raw)
         assert cp.rhs is raw.rhs
         assert not cp.is_transformed
-        assert cp.length == 1.0 and cp.scale == 1.0
+        assert cp.length == 1.0
 
     def test_shifted_problem_is_transformed(self):
         cp = canonicalize(RawProblem(rhs=parse("u"), A1=1.0))

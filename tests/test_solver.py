@@ -183,10 +183,25 @@ class TestHistories:
 
     def test_exact_override(self):
         cp = _canon("f = 24")
-        rep = solve(cp, SolverConfig(n=32),
-                    exact=lambda x: x**2 * (1 - x) ** 2)
+        exact = GridFunction.sample(Grid(32), lambda x: x**2 * (1 - x) ** 2)
+        rep = solve(cp, SolverConfig(n=32), exact=exact)
         assert rep.eu_history is not None
         assert rep.final_eu < 1e-13
+        assert rep.grid is exact.grid  # the solve runs on the samples' grid
+
+    def test_exact_on_another_grid_is_rejected_before_any_pass(self, monkeypatch):
+        passes = []
+
+        def spy(*args):
+            passes.append(args)
+            return step(*args)
+
+        monkeypatch.setattr(solver_module, "step", spy)
+        exact = GridFunction.sample(Grid(16), lambda x: x**2 * (1 - x) ** 2)
+        with pytest.raises(ValueError) as info:
+            solve(_canon("f = 24"), SolverConfig(n=32), exact=exact)
+        assert str(info.value) == "exact samples on a grid of n=16, but the solve has n=32"
+        assert passes == []
 
     def test_first_step_value(self):
         # solve is nothing but passes of the public step: pass 0 gives
