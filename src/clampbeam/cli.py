@@ -335,10 +335,14 @@ def _write_solve_artifacts(report: SolveReport, problem: CanonicalProblem,
     return [conv_path, sol_path]
 
 
-def _run_solve(problem: CanonicalProblem, config: SolverConfig, exact, out_dir: str,
+def _run_solve(problem: CanonicalProblem, inputs: list, out_dir: str,
                prefix: str = "", tag: str = "") -> int:
-    """Solve, print the outcome (tagged) and the summary, write the artifacts."""
-    report, err = _solve(problem, config, exact)
+    """Solve, print the outcome (tagged) and the summary, write the artifacts.
+
+    inputs holds the one (config, exact) pair of _config_from; it is popped,
+    so the exact samples are freed once the solve ends.
+    """
+    report, err = _solve(problem, *inputs.pop())
     if err is None:
         print(f"{tag}converged in {report.iterations} iterations, "
               f"residual {report.residual:.3e}")
@@ -358,8 +362,8 @@ def _run_solve(problem: CanonicalProblem, config: SolverConfig, exact, out_dir: 
 
 def cmd_solve(args) -> int:
     _, problem, label = _load(args.problem)
-    config, exact = _config_from(args, args.n, problem)
-    return _run_solve(problem, config, exact, _out_dir(args), tag=f"{label}: ")
+    inputs = [_config_from(args, args.n, problem)]
+    return _run_solve(problem, inputs, _out_dir(args), tag=f"{label}: ")
 
 
 def _check_inputs(loaded: LoadedProblem, args) -> tuple:
@@ -458,7 +462,7 @@ def cmd_examples(args) -> int:
 
     loaded, problem, _ = _load(f"example:{args.run}")
     inputs = _check_inputs(loaded, args)
-    config, exact = _config_from(args, args.n, problem)
+    solve_inputs = [_config_from(args, args.n, problem)]
     out_dir = _out_dir(args)
     ex = get_example(args.run)
     prefix = f"example{ex.ident}_"
@@ -469,7 +473,7 @@ def cmd_examples(args) -> int:
               file=sys.stderr)
 
     print(f"== solve (example {ex.ident}: {ex.slug}) ==")
-    return _run_solve(problem, config, exact, out_dir, prefix)
+    return _run_solve(problem, solve_inputs, out_dir, prefix)
 
 
 def _build_parser() -> argparse.ArgumentParser:

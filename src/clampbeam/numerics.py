@@ -14,6 +14,11 @@ The three workhorses are all fourth-order accurate:
                      data, exact whenever g is a polynomial of degree <= 3,
                      solved in closed form by two running sums
 
+diff5 and solve_second_order_bvp are thin allocating wrappers: their
+arithmetic lives in the in-place kernels _diff5_into and _bvp_into, which
+write into a caller's array and take their temporaries from a caller's
+scratch array; solve's later passes allocate only what evaluating f does.
+
 A GridFunction, SolveReport or RecoveredSolution owns read-only copies of its
 arrays, keeps them read-only through pickling, pickles only its fields and
 equals only itself; _Frozen, their base, carries these rules.
@@ -176,8 +181,9 @@ def simpson(f: GridFunction) -> float:
 
 
 def _simpson(v: np.ndarray, h: float) -> float:
-    """simpson on raw node values v with spacing h."""
-    return float(h / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-2:2].sum()))
+    """simpson on raw node values v with spacing h, summed on Python floats."""
+    add = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
+    return h / 3.0 * (float(v[0]) + float(v[-1]) + 4.0 * float(add(v[1:-1:2])) + 2.0 * float(add(v[2:-2:2])))
 
 
 def diff5(f: GridFunction) -> GridFunction:
@@ -188,10 +194,21 @@ def diff5(f: GridFunction) -> GridFunction:
     one-shifted five-point stencils with the same order.  Exact for
     polynomials of degree <= 4.
     """
-    v = f.values
-    w = 12.0 * f.grid.h
-    d = np.empty_like(v)
-    d[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / w
+    d = np.empty(f.grid.n + 1)
+    _diff5_into(d, f.values, np.empty(f.grid.n - 3))
+    return GridFunction._adopt(f.grid, d, finite=_diff5_finite(f))
+
+
+def _diff5_into(d: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> None:
+    """diff5 of the node values v, written into d; scratch holds at least n-3 values."""
+    w = 12.0 * (1.0 / (len(v) - 1))  # 12 h, as Grid.h gives h
+    t, o = scratch[:len(v) - 4], d[2:-2]  # the centered stencil, one operation at a time
+    np.multiply(v[1:-3], 8.0, out=t)
+    np.subtract(v[:-4], t, out=t)
+    np.multiply(v[3:-1], 8.0, out=o)
+    o += t
+    o -= v[4:]
+    o /= w
     # the edge rows on Python floats: the same arithmetic, far fewer numpy calls
     v0, v1, v2, v3, v4 = v[:5].tolist()
     d[0] = (-25.0 * v0 + 48.0 * v1 - 36.0 * v2 + 16.0 * v3 - 3.0 * v4) / w
@@ -199,7 +216,6 @@ def diff5(f: GridFunction) -> GridFunction:
     v0, v1, v2, v3, v4 = v[-5:].tolist()
     d[-2] = (-v0 + 6.0 * v1 - 18.0 * v2 + 10.0 * v3 + 3.0 * v4) / w
     d[-1] = (3.0 * v0 - 16.0 * v1 + 36.0 * v2 - 48.0 * v3 + 25.0 * v4) / w
-    return GridFunction._adopt(f.grid, d, finite=_diff5_finite(f))
 
 
 def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> GridFunction:
@@ -216,23 +232,31 @@ def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> Grid
     """
     if not (math.isfinite(left) and math.isfinite(right)):
         raise ValueError("boundary values must be finite")
-    g = rhs.values
-    grid = rhs.grid
-    n = grid.n
-    h = grid.h
+    u = np.empty(rhs.grid.n + 1)
+    _bvp_into(u, rhs.values, left, right, np.empty(rhs.grid.n))
+    return GridFunction._adopt(rhs.grid, u)
 
-    b = (h * h / 12.0) * (g[:-2] + 10.0 * g[1:-1] + g[2:])
 
+def _bvp_into(u: np.ndarray, g: np.ndarray, left: float, right: float,
+              scratch: np.ndarray) -> None:
+    """solve_second_order_bvp on the node values g, written into u; scratch
+    holds at least n values."""
+    n = len(g) - 1
+    h = 1.0 / n
     # The differences d[i] = u[i+1] - u[i] obey d[i] - d[i-1] = b[i-1], so d
     # is the running sum of b plus the one shift that makes the d add up to
-    # right - left; u is then the running sum of d.
-    d = np.empty(n)
+    # right - left; u is then the running sum of d.  b is formed in d[1:], in
+    # the order of operations of (h^2/12) (g[i-1] + 10 g[i] + g[i+1]).
+    d = scratch[:n]
+    b = d[1:]
+    np.multiply(g[1:-1], 10.0, out=b)
+    b += g[:-2]
+    b += g[2:]
+    b *= h * h / 12.0
     d[0] = 0.0
-    np.add.accumulate(b, out=d[1:])
+    np.add.accumulate(b, out=b)
     d += (right - left - d.sum()) / n
-    u = np.empty(n + 1)
     u[0] = left
     np.add.accumulate(d, out=u[1:])
     u[1:] += left
     u[-1] = right
-    return GridFunction._adopt(grid, u)

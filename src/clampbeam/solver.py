@@ -17,6 +17,15 @@ a unique fixed point and the iterates converge geometrically; the errors
 e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.  A run
 whose least e(k) sits at that level, above tol, for _STALL_WINDOW passes
 stops there: more passes cannot lower it.
+
+step and residual run steps 1-3 through the public, allocating
+solve_second_order_bvp and diff5.  solve runs its first pass through step
+and every later one through _pass, on raw arrays in a _Workspace that it
+allocates once: the (u, v) pairs, the slopes f reads and one scratch array,
+written in place by numerics' kernels _bvp_into and _diff5_into.  Steps 4-5
+(_f and _curvatures) are shared by all three, so each pass does the same
+arithmetic; solve wraps arrays in Triplet and IterateProfile only for its
+report, which takes over the workspace's last pair.
 """
 
 from __future__ import annotations
@@ -32,7 +41,10 @@ from .expr import _program, _run
 from .numerics import (
     Grid,
     GridFunction,
+    _bvp_into,
+    _checked_sup,
     _diff5_finite,
+    _diff5_into,
     _Frozen,
     _is_number,
     _simpson,
@@ -183,7 +195,8 @@ class SolveReport(_Frozen):
 
 
 class SolverError(RuntimeError):
-    """Iteration failed; .report holds the partial run for inspection."""
+    """Iteration failed; .report holds the partial run for inspection, and
+    the class's failure names the report's failure."""
 
     def __init__(self, message: str, report: SolveReport):
         super().__init__(message)
@@ -191,46 +204,68 @@ class SolverError(RuntimeError):
 
 
 class DivergenceError(SolverError):
-    pass
+    failure = "divergence"
 
 
 class IterationLimitError(SolverError):
-    pass
+    failure = "iteration-limit"
 
 
 class StallError(IterationLimitError):
     """e(k) stalled at its rounding floor above tol: more passes cannot reach tol."""
 
+    failure = "floor"
 
-def _source(problem: CanonicalProblem, grid: Grid, arg) -> np.ndarray:
-    """f at the nodes, a fresh array; arg(name) gives the node values of the
-    profile's u, du, d2u or d3u (f's u, y, v, z), asked only for what f reads."""
-    program = _program(problem.rhs, grid.nodes)
-    args = [arg(name) if slot in program.reads else None
-            for slot, name in enumerate(("u", "du", "d2u", "d3u"), 1)]
-    out = _run(program, [grid.nodes] + args, problem.rhs)
+
+def _f(program, rhs, nodes: np.ndarray, u, du, v, d3u) -> np.ndarray:
+    """f at the nodes from the node values of u, u', u'' and u''' (None for a
+    slope f does not read).  Never one of those arrays, but it may be a value
+    the fold keeps, so it must not be written."""
+    out = _run(program, (nodes, u, du, v, d3u), rhs)
     if isinstance(out, float):  # f is constant
-        return np.full(grid.n + 1, out)
-    return out.copy()  # the fold's kept values may be shared
+        return np.full(len(nodes), out)
+    if out is u or out is du or out is v or out is d3u:  # f is one of them
+        return out.copy()
+    return out
 
 
-def _apply(state: Triplet, problem: CanonicalProblem) -> tuple:
-    """The first half of a pass: (phi, profile), f at the nodes of the profile
-    state induces, as a fresh array, and that profile."""
+def _moments(grid: Grid, phi: np.ndarray, scratch: np.ndarray) -> tuple:
+    """The Simpson integrals of phi against the two slope kernels, formed in scratch."""
+    w_left, w_right = grid.slope_weights
+    i_left = _simpson(np.multiply(w_left, phi, out=scratch), grid.h)
+    return i_left, _simpson(np.multiply(w_right, phi, out=scratch), grid.h)
+
+
+def _curvatures(grid: Grid, phi: np.ndarray, beta: float, scratch: np.ndarray) -> tuple:
+    """The new (alpha, beta) from the new source and the old beta, alpha first."""
+    i_left, i_right = _moments(grid, phi, scratch)
+    alpha = 3.0 * i_left - beta / 2.0
+    beta = 3.0 * i_right - alpha / 2.0
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise ValueError("end curvatures must be finite")
+    return alpha, beta
+
+
+def _induced(state: Triplet, problem: CanonicalProblem) -> tuple:
+    """(phi, profile): the profile state induces, through the public solves,
+    and f at its nodes, as _f gives it."""
     v = solve_second_order_bvp(state.source, state.alpha, state.beta)
     profile = IterateProfile(u=solve_second_order_bvp(v, 0.0, 0.0), d2u=v)
     for of, slope in ((profile.u, "du"), (v, "d3u")):
         if not _diff5_finite(of):  # f may not read it, but the pass fails where it always did
             getattr(profile, slope)
-    phi = _source(problem, state.source.grid, lambda name: getattr(profile, name).values)
-    return phi, profile
+    nodes = v.grid.nodes
+    program = _program(problem.rhs, nodes)
+    du = profile.du.values if 2 in program.reads else None
+    d3u = profile.d3u.values if 4 in program.reads else None
+    return _f(program, problem.rhs, nodes, profile.u.values, du, v.values, d3u), profile
 
 
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
     """Starting triplet: source f(x,0,0,0,0), zero end curvatures."""
     zero = np.zeros(grid.n + 1)
-    phi = _source(problem, grid, lambda name: zero)
-    return Triplet(GridFunction._adopt(grid, phi, finite=True), 0.0, 0.0)
+    phi = _f(_program(problem.rhs, grid.nodes), problem.rhs, grid.nodes, zero, zero, zero, zero)
+    return Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), 0.0, 0.0)
 
 
 def step(state: Triplet, problem: CanonicalProblem) -> tuple:
@@ -239,13 +274,11 @@ def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     Only the slopes f reads are differentiated during the pass; the profile
     forms the others on first read, with the same values.
     """
-    f_vals, profile = _apply(state, problem)
     grid = state.source.grid
-    phi = GridFunction._adopt(grid, f_vals, finite=True)
-    w_left, w_right = grid.slope_weights
-    alpha = 3.0 * _simpson(w_left * phi.values, grid.h) - state.beta / 2.0
-    beta = 3.0 * _simpson(w_right * phi.values, grid.h) - alpha / 2.0
-    return Triplet(phi, alpha, beta), profile
+    phi, profile = _induced(state, problem)
+    phi = np.array(phi)
+    alpha, beta = _curvatures(grid, phi, state.beta, np.empty(grid.n + 1))
+    return Triplet(GridFunction._adopt(grid, phi, finite=True), alpha, beta), profile
 
 
 def residual(state: Triplet, problem: CanonicalProblem) -> float:
@@ -255,14 +288,76 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     in the two curvature equations.
     """
     grid = state.source.grid
-    f_vals, _ = _apply(state, problem)
+    f_vals = _induced(state, problem)[0]
     src_defect = float(np.abs(state.source.values - f_vals).max())
-    w_left, w_right = grid.slope_weights
-    i_left = _simpson(w_left * state.source.values, grid.h)
-    i_right = _simpson(w_right * state.source.values, grid.h)
+    del f_vals
+    i_left, i_right = _moments(grid, state.source.values, np.empty(grid.n + 1))
     left_defect = abs(i_left - (state.beta / 6.0 + state.alpha / 3.0))
     right_defect = abs(-i_right + (state.beta / 3.0 + state.alpha / 6.0))
     return src_defect + left_defect + right_defect
+
+
+class _Workspace:
+    """What solve's passes after the first reuse: f's program folded at the
+    grid's nodes and n+1-value arrays for the current (u, v = u'') pair, the
+    spare pair the next pass writes, the slopes f reads (None for the others)
+    and one scratch array that the kernels, the quadrature and the error
+    norms share.  sup_u is sup|u| of the current pair, which starts as a
+    copy of the first pass's u and u''.
+    """
+
+    def __init__(self, problem: CanonicalProblem, profile: IterateProfile):
+        grid = self.grid = profile.u.grid
+        self.rhs, self.program = problem.rhs, _program(problem.rhs, grid.nodes)
+        self.u, self.v = np.array(profile.u.values), np.array(profile.d2u.values)
+        self.sup_u, m = profile.u._sup, grid.n + 1
+        self.u_old, self.v_old, self.scratch = np.empty(m), np.empty(m), np.empty(m)
+        self.du, self.d3u = (np.empty(m) if slot in self.program.reads else None for slot in (2, 4))
+
+    def profile(self, slopes: bool) -> IterateProfile:
+        """The current pair as a profile, which takes over its arrays; with
+        slopes, the du and d3u the last pass formed from it are its slopes."""
+        profile = IterateProfile(u=GridFunction._adopt(self.grid, self.u),
+                                 d2u=GridFunction._adopt(self.grid, self.v))
+        for name in ("du", "d3u"):
+            if slopes and getattr(self, name) is not None:
+                profile.__dict__[name] = GridFunction._adopt(self.grid, getattr(self, name), finite=True)
+        return profile
+
+
+def _gap(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
+    """max|a - b|, formed in scratch."""
+    d = np.subtract(a, b, out=scratch)
+    return float(np.abs(d, out=d).max())
+
+
+def _pass(ws: _Workspace, phi: np.ndarray, alpha: float, beta: float) -> tuple:
+    """One application of the map on raw arrays, with step's arithmetic.
+
+    u and v go into ws's spare pair, which becomes the current one on
+    success, and the slopes f reads into ws.du and ws.d3u.  Returns the next
+    (phi, alpha, beta), phi as _f gives it.  A pass that fails leaves the
+    current pair as it was.
+    """
+    grid, s = ws.grid, ws.scratch
+    u, v = ws.u_old, ws.v_old
+    _bvp_into(v, phi, alpha, beta, s)
+    sup_v = _checked_sup(grid, v)
+    _bvp_into(u, v, 0.0, 0.0, s)
+    sup_u = _checked_sup(grid, u)
+    for of, out, sup in ((u, ws.du, sup_u), (v, ws.d3u, sup_v)):
+        bounded = math.isfinite(32.0 * grid.n * sup)  # diff5's bound, see numerics
+        if out is None and bounded:
+            continue
+        if out is None:  # f does not read it, but the pass fails where it always did
+            out = np.empty_like(of)
+        _diff5_into(out, of, s)
+        if not bounded:
+            _checked_sup(grid, out)
+    phi = _f(ws.program, ws.rhs, grid.nodes, u, ws.du, v, ws.d3u)
+    alpha, beta = _curvatures(grid, phi, beta, s)
+    ws.u, ws.u_old, ws.v, ws.v_old, ws.sup_u = u, ws.u, v, ws.v, sup_u
+    return phi, alpha, beta
 
 
 # Overflow only ever yields non-finite values, which are reported as divergence.
@@ -275,29 +370,26 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
     a GridFunction on config.n intervals; the solve runs on that grid and
     tracks eu(k) against them.  With None it tracks the problem's own exact
     solution, if there is one.
+
+    The first pass is step's; the others run on _pass in one _Workspace,
+    and the report wraps the last state and profile.
     """
     grid = Grid(config.n) if exact is None else exact.grid
     if grid.n != config.n:
         raise ValueError(f"exact samples on a grid of n={grid.n}, but the solve has n={config.n}")
     if exact is None:
         exact = problem.exact_on(grid)
-
-    state = init_state(problem, grid)
-    zero = GridFunction(grid, np.zeros(grid.n + 1))
-    profile = IterateProfile(u=zero, d2u=zero)
-    first_step = float("inf")
     e_hist: list = []
     eu_hist: Optional[list] = [] if exact is not None else None
-    prev_e = best_e = float("inf")
-    increases = best_k = 0
 
-    def _report(failure: Optional[str] = None) -> SolveReport:
+    def _finish(state, profile, first_step, error=None, message=None, cause=None):
+        """The report; with an error class, that error raised with it instead."""
         try:
             res = residual(state, problem)
         except ValueError:  # ExprEvalError, or a non-finite profile
             res = float("inf")
-        return SolveReport(
-            converged=failure is None,
+        report = SolveReport(
+            converged=error is None,
             iterations=len(e_hist),
             e_history=e_hist,
             eu_history=eu_hist,
@@ -305,39 +397,59 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
             triplet=state,
             residual=res,
             first_step=first_step,
-            failure=failure,
+            failure=error and error.failure,
         )
+        if error is None:
+            return report
+        raise error(message, report) from cause
 
-    for k in range(config.max_iter + 1):
-        prev_state, prev_u = state, profile.u.values
+    state = init_state(problem, grid)
+    try:
+        first, profile = step(state, problem)
+    except ValueError as err:  # ExprEvalError, or a non-finite value rejected
+        zero = GridFunction(grid, np.zeros(grid.n + 1))
+        return _finish(state, IterateProfile(u=zero, d2u=zero), float("inf"), DivergenceError,
+                       f"the map broke down after 0 iterations: {err}", err)
+    first_step = triplet_distance(first, state)
+    phi, alpha, beta = first.source.values, first.alpha, first.beta
+    del state, first
+    ws = _Workspace(problem, profile)
+    del profile
+    prev_e = best_e = float("inf")
+    increases = best_k = 0
+    error = cause = message = None
+    for k in range(1, config.max_iter + 1):
         try:
-            state, profile = step(state, problem)
+            phi, alpha, beta = _pass(ws, phi, alpha, beta)
         except ValueError as err:  # ExprEvalError, or a non-finite value rejected
-            raise DivergenceError(f"the map broke down after {len(e_hist)} iterations: {err}",
-                                  _report("divergence")) from err
-        if k == 0:
-            first_step = triplet_distance(state, prev_state)
-            continue
-        e = float(np.abs(profile.u.values - prev_u).max())
+            error, cause = DivergenceError, err
+            message = f"the map broke down after {len(e_hist)} iterations: {err}"
+            break
+        e = _gap(ws.u, ws.u_old, ws.scratch)
         e_hist.append(e)
         if eu_hist is not None:
-            eu_hist.append(float(np.abs(profile.u.values - exact.values).max()))
+            eu_hist.append(_gap(ws.u, exact.values, ws.scratch))
         if e <= config.tol:
-            return _report()
-        floor = _ROUNDING_FLOOR * max(1.0, profile.u._sup)  # u's sup, recorded by its check
+            break
+        floor = _ROUNDING_FLOOR * max(1.0, ws.sup_u)
         if e < best_e:
             best_e, best_k = e, k
         increases = increases + 1 if e > max(prev_e, floor) else 0
         prev_e = e
         if increases >= _DIVERGENCE_WINDOW:
-            raise DivergenceError(
-                f"diverged: successive-iterate errors grew for {increases} consecutive iterations",
-                _report("divergence"))
+            error = DivergenceError
+            message = f"diverged: successive-iterate errors grew for {increases} consecutive iterations"
+            break
         if k - best_k >= _STALL_WINDOW and best_e <= floor:
-            raise StallError(
-                f"stalled at the rounding floor: the best e(k) {best_e:.3e} is at or below "
-                f"the floor {floor:.3e} but above tol={config.tol:g}, and no e(k) has gone "
-                f"below it for {k - best_k} iterations", _report("floor"))
-    raise IterationLimitError(
-        f"no convergence to tol={config.tol:g} within {config.max_iter} iterations",
-        _report("iteration-limit"))
+            error = StallError
+            message = (f"stalled at the rounding floor: the best e(k) {best_e:.3e} is at or below "
+                       f"the floor {floor:.3e} but above tol={config.tol:g}, and no e(k) has gone "
+                       f"below it for {k - best_k} iterations")
+            break
+    else:
+        error = IterationLimitError
+        message = f"no convergence to tol={config.tol:g} within {config.max_iter} iterations"
+    state = Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), alpha, beta)
+    profile = ws.profile(slopes=cause is None)
+    del ws, phi  # the spare pair and scratch go before the residual's pass
+    return _finish(state, profile, first_step, error, message, cause)

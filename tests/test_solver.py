@@ -449,10 +449,12 @@ class TestSlopes:
 
     @pytest.mark.parametrize("ident, per_step", [(1, 2), (2, 2), (3, 0), (6, 0)])
     def test_diff5_only_for_what_f_reads(self, monkeypatch, ident, per_step):
-        # examples 1 and 2 read y and z, 3 and 6 neither; each step still
-        # runs both second-order solves.  The report's profile forms an
-        # unread slope with one diff5 on its first read, and then keeps it
-        calls = {"diff5": 0, "bvp": 0, "step": 0}
+        # examples 1 and 2 read y and z, 3 and 6 neither; each pass still
+        # runs both second-order solves.  Counted are the in-place kernels,
+        # which step's public wrappers and solve's later passes all reach.
+        # The report's profile forms an unread slope with one diff5 on its
+        # first read, and then keeps it
+        calls = {"_diff5_into": 0, "_bvp_into": 0}
 
         def counted(name, fn):
             def wrapper(*args):
@@ -460,22 +462,21 @@ class TestSlopes:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(solver_module, "diff5", counted("diff5", solver_module.diff5))
-        monkeypatch.setattr(solver_module, "solve_second_order_bvp",
-                            counted("bvp", solver_module.solve_second_order_bvp))
-        monkeypatch.setattr(solver_module, "step", counted("step", solver_module.step))
+        for name in calls:
+            kernel = counted(name, getattr(numerics, name))
+            for module in (numerics, solver_module):
+                monkeypatch.setattr(module, name, kernel)
         rep = solver_module.solve(get_example(ident).canonical(), SolverConfig(n=100))
         passes = rep.iterations + 1
-        assert calls["step"] == passes
-        assert calls["bvp"] == 2 * passes + 2  # and two for the report's residual
+        assert calls["_bvp_into"] == 2 * passes + 2  # and two for the report's residual
         formed = per_step * (passes + 1)  # none for an unread slope yet
-        assert calls["diff5"] == formed
+        assert calls["_diff5_into"] == formed
         for slope in ("du", "d3u"):
             first = getattr(rep.profile, slope)
             formed += per_step == 0
-            assert calls["diff5"] == formed
+            assert calls["_diff5_into"] == formed
             assert getattr(rep.profile, slope) is first
-            assert calls["diff5"] == formed
+            assert calls["_diff5_into"] == formed
 
     @pytest.mark.parametrize("ref, max_iter", [("example:3", 200), ("f = 500*u + 1", 5)])
     def test_report_holds_plain_grid_functions(self, ref, max_iter):
@@ -540,6 +541,99 @@ class TestIterateProfile:
         assert repr(prof) == expected
         prof.du, prof.d3u
         assert repr(prof) == expected
+
+
+class TestPassCore:
+    """solve's passes after the first run on raw arrays in one workspace;
+    they must give step's iterates and report bit for bit."""
+
+    CASES = [(f"example:{i}", SolverConfig(n=n), None) for i in range(1, 7) for n in (16, 100, 400)]
+    CASES += [
+        ("f = 300*u + 1", SolverConfig(n=100), None),
+        ("f = 500*u + 1", SolverConfig(n=100, max_iter=30), "iteration-limit"),
+        ("f = 2400 + u*z/2 - y*v/4", SolverConfig(n=100), "floor"),
+        ("f = 1e5*u + 1e300", SolverConfig(n=100), "divergence"),  # the map breaks down
+        ("f = exp(500*u) + y^1", SolverConfig(n=100), "divergence"),  # in f, after the slopes
+        ("f = 24 + sin(x)", SolverConfig(n=16), None),  # f is a value its fold keeps
+        ("f = 2*x + z^1", SolverConfig(n=16), None),
+    ]
+
+    @pytest.mark.parametrize("ref, config, failure", CASES)
+    def test_solve_is_step_iterated(self, ref, config, failure):
+        cp = TestSlopes._problem(ref)
+        rep = _report_of(cp, config)
+        assert rep.failure == failure
+        grid = Grid(config.n)
+        exact = cp.exact_on(grid)
+        state = init_state(cp, grid)
+        new, profile = step(state, cp)
+        assert rep.first_step == triplet_distance(new, state)
+        state, e, eu = new, [], []
+        for _ in range(rep.iterations):
+            prev_u = profile.u.values
+            state, profile = step(state, cp)
+            e.append(float(np.abs(profile.u.values - prev_u).max()))
+            if exact is not None:
+                eu.append(float(np.abs(profile.u.values - exact.values).max()))
+        if failure == "divergence":  # as solve does, take overflow for non-finite values
+            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
+                step(state, cp)
+        assert _same_bits(rep.e_history, np.array(e))
+        if exact is None:
+            assert rep.eu_history is None
+        else:
+            assert _same_bits(rep.eu_history, np.array(eu))
+        assert _same_bits(rep.triplet.source.values, state.source.values)
+        assert (rep.triplet.alpha, rep.triplet.beta) == (state.alpha, state.beta)
+        for name in ("u", "du", "d2u", "d3u"):
+            assert _same_bits(getattr(rep.profile, name).values, getattr(profile, name).values), name
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                res = residual(state, cp)
+            except ValueError:  # as solve reports it
+                res = math.inf
+        assert rep.residual == res
+
+    @staticmethod
+    def _workspace(cp, grid):
+        zero = GridFunction(grid, np.zeros(grid.n + 1))
+        return solver_module._Workspace(cp, IterateProfile(u=zero, d2u=zero))
+
+    @pytest.mark.parametrize("text", ["f = sin(u)", "f = sin(u) + z"])
+    def test_slope_overflow_fails_in_a_pass_as_in_step(self, text):
+        # as in test_slope_overflow_fails_where_it_did, u''' overflows in
+        # diff5's edge rows, whether or not f reads it; the pass keeps the
+        # current pair
+        grid, cp = Grid(8), _canon(text)
+        ws = self._workspace(cp, grid)
+        current = (ws.u, ws.v)
+        with pytest.raises(ValueError) as info:
+            solver_module._pass(ws, np.zeros(9), 1e307, -1e307)
+        assert str(info.value) == "non-finite value at node 0 (x=0.0)"
+        assert (ws.u, ws.v) == current and not ws.u.any() and not ws.v.any()
+
+    @pytest.mark.parametrize("name", ["u", "y", "v", "z"])
+    def test_pass_never_returns_a_workspace_array(self, name):
+        # f = u^1 evaluates to the array f was given for u
+        grid, cp = Grid(16), _canon(f"f = {name}^1")
+        ws = self._workspace(cp, grid)
+        phi, _, _ = solver_module._pass(ws, np.ones(17), 1.0, 2.0)
+        assert all(phi is not getattr(ws, slot) for slot in ("u", "v", "u_old", "v_old", "du", "d3u", "scratch"))
+
+    def test_solve_memory_stays_at_19_arrays(self):
+        # a pass holds the workspace, the source and f's temporaries; the
+        # report's residual pass runs once the spare pair and scratch are gone
+        tracemalloc = pytest.importorskip("tracemalloc")
+        cp = get_example(1).canonical()
+        n = 100_000
+        solve(cp, SolverConfig(n=16))  # compile f outside the trace
+        tracemalloc.start()
+        try:
+            solve(cp, SolverConfig(n=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 19 * 8 * (n + 1)
 
 
 class TestFailureModes:
@@ -607,18 +701,26 @@ class TestFailureModes:
     def test_floor_noise_is_not_divergence(self, monkeypatch):
         # e(k) falls to q and then rises ten times in a row, always at or
         # below the floor 16 eps = 256 q: rounding noise, so the run stalls
-        # instead of diverging (sums of these multiples of q are exact)
+        # instead of diverging (sums of these multiples of q are exact).
+        # solve's first pass is step's, the others are _pass's, which leaves
+        # the new u in the workspace's current pair
         q = 2.0 ** -56
         errors = [2**40, 2**30, 2**20, 2**10] + list(range(1, 12))
         offsets = iter(np.cumsum([0] + errors) * q)
-        real_step = solver_module.step
+        real_step, real_pass = solver_module.step, solver_module._pass
 
         def noisy_step(state, problem):
             new, profile = real_step(state, problem)
             u = GridFunction(profile.u.grid, np.full_like(profile.u.values, next(offsets)))
             return new, dataclasses.replace(profile, u=u)
 
+        def noisy_pass(ws, phi, alpha, beta):
+            out = real_pass(ws, phi, alpha, beta)
+            ws.u[:] = next(offsets)
+            return out
+
         monkeypatch.setattr(solver_module, "step", noisy_step)
+        monkeypatch.setattr(solver_module, "_pass", noisy_pass)
         with pytest.raises(StallError) as info:
             solve(_canon("f = 24"), SolverConfig(n=16, tol=1e-30))
         assert info.value.report.e_history.tolist() == [k * q for k in errors]
