@@ -21,11 +21,12 @@ stops there: more passes cannot lower it.
 step and residual run steps 1-3 through the public, allocating
 solve_second_order_bvp and diff5.  solve runs its first pass through step
 and every later one through _pass, on raw arrays in a _Workspace that it
-allocates once: the (u, v) pairs, the slopes f reads and one scratch array,
-written in place by numerics' kernels _bvp_into and _diff5_into.  Steps 4-5
-(_f and _curvatures) are shared by all three, so each pass does the same
-arithmetic; solve wraps arrays in Triplet and IterateProfile only for its
-report, which takes over the workspace's last pair.
+allocates once, as one block: the (u, v) pairs, the slopes f reads and one
+scratch array, written in place by numerics' kernels _bvp_into and
+_diff5_into.  Steps 4-5 (_f and _curvatures) are shared by all three, so
+each pass does the same arithmetic; solve wraps arrays in Triplet and
+IterateProfile only for its report, which takes over the workspace's last
+pair and with it the block.
 """
 
 from __future__ import annotations
@@ -304,15 +305,22 @@ class _Workspace:
     and one scratch array that the kernels, the quadrature and the error
     norms share.  sup_u is sup|u| of the current pair, which starts as a
     copy of the first pass's u and u''.
+
+    The arrays are the rows of one block, which the report's profile keeps
+    and frees as one piece.  As separate arrays, some freed with the
+    workspace and some with the report, they left the heap fragmented in a
+    way that varied from run to run, and with it the peak RSS of a process
+    that solves large grids and then reads large files.
     """
 
     def __init__(self, problem: CanonicalProblem, profile: IterateProfile):
         grid = self.grid = profile.u.grid
         self.rhs, self.program = problem.rhs, _program(problem.rhs, grid.nodes)
-        self.u, self.v = np.array(profile.u.values), np.array(profile.d2u.values)
-        self.sup_u, m = profile.u._sup, grid.n + 1
-        self.u_old, self.v_old, self.scratch = np.empty(m), np.empty(m), np.empty(m)
-        self.du, self.d3u = (np.empty(m) if slot in self.program.reads else None for slot in (2, 4))
+        reads = [slot in self.program.reads for slot in (2, 4)]
+        rows = iter(np.empty((5 + sum(reads), grid.n + 1)))
+        self.u, self.v, self.u_old, self.v_old, self.scratch = (next(rows) for _ in range(5))
+        self.du, self.d3u = (next(rows) if read else None for read in reads)
+        self.u[:], self.v[:], self.sup_u = profile.u.values, profile.d2u.values, profile.u._sup
 
     def profile(self, slopes: bool) -> IterateProfile:
         """The current pair as a profile, which takes over its arrays; with
@@ -451,5 +459,5 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         message = f"no convergence to tol={config.tol:g} within {config.max_iter} iterations"
     state = Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), alpha, beta)
     profile = ws.profile(slopes=cause is None)
-    del ws, phi  # the spare pair and scratch go before the residual's pass
+    del ws, phi, exact  # phi and the exact samples go before the residual's pass
     return _finish(state, profile, first_step, error, message, cause)

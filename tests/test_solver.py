@@ -622,7 +622,7 @@ class TestPassCore:
 
     def test_solve_memory_stays_at_19_arrays(self):
         # a pass holds the workspace, the source and f's temporaries; the
-        # report's residual pass runs once the spare pair and scratch are gone
+        # report's residual pass runs once the last f values and exact samples are gone
         tracemalloc = pytest.importorskip("tracemalloc")
         cp = get_example(1).canonical()
         n = 100_000
