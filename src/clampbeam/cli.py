@@ -36,6 +36,7 @@ log, sqrt, abs, and the constants pi and e.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import os
 import sys
@@ -538,6 +539,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _malloc_trim():
+    """The C library's malloc_trim, or None where it has none (glibc has it)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -546,6 +558,14 @@ def main(argv=None) -> int:
     except (_InputError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    finally:
+        # glibc keeps what a solve at n = 10^5 frees (some 15 MB) in its heap,
+        # and whether a later large allocation fits there depends on where
+        # small blocks landed meanwhile: a process that called main again and
+        # again peaked up to 9 MB higher from one run to the next.
+        trim = _malloc_trim()
+        if trim is not None:
+            trim(0)
 
 
 def entry() -> None:

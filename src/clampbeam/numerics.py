@@ -17,7 +17,7 @@ The three workhorses are all fourth-order accurate:
 diff5 and solve_second_order_bvp are thin allocating wrappers: their
 arithmetic lives in the in-place kernels _diff5_into and _bvp_into, which
 write into a caller's array and take their temporaries from a caller's
-scratch array; solve's later passes allocate only what evaluating f does.
+scratch array; solve's passes allocate only what evaluating f does.
 
 A GridFunction, SolveReport or RecoveredSolution owns read-only copies of its
 arrays, keeps them read-only through pickling, pickles only its fields and
@@ -161,9 +161,9 @@ def _checked_sup(grid: Grid, vals: np.ndarray) -> float:
     return sup
 
 
-def _diff5_finite(f: GridFunction) -> bool:
-    """Whether the module docstring's bound, on a recorded sup, makes diff5(f) finite."""
-    return math.isfinite(32.0 * f.grid.n * f.__dict__.get("_sup", math.inf))
+def _diff5_finite(n: int, sup: float) -> bool:
+    """Whether the module docstring's bound makes diff5 finite on n intervals, given s = sup."""
+    return math.isfinite(32.0 * n * sup)
 
 
 def sup_norm(f: GridFunction) -> float:
@@ -196,7 +196,7 @@ def diff5(f: GridFunction) -> GridFunction:
     """
     d = np.empty(f.grid.n + 1)
     _diff5_into(d, f.values, np.empty(f.grid.n - 3))
-    return GridFunction._adopt(f.grid, d, finite=_diff5_finite(f))
+    return GridFunction._adopt(f.grid, d, finite=_diff5_finite(f.grid.n, f.__dict__.get("_sup", math.inf)))
 
 
 def _diff5_into(d: np.ndarray, v: np.ndarray, scratch: np.ndarray) -> None:

@@ -18,15 +18,14 @@ e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.  A run
 whose least e(k) sits at that level, above tol, for _STALL_WINDOW passes
 stops there: more passes cannot lower it.
 
-step and residual run steps 1-3 through the public, allocating
-solve_second_order_bvp and diff5.  solve runs its first pass through step
-and every later one through _pass, on raw arrays in a _Workspace that it
-allocates once, as one block: the (u, v) pairs, the slopes f reads and one
-scratch array, written in place by numerics' kernels _bvp_into and
-_diff5_into.  Steps 4-5 (_f and _curvatures) are shared by all three, so
-each pass does the same arithmetic; solve wraps arrays in Triplet and
-IterateProfile only for its report, which takes over the workspace's last
-pair and with it the block.
+step runs steps 1-3 through the public, allocating solve_second_order_bvp
+and diff5, and residual through step.  solve runs every pass through _pass,
+on raw arrays in a _Workspace that it allocates once, as one block: the
+(u, v) pairs, the slopes f reads and one scratch array, written in place by
+numerics' kernels _bvp_into and _diff5_into.  Steps 4-5 (_f and
+_curvatures) are shared by step and _pass, so each pass does the same
+arithmetic; solve wraps arrays in Triplet and IterateProfile only for its
+report, which takes over the workspace's last pair and with it the block.
 """
 
 from __future__ import annotations
@@ -152,6 +151,8 @@ class SolveReport(_Frozen):
     with it and holds max-node errors against the exact solution when one
     is known.  first_step is the triplet distance after the very first
     application of the map, the quantity the a-priori error envelope needs.
+    residual is residual() of the triplet, or inf when the map cannot be
+    applied to it once more.
 
     On failure profile and triplet are the last finite ones; when the very
     first application fails, init_state's triplet and the zero profile, and
@@ -247,21 +248,6 @@ def _curvatures(grid: Grid, phi: np.ndarray, beta: float, scratch: np.ndarray) -
     return alpha, beta
 
 
-def _induced(state: Triplet, problem: CanonicalProblem) -> tuple:
-    """(phi, profile): the profile state induces, through the public solves,
-    and f at its nodes, as _f gives it."""
-    v = solve_second_order_bvp(state.source, state.alpha, state.beta)
-    profile = IterateProfile(u=solve_second_order_bvp(v, 0.0, 0.0), d2u=v)
-    for of, slope in ((profile.u, "du"), (v, "d3u")):
-        if not _diff5_finite(of):  # f may not read it, but the pass fails where it always did
-            getattr(profile, slope)
-    nodes = v.grid.nodes
-    program = _program(problem.rhs, nodes)
-    du = profile.du.values if 2 in program.reads else None
-    d3u = profile.d3u.values if 4 in program.reads else None
-    return _f(program, problem.rhs, nodes, profile.u.values, du, v.values, d3u), profile
-
-
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
     """Starting triplet: source f(x,0,0,0,0), zero end curvatures."""
     zero = np.zeros(grid.n + 1)
@@ -276,8 +262,15 @@ def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     forms the others on first read, with the same values.
     """
     grid = state.source.grid
-    phi, profile = _induced(state, problem)
-    phi = np.array(phi)
+    v = solve_second_order_bvp(state.source, state.alpha, state.beta)
+    profile = IterateProfile(u=solve_second_order_bvp(v, 0.0, 0.0), d2u=v)
+    for of, slope in ((profile.u, "du"), (v, "d3u")):
+        if not _diff5_finite(grid.n, of._sup):  # f may not read it, but the pass fails where it always did
+            getattr(profile, slope)
+    program = _program(problem.rhs, grid.nodes)
+    du = profile.du.values if 2 in program.reads else None
+    d3u = profile.d3u.values if 4 in program.reads else None
+    phi = np.array(_f(program, problem.rhs, grid.nodes, profile.u.values, du, v.values, d3u))
     alpha, beta = _curvatures(grid, phi, state.beta, np.empty(grid.n + 1))
     return Triplet(GridFunction._adopt(grid, phi, finite=True), alpha, beta), profile
 
@@ -286,10 +279,12 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
     """How far a triplet is from being a fixed point of the map.
 
     Sum of the sup defect in the source equation and the absolute defects
-    in the two curvature equations.
+    in the two curvature equations.  The source defect takes f from
+    step(state), so residual raises wherever step does: where the map
+    cannot be applied once more.
     """
     grid = state.source.grid
-    f_vals = _induced(state, problem)[0]
+    f_vals = step(state, problem)[0].source.values
     src_defect = float(np.abs(state.source.values - f_vals).max())
     del f_vals
     i_left, i_right = _moments(grid, state.source.values, np.empty(grid.n + 1))
@@ -299,12 +294,12 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
 
 
 class _Workspace:
-    """What solve's passes after the first reuse: f's program folded at the
-    grid's nodes and n+1-value arrays for the current (u, v = u'') pair, the
-    spare pair the next pass writes, the slopes f reads (None for the others)
-    and one scratch array that the kernels, the quadrature and the error
-    norms share.  sup_u is sup|u| of the current pair, which starts as a
-    copy of the first pass's u and u''.
+    """What solve's passes reuse: f's program folded at the grid's nodes and
+    n+1-value arrays for the current (u, v = u'') pair, the spare pair the
+    next pass writes, the slopes f reads (None for the others) and one
+    scratch array that the kernels, the quadrature and the error norms
+    share.  sup_u is sup|u| of the current pair, which starts as zeros: the
+    profile of no pass, which a report holds when pass 0 fails.
 
     The arrays are the rows of one block, which the report's profile keeps
     and frees as one piece.  As separate arrays, some freed with the
@@ -313,14 +308,13 @@ class _Workspace:
     that solves large grids and then reads large files.
     """
 
-    def __init__(self, problem: CanonicalProblem, profile: IterateProfile):
-        grid = self.grid = profile.u.grid
+    def __init__(self, problem: CanonicalProblem, grid: Grid):
+        self.grid, self.sup_u = grid, 0.0
         self.rhs, self.program = problem.rhs, _program(problem.rhs, grid.nodes)
         reads = [slot in self.program.reads for slot in (2, 4)]
-        rows = iter(np.empty((5 + sum(reads), grid.n + 1)))
+        rows = iter(np.zeros((5 + sum(reads), grid.n + 1)))
         self.u, self.v, self.u_old, self.v_old, self.scratch = (next(rows) for _ in range(5))
         self.du, self.d3u = (next(rows) if read else None for read in reads)
-        self.u[:], self.v[:], self.sup_u = profile.u.values, profile.d2u.values, profile.u._sup
 
     def profile(self, slopes: bool) -> IterateProfile:
         """The current pair as a profile, which takes over its arrays; with
@@ -354,7 +348,7 @@ def _pass(ws: _Workspace, phi: np.ndarray, alpha: float, beta: float) -> tuple:
     _bvp_into(u, v, 0.0, 0.0, s)
     sup_u = _checked_sup(grid, u)
     for of, out, sup in ((u, ws.du, sup_u), (v, ws.d3u, sup_v)):
-        bounded = math.isfinite(32.0 * grid.n * sup)  # diff5's bound, see numerics
+        bounded = _diff5_finite(grid.n, sup)
         if out is None and bounded:
             continue
         if out is None:  # f does not read it, but the pass fails where it always did
@@ -379,8 +373,9 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
     tracks eu(k) against them.  With None it tracks the problem's own exact
     solution, if there is one.
 
-    The first pass is step's; the others run on _pass in one _Workspace,
-    and the report wraps the last state and profile.
+    Every pass runs on _pass in one _Workspace, pass 0 from its zero pair,
+    and the report wraps the last state and profile; its residual is one
+    more application of the map, through step.
     """
     grid = Grid(config.n) if exact is None else exact.grid
     if grid.n != config.n:
@@ -389,50 +384,23 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         exact = problem.exact_on(grid)
     e_hist: list = []
     eu_hist: Optional[list] = [] if exact is not None else None
-
-    def _finish(state, profile, first_step, error=None, message=None, cause=None):
-        """The report; with an error class, that error raised with it instead."""
-        try:
-            res = residual(state, problem)
-        except ValueError:  # ExprEvalError, or a non-finite profile
-            res = float("inf")
-        report = SolveReport(
-            converged=error is None,
-            iterations=len(e_hist),
-            e_history=e_hist,
-            eu_history=eu_hist,
-            profile=profile,
-            triplet=state,
-            residual=res,
-            first_step=first_step,
-            failure=error and error.failure,
-        )
-        if error is None:
-            return report
-        raise error(message, report) from cause
-
-    state = init_state(problem, grid)
-    try:
-        first, profile = step(state, problem)
-    except ValueError as err:  # ExprEvalError, or a non-finite value rejected
-        zero = GridFunction(grid, np.zeros(grid.n + 1))
-        return _finish(state, IterateProfile(u=zero, d2u=zero), float("inf"), DivergenceError,
-                       f"the map broke down after 0 iterations: {err}", err)
-    first_step = triplet_distance(first, state)
-    phi, alpha, beta = first.source.values, first.alpha, first.beta
-    del state, first
-    ws = _Workspace(problem, profile)
-    del profile
-    prev_e = best_e = float("inf")
+    phi0 = phi = init_state(problem, grid).source.values
+    alpha = beta = 0.0
+    ws = _Workspace(problem, grid)
+    first_step = prev_e = best_e = float("inf")
     increases = best_k = 0
     error = cause = message = None
-    for k in range(1, config.max_iter + 1):
+    for k in range(config.max_iter + 1):
         try:
             phi, alpha, beta = _pass(ws, phi, alpha, beta)
         except ValueError as err:  # ExprEvalError, or a non-finite value rejected
             error, cause = DivergenceError, err
             message = f"the map broke down after {len(e_hist)} iterations: {err}"
             break
+        if k == 0:  # the first triplet, and init_state's profile: no e(k) yet
+            first_step = _gap(phi, phi0, ws.scratch) + abs(alpha) + abs(beta)
+            phi0 = None  # init_state's source goes before the next pass
+            continue
         e = _gap(ws.u, ws.u_old, ws.scratch)
         e_hist.append(e)
         if eu_hist is not None:
@@ -459,5 +427,14 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         message = f"no convergence to tol={config.tol:g} within {config.max_iter} iterations"
     state = Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), alpha, beta)
     profile = ws.profile(slopes=cause is None)
-    del ws, phi, exact  # phi and the exact samples go before the residual's pass
-    return _finish(state, profile, first_step, error, message, cause)
+    del ws, phi, phi0, exact  # the f values and the exact samples go before the residual's pass
+    try:
+        res = residual(state, problem)
+    except ValueError:  # ExprEvalError, or a non-finite value rejected
+        res = float("inf")
+    report = SolveReport(converged=error is None, iterations=len(e_hist), e_history=e_hist,
+                         eu_history=eu_hist, profile=profile, triplet=state, residual=res,
+                         first_step=first_step, failure=error and error.failure)
+    if error is None:
+        return report
+    raise error(message, report) from cause

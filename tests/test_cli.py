@@ -610,6 +610,27 @@ class TestInputHandling:
         assert not (tmp_path / "ignored").exists()
 
 
+class TestHeapTrim:
+    @pytest.mark.parametrize("argv, code", [
+        (["solve", "example:1", "--n", "20"], 0),
+        (["solve", "example:0"], 2),
+    ], ids=["solve", "input-error"])
+    def test_main_trims_the_heap_once_per_command(self, argv, code, tmp_path, capsys, monkeypatch):
+        pads = []
+        monkeypatch.setattr(cli, "_malloc_trim", lambda: pads.append)
+        assert main(argv + ["--out-dir", str(tmp_path)]) == code
+        assert pads == [0]
+
+    def test_main_runs_without_malloc_trim(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_malloc_trim", lambda: None)
+        assert main(["solve", "example:1", "--n", "20", "--out-dir", str(tmp_path)]) == 0
+        assert (tmp_path / "solution.csv").exists()
+
+    def test_malloc_trim_is_callable_or_absent(self):
+        trim = cli._malloc_trim()
+        assert trim is None or trim(0) in (0, 1)
+
+
 def _run_module(*args):
     """python -m args in a child process that imports this checkout's clampbeam."""
     src = str(Path(clampbeam.__file__).resolve().parents[1])

@@ -184,7 +184,7 @@ class TestDiff5:
         values = st.one_of(st.floats(min_value=-s, max_value=s),
                            st.sampled_from([s, -s, 0.0, -0.0, 5e-324]))
         f = GridFunction(Grid(n), data.draw(st.lists(values, min_size=n + 1, max_size=n + 1)))
-        assert _diff5_finite(f)
+        assert _diff5_finite(f.grid.n, f._sup)
         assert np.isfinite(diff5(f).values).all()
 
     @pytest.mark.parametrize("n", [8, 10, 1000])
@@ -192,12 +192,12 @@ class TestDiff5:
         # the worst case for the edge rows: every term adds up
         s = self._bound(n)
         f = GridFunction(Grid(n), s * (-1.0) ** np.arange(n + 1))
-        assert _diff5_finite(f)
+        assert _diff5_finite(f.grid.n, f._sup)
         assert np.isfinite(diff5(f).values).all()
 
     def test_overflow_beyond_the_bound_still_raises(self):
         f = GridFunction(Grid(8), 1e307 * (-1.0) ** np.arange(9))
-        assert not _diff5_finite(f)
+        assert not _diff5_finite(f.grid.n, f._sup)
         with pytest.raises(ValueError, match=r"non-finite value at node 0 \(x=0.0\)"):
             diff5(f)
 

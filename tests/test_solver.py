@@ -191,12 +191,10 @@ class TestHistories:
 
     def test_exact_on_another_grid_is_rejected_before_any_pass(self, monkeypatch):
         passes = []
-
-        def spy(*args):
-            passes.append(args)
-            return step(*args)
-
-        monkeypatch.setattr(solver_module, "step", spy)
+        for name in ("init_state", "_pass"):
+            real = getattr(solver_module, name)
+            monkeypatch.setattr(solver_module, name,
+                                lambda *args, real=real: passes.append(args) or real(*args))
         exact = GridFunction.sample(Grid(16), lambda x: x**2 * (1 - x) ** 2)
         with pytest.raises(ValueError) as info:
             solve(_canon("f = 24"), SolverConfig(n=32), exact=exact)
@@ -544,8 +542,8 @@ class TestIterateProfile:
 
 
 class TestPassCore:
-    """solve's passes after the first run on raw arrays in one workspace;
-    they must give step's iterates and report bit for bit."""
+    """solve's passes run on raw arrays in one workspace; they must give
+    step's iterates and report bit for bit."""
 
     CASES = [(f"example:{i}", SolverConfig(n=n), None) for i in range(1, 7) for n in (16, 100, 400)]
     CASES += [
@@ -553,6 +551,8 @@ class TestPassCore:
         ("f = 500*u + 1", SolverConfig(n=100, max_iter=30), "iteration-limit"),
         ("f = 2400 + u*z/2 - y*v/4", SolverConfig(n=100), "floor"),
         ("f = 1e5*u + 1e300", SolverConfig(n=100), "divergence"),  # the map breaks down
+        ("f = 1e5*u + 1e300", SolverConfig(n=1000), "divergence"),  # in the curvatures
+        ("f = 1e308", SolverConfig(n=100), "divergence"),  # on pass 0
         ("f = exp(500*u) + y^1", SolverConfig(n=100), "divergence"),  # in f, after the slopes
         ("f = 24 + sin(x)", SolverConfig(n=16), None),  # f is a value its fold keeps
         ("f = 2*x + z^1", SolverConfig(n=16), None),
@@ -565,23 +565,30 @@ class TestPassCore:
         assert rep.failure == failure
         grid = Grid(config.n)
         exact = cp.exact_on(grid)
-        state = init_state(cp, grid)
-        new, profile = step(state, cp)
-        assert rep.first_step == triplet_distance(new, state)
-        state, e, eu = new, [], []
-        for _ in range(rep.iterations):
-            prev_u = profile.u.values
-            state, profile = step(state, cp)
-            e.append(float(np.abs(profile.u.values - prev_u).max()))
-            if exact is not None:
-                eu.append(float(np.abs(profile.u.values - exact.values).max()))
-        if failure == "divergence":  # as solve does, take overflow for non-finite values
-            with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError):
-                step(state, cp)
+        # passes[k + 1] is step's pass k, on the triplet of passes[k];
+        # passes[0] is init_state's triplet with the zero profile.  solve
+        # makes at most iterations + 1 passes, and its residual one more
+        zero = GridFunction(grid, np.zeros(grid.n + 1))
+        passes = [(init_state(cp, grid), IterateProfile(u=zero, d2u=zero))]
+        with np.errstate(over="ignore", invalid="ignore"):  # as solve does, take overflow for non-finite values
+            while len(passes) < rep.iterations + 3:
+                try:
+                    passes.append(step(passes[-1][0], cp))
+                except ValueError:
+                    break
+        # the report holds solve's last pass: a breakdown stops both loops at
+        # the same pass, and otherwise the residual's pass went one further
+        last = len(passes) - 1 if failure == "divergence" else len(passes) - 2
+        assert rep.iterations == max(last - 1, 0)
+        state, profile = passes[last]
+        assert rep.first_step == (triplet_distance(passes[1][0], passes[0][0]) if last else math.inf)
+        us = [passes[k][1].u.values for k in range(1, last + 1)]
+        e = [float(np.abs(u - prev).max()) for prev, u in zip(us, us[1:])]
         assert _same_bits(rep.e_history, np.array(e))
         if exact is None:
             assert rep.eu_history is None
         else:
+            eu = [float(np.abs(u - exact.values).max()) for u in us[1:]]
             assert _same_bits(rep.eu_history, np.array(eu))
         assert _same_bits(rep.triplet.source.values, state.source.values)
         assert (rep.triplet.alpha, rep.triplet.beta) == (state.alpha, state.beta)
@@ -594,18 +601,13 @@ class TestPassCore:
                 res = math.inf
         assert rep.residual == res
 
-    @staticmethod
-    def _workspace(cp, grid):
-        zero = GridFunction(grid, np.zeros(grid.n + 1))
-        return solver_module._Workspace(cp, IterateProfile(u=zero, d2u=zero))
-
     @pytest.mark.parametrize("text", ["f = sin(u)", "f = sin(u) + z"])
     def test_slope_overflow_fails_in_a_pass_as_in_step(self, text):
         # as in test_slope_overflow_fails_where_it_did, u''' overflows in
         # diff5's edge rows, whether or not f reads it; the pass keeps the
         # current pair
         grid, cp = Grid(8), _canon(text)
-        ws = self._workspace(cp, grid)
+        ws = solver_module._Workspace(cp, grid)
         current = (ws.u, ws.v)
         with pytest.raises(ValueError) as info:
             solver_module._pass(ws, np.zeros(9), 1e307, -1e307)
@@ -616,7 +618,7 @@ class TestPassCore:
     def test_pass_never_returns_a_workspace_array(self, name):
         # f = u^1 evaluates to the array f was given for u
         grid, cp = Grid(16), _canon(f"f = {name}^1")
-        ws = self._workspace(cp, grid)
+        ws = solver_module._Workspace(cp, grid)
         phi, _, _ = solver_module._pass(ws, np.ones(17), 1.0, 2.0)
         assert all(phi is not getattr(ws, slot) for slot in ("u", "v", "u_old", "v_old", "du", "d3u", "scratch"))
 
@@ -702,28 +704,33 @@ class TestFailureModes:
         # e(k) falls to q and then rises ten times in a row, always at or
         # below the floor 16 eps = 256 q: rounding noise, so the run stalls
         # instead of diverging (sums of these multiples of q are exact).
-        # solve's first pass is step's, the others are _pass's, which leaves
-        # the new u in the workspace's current pair
+        # Each of solve's passes leaves the new u in the workspace's current pair
         q = 2.0 ** -56
         errors = [2**40, 2**30, 2**20, 2**10] + list(range(1, 12))
         offsets = iter(np.cumsum([0] + errors) * q)
-        real_step, real_pass = solver_module.step, solver_module._pass
-
-        def noisy_step(state, problem):
-            new, profile = real_step(state, problem)
-            u = GridFunction(profile.u.grid, np.full_like(profile.u.values, next(offsets)))
-            return new, dataclasses.replace(profile, u=u)
+        real_pass = solver_module._pass
 
         def noisy_pass(ws, phi, alpha, beta):
             out = real_pass(ws, phi, alpha, beta)
             ws.u[:] = next(offsets)
             return out
 
-        monkeypatch.setattr(solver_module, "step", noisy_step)
         monkeypatch.setattr(solver_module, "_pass", noisy_pass)
         with pytest.raises(StallError) as info:
             solve(_canon("f = 24"), SolverConfig(n=16, tol=1e-30))
         assert info.value.report.e_history.tolist() == [k * q for k in errors]
+
+    def test_residual_is_inf_when_the_curvatures_overflow(self):
+        # f stays finite on the last state's profile, but the next end
+        # curvatures overflow, so the map cannot be applied once more
+        cp = _canon("f = 1e5*u + 1e300")
+        with pytest.raises(DivergenceError) as info:
+            solve(cp, SolverConfig(n=1000))
+        assert str(info.value) == "the map broke down after 1 iterations: end curvatures must be finite"
+        assert info.value.report.residual == math.inf
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as raised:
+            residual(info.value.report.triplet, cp)
+        assert str(raised.value) == "end curvatures must be finite"
 
     def test_iteration_limit_with_report(self):
         cp = get_example(2).canonical()
@@ -739,13 +746,15 @@ class TestFailureModes:
     ])
     def test_overflow_is_divergence_with_report(self, text, iterations):
         # overflow in the second-order solves or in f, on the first pass or
-        # later, is typed; the report keeps the last finite state
+        # later, is typed; the report keeps the last finite state, and its
+        # residual is inf, as the map cannot be applied to that state
         cp = _canon(text)
         with pytest.raises(DivergenceError) as info:
             solve(cp, SolverConfig(n=100))
         rep = info.value.report
         assert rep.failure == "divergence" and not rep.converged
         assert rep.iterations == iterations == len(rep.e_history)
+        assert rep.residual == math.inf
         state = init_state(cp, Grid(100))
         if iterations == 0:
             assert rep.first_step == math.inf
