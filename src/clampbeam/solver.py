@@ -16,7 +16,8 @@ Under the contraction conditions (see analysis.check_conditions) the map has
 a unique fixed point and the iterates converge geometrically; the errors
 e(k) = max_i |u_k(x_i) - u_{k-1}(x_i)| then shrink to rounding level.  A run
 whose least e(k) sits at that level, above tol, for _STALL_WINDOW passes
-stops there: more passes cannot lower it.
+stops there: more passes cannot lower it.  A run above it whose steady rate
+needs over _HOPELESS times the passes left stops with the budget's verdict.
 
 step runs steps 1-3 through the public, allocating solve_second_order_bvp
 and diff5, and residual through step.  solve runs every pass through _pass,
@@ -79,6 +80,11 @@ _DIVERGENCE_WINDOW = 5
 # the iteration stops: more passes cannot lower e(k) to a tol below the floor.
 _STALL_WINDOW = 10
 _ROUNDING_FLOOR = 16.0 * float(np.finfo(float).eps)
+# A run above the floor whose last _STALL_WINDOW ratios e(j)/e(j-1) lie in
+# (0, 1) within _STEADY_SPREAD of the largest is steady; it stops once the
+# passes to tol at the fastest of them exceed _HOPELESS times the budget left.
+_STEADY_SPREAD = 1e-3
+_HOPELESS = 10.0
 
 
 @dataclass(frozen=True)
@@ -161,7 +167,7 @@ class SolveReport(_Frozen):
 
     failure names why a failed run stopped: "divergence" (e(k) grew above
     the rounding floor, or the map could not be evaluated or overflowed),
-    "iteration-limit" (max_iter passes without reaching tol) or "floor"
+    "iteration-limit" (max_iter passes cannot reach tol) or "floor"
     (e(k) stalled at the rounding floor, above tol).  It is None on success.
     A report owns read-only copies of its histories and is equal only to itself.
     """
@@ -210,6 +216,9 @@ class DivergenceError(SolverError):
 
 
 class IterationLimitError(SolverError):
+    """max_iter passes did not reach tol, or a steady rate of e(k) showed
+    early that they cannot; the message gives the rate."""
+
     failure = "iteration-limit"
 
 
@@ -422,9 +431,25 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
                        f"the floor {floor:.3e} but above tol={config.tol:g}, and no e(k) has gone "
                        f"below it for {k - best_k} iterations")
             break
+        if _STALL_WINDOW < k < config.max_iter and e > floor:
+            to_tol = math.log(config.tol) - math.log(e)
+            # a ratio above this needs more than _HOPELESS times the passes left
+            hopeless = math.exp(to_tol / (_HOPELESS * (config.max_iter - k)))
+            if hopeless < e / e_hist[-2] < 1:  # the newest ratio first, as it is cheap
+                rates = [b / a for a, b in zip(e_hist[-_STALL_WINDOW - 1:], e_hist[-_STALL_WINDOW:])]
+                fast, slow = min(rates), max(rates)
+                if hopeless < fast and slow < 1 and slow - fast <= _STEADY_SPREAD * slow:
+                    error = IterationLimitError
+                    message = (f"no convergence to tol={config.tol:g} within {config.max_iter} "
+                               f"iterations: after {k}, e(k) falls by {fast:.5f} per iteration "
+                               f"and needs about {to_tol / math.log(fast):.0f} more")
+                    break
     else:
         error = IterationLimitError
         message = f"no convergence to tol={config.tol:g} within {config.max_iter} iterations"
+        if len(e_hist) > 1:
+            rate = e_hist[-1] / e_hist[-2]
+            message += f": e(k) last {'fell' if rate < 1 else 'rose'} by {rate:.5f} per iteration"
     state = Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), alpha, beta)
     profile = ws.profile(slopes=cause is None)
     del ws, phi, phi0, exact  # the f values and the exact samples go before the residual's pass

@@ -549,6 +549,7 @@ class TestPassCore:
     CASES += [
         ("f = 300*u + 1", SolverConfig(n=100), None),
         ("f = 500*u + 1", SolverConfig(n=100, max_iter=30), "iteration-limit"),
+        ("f = 500*u + 1", SolverConfig(n=100), "iteration-limit"),  # stops early, at 16
         ("f = 2400 + u*z/2 - y*v/4", SolverConfig(n=100), "floor"),
         ("f = 1e5*u + 1e300", SolverConfig(n=100), "divergence"),  # the map breaks down
         ("f = 1e5*u + 1e300", SolverConfig(n=1000), "divergence"),  # in the curvatures
@@ -637,6 +638,31 @@ class TestPassCore:
             tracemalloc.stop()
         assert peak <= 19 * 8 * (n + 1)
 
+    def test_pass_loop_memory_stays_at_15_5_arrays(self, monkeypatch):
+        # the residual pass sets solve's overall peak; the peak up to its
+        # start is the pass loop's: the workspace's block, the source and
+        # f's temporaries.  An array held through every pass, such as
+        # init_state's source, adds one
+        tracemalloc = pytest.importorskip("tracemalloc")
+        cp = get_example(1).canonical()
+        n = 100_000
+        solve(cp, SolverConfig(n=16))  # compile f outside the trace
+        peaks = []
+        real = solver_module.residual
+
+        def spy(*args):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return real(*args)
+
+        monkeypatch.setattr(solver_module, "residual", spy)
+        tracemalloc.start()
+        try:
+            solve(cp, SolverConfig(n=n))
+        finally:
+            tracemalloc.stop()
+        assert len(peaks) == 1
+        assert peaks[0] <= 15.5 * 8 * (n + 1)
+
 
 class TestFailureModes:
     def test_slope_overflow_fails_where_it_did(self):
@@ -684,12 +710,15 @@ class TestFailureModes:
         assert f"{best:.3e}" in message and f"floor {floor:.3e}" in message
         assert "tol=1e-15" in message
 
-    @pytest.mark.parametrize("text, outcome, iterations", [
-        ("f = 300*u + 1", None, 90),                   # contracts slowly
-        ("f = 500*u + 1", IterationLimitError, 200),   # does not contract
-        ("f = 600*u + 1", DivergenceError, None),      # expands
+    @pytest.mark.parametrize("text, outcome, iterations, why", [
+        ("f = 300*u + 1", None, 90, None),             # contracts slowly
+        # barely contracts: its steady rate predicts 35089 more passes, so
+        # the run stops long before the budget of 200 runs out
+        ("f = 500*u + 1", IterationLimitError, 16,
+         "after 16, e(k) falls by 0.99920 per iteration and needs about 35089 more"),
+        ("f = 600*u + 1", DivergenceError, None, None),  # expands
     ])
-    def test_slow_linear_problems_keep_their_outcome(self, text, outcome, iterations):
+    def test_slow_linear_problems_keep_their_outcome(self, text, outcome, iterations, why):
         cp = _canon(text)
         if outcome is None:
             assert solve(cp, SolverConfig(n=100)).iterations == iterations
@@ -699,6 +728,58 @@ class TestFailureModes:
         assert type(info.value) is outcome
         if iterations is not None:
             assert info.value.report.iterations == iterations
+        if why is not None:
+            assert str(info.value) == f"no convergence to tol=1e-15 within 200 iterations: {why}"
+
+    @pytest.mark.parametrize("text, config, iterations, why", [
+        ("f = 500*u + 1", SolverConfig(n=400), 16,
+         "after 16, e(k) falls by 0.99920 per iteration and needs about 35076 more"),
+        ("f = 480*u + 1", SolverConfig(n=100), 99,
+         "after 99, e(k) falls by 0.97525 per iteration and needs about 1017 more"),
+        # its rate, about 0.88, keeps tol within reach of the budget, and
+        # near rounding level its ratios are no longer steady
+        ("f = 400*u + 1", SolverConfig(n=100), 200, "e(k) last fell by 0.84694 per iteration"),
+        # too few passes for a window of ratios: the budget runs out
+        ("f = 500*u + 1", SolverConfig(n=100, max_iter=5), 5, "e(k) last rose by 1.00596 per iteration"),
+    ])
+    def test_hopeless_runs_stop_early(self, text, config, iterations, why):
+        with pytest.raises(IterationLimitError) as info:
+            solve(_canon(text), config)
+        assert type(info.value) is IterationLimitError
+        rep = info.value.report
+        assert rep.failure == "iteration-limit" and not rep.converged
+        assert rep.iterations == iterations == len(rep.e_history)
+        assert str(info.value) == f"no convergence to tol=1e-15 within {config.max_iter} iterations: {why}"
+
+    def test_slow_run_that_converges_within_its_budget_is_not_stopped(self):
+        # nearly as slow as 480*u + 1, yet its rate reaches tol within this budget
+        rep = solve(_canon("f = 470*u + 1"), SolverConfig(n=100, max_iter=1000))
+        assert rep.converged and rep.iterations == 744
+
+    @pytest.mark.parametrize("text", [f"f = {c}*u + 1" for c in (300, 400, 420, 450, 470, 480, 490, 500)]
+                             + ["f = 480*u - 2000*u^3 + 1", "f = 490*u + 1e4*u^2 + 1", "f = 300*sin(u) + 1"])
+    @pytest.mark.parametrize("n", [16, 100])
+    def test_no_run_that_would_converge_is_stopped(self, text, n):
+        # the oracle is step iterated from init_state; whenever it reaches
+        # tol within a budget, solve converges with the same K, and any
+        # run's e(k) are the oracle's
+        cp, grid = _canon(text), Grid(n)
+        state, us, e = init_state(cp, grid), [], []
+        with np.errstate(over="ignore", invalid="ignore"):
+            while len(e) < 200 and not (e and e[-1] <= 1e-15):
+                try:
+                    state, profile = step(state, cp)
+                except ValueError:
+                    break
+                us.append(profile.u.values)
+                if len(us) > 1:
+                    e.append(float(np.abs(us[-1] - us[-2]).max()))
+        reached = len(e) if e and e[-1] <= 1e-15 else None
+        for budget in (30, 50, 100, 200):
+            rep = _report_of(cp, SolverConfig(n=n, max_iter=budget))
+            assert rep.e_history.tolist() == e[:rep.iterations]
+            if reached is not None and reached <= budget:
+                assert rep.converged and rep.iterations == reached
 
     def test_floor_noise_is_not_divergence(self, monkeypatch):
         # e(k) falls to q and then rises ten times in a row, always at or
@@ -732,14 +813,21 @@ class TestFailureModes:
             residual(info.value.report.triplet, cp)
         assert str(raised.value) == "end curvatures must be finite"
 
-    def test_iteration_limit_with_report(self):
+    @pytest.mark.parametrize("max_iter", [4, 1])
+    def test_iteration_limit_with_report(self, max_iter):
         cp = get_example(2).canonical()
         with pytest.raises(IterationLimitError) as info:
-            solve(cp, SolverConfig(n=32, max_iter=4))
+            solve(cp, SolverConfig(n=32, max_iter=max_iter))
         rep = info.value.report
         assert not rep.converged
         assert rep.failure == "iteration-limit"
-        assert rep.iterations == 4
+        assert rep.iterations == max_iter
+        message = f"no convergence to tol=1e-15 within {max_iter} iterations"
+        if max_iter > 1:  # the message ends with the last ratio e(K)/e(K-1), about 1/4 here
+            rate = rep.e_history[-1] / rep.e_history[-2]
+            assert 0.2 < rate < 0.3
+            message += f": e(k) last fell by {rate:.5f} per iteration"
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("text, iterations", [
         ("f = 1e308", 0), ("f = 1e307*u + 1e307", 0), ("f = 1e5*u + 1e300", 2),
