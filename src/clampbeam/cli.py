@@ -20,8 +20,8 @@ bytes never rest on the fast path.
 
 Output goes to --out-dir, else the CLAMPBEAM_OUT_DIR environment variable,
 else the current directory, created only once every input is resolved and
-validated, so an input error creates nothing.  Exit status: 0 converged or
-certified, 1 failed condition check or divergence, 2 input error.
+validated, so an input error leaves nothing behind.  Exit status: 0
+converged or certified, 1 failed condition check or divergence, 2 input error.
 
 Problem-file format: UTF-8 text, one ``key = value`` pair per line, ``#``
 starts a comment.  Keys: a, b (interval, default [0,1]); A1, B1, A2, B2
@@ -36,9 +36,11 @@ log, sqrt, abs, and the constants pi and e.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import functools
 import os
+import pathlib
 import sys
 
 import numpy as np
@@ -72,6 +74,8 @@ class _InputError(Exception):
 
 def _out_dir(args) -> str:
     path = args.out_dir or os.environ.get("CLAMPBEAM_OUT_DIR") or "."
+    full = pathlib.Path(os.path.abspath(path))
+    args.made = [d for d in (full, *full.parents) if not d.exists()]  # to create, deepest first
     try:
         os.makedirs(path, exist_ok=True)
     except OSError as err:
@@ -557,6 +561,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_InputError, ExprError) as err:
         print(f"error: {err}", file=sys.stderr)
+        with contextlib.suppress(OSError):  # f failed at the solve's start: take back what is empty
+            for path in getattr(args, "made", ()):
+                os.rmdir(path)
         return 2
     finally:
         # glibc keeps what a solve at n = 10^5 frees (some 15 MB) in its heap,

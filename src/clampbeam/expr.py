@@ -22,11 +22,11 @@ exp(b*log(a)) and requires a positive base.
 f is compiled once, on its first evaluation, into a flat instruction list
 kept on the root node, in which equal subexpressions share one instruction.
 A fold then runs every instruction whose operands are all known and decides
-every check on a known operand.  Literals are known to every evaluation.  The
-solver evaluates f on a grid whose x never changes, so it asks for the
-program folded once more with x known; the root keeps the last such fold,
-for one x array, next to its program.  Values, errors and the subtree an
-error names are those of a left-to-right walk of the tree.
+every check on a known operand.  Literals are known to every evaluation; a
+caller that runs f many times at one x (the solver, on its grid) may fold
+the program once more with x known and keep that fold itself.  Values,
+errors and the subtree an error names are those of a left-to-right walk of
+the tree.
 """
 
 from __future__ import annotations
@@ -93,12 +93,11 @@ class ExprDerivativeError(ExprError):
 
 
 class _Node:
-    """Base of the tree nodes: pickling leaves out the programs a root keeps."""
+    """Base of the tree nodes: pickling leaves out the program a root keeps."""
 
     def __getstate__(self):
         state = dict(self.__dict__)
         state.pop("_program", None)
-        state.pop("_program_at_x", None)
         return state
 
 
@@ -501,6 +500,9 @@ def _fold(program: _Program, root, x=None) -> _Program:
     code after it, which no run could reach, is dropped.  A known value stays
     in the template only while an instruction left to run reads it, or it is
     the result; the others are freed once their last folded reader has run.
+    Values, errors and named subtrees stay those of evaluate, but a run may
+    return a value the fold keeps, which must not be written, and a failure
+    the fold decides raises after the instructions ahead of it, which win.
     """
     vals = program.template.copy()
     vals[0] = x
@@ -555,30 +557,13 @@ def _run(program: _Program, values: tuple, root):
     return _result(vals[program.result], root)
 
 
-def _program(expr: Expression, x=None) -> _Program:
-    """The program of expr, compiled and folded on first use and kept on expr.
-
-    Given x, the program folded once more with x known, so what depends on x
-    alone is computed once, here; the root program itself when it does not
-    read x.  The last such fold is kept on expr with the x it was folded for,
-    and is made anew for any other x object.  Values, errors and the subtree
-    an error names stay those of evaluate, but a run may return a kept value,
-    which later runs share, so it must not be written.  A failure the fold
-    decides raises on every run, after the instructions ahead of it, whose
-    own failures still win.
-    """
-    kept = getattr(expr, "__dict__", {})
-    program = kept.get("_program")
+def _program(expr: Expression) -> _Program:
+    """The program of expr, compiled and folded on first use and kept on expr."""
+    program = getattr(expr, "__dict__", {}).get("_program")
     if program is None:
         program = _fold(_Compiler(expr).program(), expr)
         object.__setattr__(expr, "_program", program)
-    if x is None or 0 not in program.reads:
-        return program
-    at_x = kept.get("_program_at_x")
-    if at_x is None or at_x[0] is not x:
-        at_x = (x, _fold(program, expr, x))
-        object.__setattr__(expr, "_program_at_x", at_x)
-    return at_x[1]
+    return program
 
 
 def _result(out, expr):

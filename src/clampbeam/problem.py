@@ -354,5 +354,5 @@ def parse_problem_text(text: str) -> LoadedProblem:
 
 
 def load_problem_file(path) -> LoadedProblem:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # skips a byte-order mark
         return parse_problem_text(fh.read())

@@ -20,13 +20,13 @@ stops there: more passes cannot lower it.  A run above it whose steady rate
 needs over _HOPELESS times the passes left stops with the budget's verdict.
 
 step runs steps 1-3 through the public, allocating solve_second_order_bvp
-and diff5, and residual through step.  solve runs every pass through _pass,
-on raw arrays in a _Workspace that it allocates once, as one block: the
-(u, v) pairs, the slopes f reads and one scratch array, written in place by
-numerics' kernels _bvp_into and _diff5_into.  Steps 4-5 (_f and
-_curvatures) are shared by step and _pass, so each pass does the same
-arithmetic; solve wraps arrays in Triplet and IterateProfile only for its
-report, which takes over the workspace's last pair and with it the block.
+and diff5, and residual through step.  solve runs every pass through _pass
+in a _Workspace: f folded at the grid's nodes, which gives the start, and
+one block of raw arrays (the (u, v) pairs, the slopes f reads, a scratch
+array) that numerics' kernels _bvp_into and _diff5_into write in place.
+Steps 4-5 (_f and _curvatures) are shared by step and _pass, so each pass
+does the same arithmetic; solve wraps arrays in Triplet and IterateProfile
+only for its report, which takes over the last pair and with it the block.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import _program, _run
+from .expr import _fold, _program, _run
 from .numerics import (
     Grid,
     GridFunction,
@@ -258,9 +258,8 @@ def _curvatures(grid: Grid, phi: np.ndarray, beta: float, scratch: np.ndarray) -
 
 
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
-    """Starting triplet: source f(x,0,0,0,0), zero end curvatures."""
-    zero = np.zeros(grid.n + 1)
-    phi = _f(_program(problem.rhs, grid.nodes), problem.rhs, grid.nodes, zero, zero, zero, zero)
+    """Starting triplet: source f(x,0,0,0,0) from f's root program, zero end curvatures."""
+    phi = _f(_program(problem.rhs), problem.rhs, grid.nodes, *[np.zeros(grid.n + 1)] * 4)
     return Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), 0.0, 0.0)
 
 
@@ -276,7 +275,7 @@ def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     for of, slope in ((profile.u, "du"), (v, "d3u")):
         if not _diff5_finite(grid.n, of._sup):  # f may not read it, but the pass fails where it always did
             getattr(profile, slope)
-    program = _program(problem.rhs, grid.nodes)
+    program = _program(problem.rhs)
     du = profile.du.values if 2 in program.reads else None
     d3u = profile.d3u.values if 4 in program.reads else None
     phi = np.array(_f(program, problem.rhs, grid.nodes, profile.u.values, du, v.values, d3u))
@@ -303,7 +302,8 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
 
 
 class _Workspace:
-    """What solve's passes reuse: f's program folded at the grid's nodes and
+    """What solve's passes reuse: f's program, folded at the grid's nodes
+    when f reads x, the start f(x, 0, 0, 0, 0) that solve takes over, and
     n+1-value arrays for the current (u, v = u'') pair, the spare pair the
     next pass writes, the slopes f reads (None for the others) and one
     scratch array that the kernels, the quadrature and the error norms
@@ -314,12 +314,17 @@ class _Workspace:
     and frees as one piece.  As separate arrays, some freed with the
     workspace and some with the report, they left the heap fragmented in a
     way that varied from run to run, and with it the peak RSS of a process
-    that solves large grids and then reads large files.
+    that solves large grids and then reads large files.  The start is formed
+    ahead of the block, from zeros of its own, for the same reason: formed
+    after it, from the block's zero pair, it moved that peak by up to 2.5 MB.
     """
 
     def __init__(self, problem: CanonicalProblem, grid: Grid):
         self.grid, self.sup_u = grid, 0.0
-        self.rhs, self.program = problem.rhs, _program(problem.rhs, grid.nodes)
+        self.rhs, self.program = problem.rhs, _program(problem.rhs)
+        if 0 in self.program.reads:  # what depends on x alone is computed once, here
+            self.program = _fold(self.program, self.rhs, grid.nodes)
+        self.start = _f(self.program, self.rhs, grid.nodes, *[np.zeros(grid.n + 1)] * 4)
         reads = [slot in self.program.reads for slot in (2, 4)]
         rows = iter(np.zeros((5 + sum(reads), grid.n + 1)))
         self.u, self.v, self.u_old, self.v_old, self.scratch = (next(rows) for _ in range(5))
@@ -382,9 +387,9 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
     tracks eu(k) against them.  With None it tracks the problem's own exact
     solution, if there is one.
 
-    Every pass runs on _pass in one _Workspace, pass 0 from its zero pair,
-    and the report wraps the last state and profile; its residual is one
-    more application of the map, through step.
+    Every pass runs on _pass in one _Workspace, pass 0 from its start, and
+    the report wraps the last state and profile; its residual is one more
+    application of the map, through step.
     """
     grid = Grid(config.n) if exact is None else exact.grid
     if grid.n != config.n:
@@ -393,9 +398,9 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         exact = problem.exact_on(grid)
     e_hist: list = []
     eu_hist: Optional[list] = [] if exact is not None else None
-    phi0 = phi = init_state(problem, grid).source.values
-    alpha = beta = 0.0
     ws = _Workspace(problem, grid)
+    phi0 = phi = ws.start
+    alpha = beta = 0.0
     first_step = prev_e = best_e = float("inf")
     increases = best_k = 0
     error = cause = message = None
@@ -406,9 +411,9 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
             error, cause = DivergenceError, err
             message = f"the map broke down after {len(e_hist)} iterations: {err}"
             break
-        if k == 0:  # the first triplet, and init_state's profile: no e(k) yet
+        if k == 0:  # the first triplet, and the start's zero profile: no e(k) yet
             first_step = _gap(phi, phi0, ws.scratch) + abs(alpha) + abs(beta)
-            phi0 = None  # init_state's source goes before the next pass
+            phi0 = ws.start = None  # the start's source goes before the next pass
             continue
         e = _gap(ws.u, ws.u_old, ws.scratch)
         e_hist.append(e)
@@ -462,4 +467,7 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
                          first_step=first_step, failure=error and error.failure)
     if error is None:
         return report
-    raise error(message, report) from cause
+    try:
+        raise error(message, report) from cause
+    finally:  # the cause's traceback holds this frame, which must not hold the cause
+        del cause

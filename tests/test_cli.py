@@ -51,10 +51,13 @@ BAD_INPUT_FILES = {
     "log-exact": "f = u + 1\nexact = log(x)\n",
     # the shift P is finite, but w - P overflows at t = 0
     "overflowing-exact": "f = u\nA1 = -5e307\nexact = 1.5e308 + x\n",
+    # f is undefined at the solve's start, u = 0
+    "log-start": "f = log(u) + sin(x)\n",
 }
 LOG_EXACT_ERROR = ("exact solution undefined on the n=100 grid: log of a non-positive value "
                    "in 'log(x)': argument 0.0 at sample 0")
 OVERFLOWING_EXACT_ERROR = "exact solution undefined on the n=100 grid: non-finite value at node 0 (x=0.0)"
+LOG_START_ERROR = "log of a non-positive value in 'log(u)': argument 0.0 at sample 0"
 
 
 def _problem_file(tmp_path, text, name="problem.txt"):
@@ -557,18 +560,50 @@ class TestInputHandling:
         (["table", "log-exact"], LOG_EXACT_ERROR),
         (["solve", "overflowing-exact"], OVERFLOWING_EXACT_ERROR),
         (["table", "overflowing-exact"], OVERFLOWING_EXACT_ERROR),
+        (["solve", "log-start"], LOG_START_ERROR),
+        (["table", "log-start", "--grids", "16,32"], LOG_START_ERROR),
     ], ids=["check-M", "check-K1", "check-lattice", "check-no-M", "examples-n", "examples-tol",
             "examples-max-iter", "examples-lattice", "examples-M", "solve-log-exact",
-            "table-log-exact", "solve-overflowing-exact", "table-overflowing-exact"])
+            "table-log-exact", "solve-overflowing-exact", "table-overflowing-exact",
+            "solve-log-start", "table-log-start"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_input_error_creates_nothing(self, argv, message, tmp_path, capsys):
-        # every input is resolved before --out-dir is created or anything runs
+        # every input is resolved before --out-dir is created or anything
+        # runs; an f undefined at the solve's start fails once it exists, and
+        # the directory is taken back
         argv = [_problem_file(tmp_path, BAD_INPUT_FILES[arg], f"{arg}.txt")
                 if arg in BAD_INPUT_FILES else arg for arg in argv]
         out = tmp_path / "out"
         assert main(argv + ["--out-dir", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+    def test_start_failure_takes_back_only_what_it_created(self, tmp_path, capsys):
+        # missing parents go too; a directory that was there stays, empty or not
+        path = _problem_file(tmp_path, BAD_INPUT_FILES["log-start"])
+        nested = tmp_path / "new" / "out"
+        assert main(["solve", path, "--out-dir", str(nested)]) == 2
+        assert not (tmp_path / "new").exists()
+        (tmp_path / "empty").mkdir()
+        (tmp_path / "kept" / "out").mkdir(parents=True)
+        for target in (tmp_path / "empty", tmp_path / "kept" / "out" / "sub"):
+            assert main(["solve", path, "--out-dir", str(target)]) == 2
+        assert (tmp_path / "empty").is_dir() and (tmp_path / "kept" / "out").is_dir()
+        assert not (tmp_path / "kept" / "out" / "sub").exists()
+        assert capsys.readouterr().err == f"error: {LOG_START_ERROR}\n" * 3
+
+    def test_file_with_a_byte_order_mark(self, tmp_path, capsys):
+        # an editor may save UTF-8 with a leading U+FEFF; it solves as without
+        text = "f = 12 + u*z/2 - y*v/4 + x\nexact = x^2*(1 - x)^2\n"
+        outputs = []
+        path = tmp_path / "problem.txt"
+        for name, data in (("plain", text), ("bom", "\ufeff" + text)):
+            path.write_text(data, encoding="utf-8")
+            out = tmp_path / f"out-{name}"
+            assert main(["solve", str(path), "--n", "32", "--out-dir", str(out)]) == 0
+            outputs.append([capsys.readouterr().out.replace(str(out), "OUT"),
+                            (out / "convergence.csv").read_bytes(), (out / "solution.csv").read_bytes()])
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("interval", ["b = 1e80", "a = -1e308\nb = 1e308"],
                              ids=["scale-overflows", "length-overflows"])

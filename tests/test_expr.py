@@ -1,5 +1,6 @@
 """Expression grammar, evaluation semantics, derivatives and rendering."""
 
+import dataclasses
 import gc
 import math
 import pickle
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import clampbeam.expr as expr_module
+import clampbeam.solver as solver_module
 from clampbeam.analysis import DomainBox, LatticeSpec, _lattice_env, check_conditions
 from clampbeam.cli import main
 from clampbeam.examples import get_example
@@ -423,8 +425,12 @@ def _outcome(fn, *args):
 
 def _at_x(tree, x):
     """tree as a function of (u, y, v, z), run as the solver runs it: the
-    program folded with x known, which the tree keeps between calls."""
-    return lambda *env: expr_module._run(expr_module._program(tree, x), (x,) + env, tree)
+    root program folded once more with x known when it reads x, a fold the
+    function keeps between calls."""
+    program = expr_module._program(tree)
+    if 0 in program.reads:
+        program = expr_module._fold(program, tree, x)
+    return lambda *env: expr_module._run(program, (x,) + env, tree)
 
 
 def _assert_fixed_x_matches(tree, x, *envs):
@@ -499,7 +505,8 @@ class TestFixedX:
         assert len(calls) == 1 + 3  # sin(x) once, sin(u) on every call
 
     def test_reused_values_go_with_the_tree(self):
-        # no reference cycle holds them until the next garbage collection;
+        # they go with the fold that keeps them, here held by at, with no
+        # reference cycle holding them until the next garbage collection;
         # with f = sin(x) the value returned is the reused array itself
         gc.disable()
         try:
@@ -698,11 +705,12 @@ class TestCompiledProgram:
         tree = parse("sqrt(u)/(x + 1) + 1")
         evaluate(tree, 1.0, 4.0, 0, 0, 0)
         evaluate(tree, 2.0, 4.0, 0, 0, 0)
-        _at_x(tree, XS)(*_profile(1.0))
+        _at_x(tree, XS)(*_profile(1.0))  # the fold at x is the caller's
         assert compiled == [tree]
-        assert {"_program", "_program_at_x"} <= set(vars(tree))
+        fields = {field.name for field in dataclasses.fields(tree)}
+        assert set(vars(tree)) == fields | {"_program"}
         copy = pickle.loads(pickle.dumps(tree))
-        assert copy == tree and not {"_program", "_program_at_x"} & set(vars(copy))
+        assert copy == tree and set(vars(copy)) == fields
 
     @pytest.mark.parametrize("source, fragment", [
         ("1/u", "division by zero in '1/u'"),
@@ -742,37 +750,20 @@ class TestFold:
         ("12 + u*z/2 - y*v/4 + x", 1),
     ])
     def test_fixed_x_folds_only_when_x_is_read(self, source, folds, monkeypatch):
-        tree = parse(source)
-        expr_module._program(tree)
-        calls = []
-        real = expr_module._fold
-        monkeypatch.setattr(expr_module, "_fold", lambda *args: calls.append(1) or real(*args))
-        expr_module._program(tree, XS)
-        assert len(calls) == folds
-        _assert_fixed_x_matches(tree, XS, _profile(0.5), _profile(2.0))
-        assert _outcome(_at_x(tree, XS), *_profile(1.0)) == \
-            _outcome(evaluate, tree, XS, *_profile(1.0))
-        assert len(calls) == folds
-
-    def test_fold_is_kept_for_one_x_array(self, monkeypatch):
-        # equal nodes in another array fold again: the fold is keyed by the
-        # array object, not its values
-        tree = parse("sin(x)*u + x^2")
-        expr_module._program(tree)
+        # a solve folds f at its grid's nodes once, in its workspace; the
+        # report's residual runs the root program, and the next solve folds anew
+        problem = canonicalize(parse_problem_text(f"f = {source}\n").raw)
+        expr_module._program(problem.rhs)
         folded_at = []
         real = expr_module._fold
-        monkeypatch.setattr(expr_module, "_fold",
-                            lambda program, root, x=None: folded_at.append(x) or real(program, root, x))
-        first, other = XS.copy(), XS.copy()
-        kept = expr_module._program(tree, first)
-        for _ in range(3):
-            assert expr_module._program(tree, first) is kept
-        assert len(folded_at) == 1
-        expr_module._program(tree, other)
-        expr_module._program(tree, other)
-        expr_module._program(tree, first)
-        assert [x is first for x in folded_at] == [True, False, True]
-        assert expr_module._program(tree) is not kept  # the root program is apart
+        for module in (expr_module, solver_module):
+            monkeypatch.setattr(module, "_fold", lambda program, root, x=None:
+                                folded_at.append(x) or real(program, root, x))
+        for solves in (1, 2):
+            report = solve(problem, SolverConfig(n=32))
+            assert report.converged
+            assert len(folded_at) == solves * folds
+            assert all(x is report.grid.nodes for x in folded_at[(solves - 1) * folds:])
 
     @pytest.mark.parametrize("source", [
         "sin(x)*u + sin(x)^2",   # a kept reader, then a folded one
@@ -792,7 +783,7 @@ class TestFold:
             return parse("abs(" * 20 + var + ")" * 20)
 
         assert _peak_arrays(lambda: evaluate(chain("u"), xs, u, 0, 0, 0), xs.nbytes) < 2.5
-        assert _peak_arrays(lambda: expr_module._program(chain("x"), xs), xs.nbytes) < 2.5
+        assert _peak_arrays(lambda: _at_x(chain("x"), xs), xs.nbytes) < 2.5
         at = _at_x(chain("u"), xs)
         for _ in range(2):  # the first call and a later one
             assert _peak_arrays(lambda: at(u, 0, 0, 0), xs.nbytes) < 2.5

@@ -191,7 +191,7 @@ class TestHistories:
 
     def test_exact_on_another_grid_is_rejected_before_any_pass(self, monkeypatch):
         passes = []
-        for name in ("init_state", "_pass"):
+        for name in ("_f", "_pass"):  # the start's f, then the passes
             real = getattr(solver_module, name)
             monkeypatch.setattr(solver_module, name,
                                 lambda *args, real=real: passes.append(args) or real(*args))
@@ -246,14 +246,15 @@ class TestStepAndResidual:
         assert calls == [101, 103]
 
     def test_solve_constants_freed_with_report_and_problem(self, monkeypatch):
-        # the slope weights live on the grid, the x-only values of f on the
-        # fold its rhs keeps: both go, without a gc pass, once the report (or
-        # the exception) and the problem are dropped
-        refs = []
+        # the x-only values of f live on the fold in solve's workspace: they
+        # are gone once solve returns or raises, while the report and the
+        # problem are still held.  The slope weights live on the grid: they
+        # go, without a gc pass, once the report and the problem are dropped
+        weights, folded = [], []
         for name in ("slope_kernel_left", "slope_kernel_right"):
             real = getattr(numerics, name)
             monkeypatch.setattr(numerics, name,
-                                lambda t, real=real: _keep_ref(refs, real(t)))
+                                lambda t, real=real: _keep_ref(weights, real(t)))
         real_fold = expr_module._fold
 
         def fold(program, root, x=None):
@@ -261,20 +262,23 @@ class TestStepAndResidual:
             if x is not None:  # a fold at fixed x: keep a reference to each x-only value
                 for value in out.template:
                     if isinstance(value, np.ndarray) and value is not x:
-                        _keep_ref(refs, value)
+                        _keep_ref(folded, value)
             return out
 
-        monkeypatch.setattr(expr_module, "_fold", fold)
-        for text, cfg, raised, built in [
-            ("f = 24", SolverConfig(n=32), None, 2),
-            ("f = 24 + sin(x)", SolverConfig(n=32), None, 3),
-            ("f = 600*u + 1", SolverConfig(n=32), DivergenceError, 2),
-            ("f = 600*u + cos(x)", SolverConfig(n=32), DivergenceError, 3),
-            ("f = x + x^2 + u^2*v", SolverConfig(n=32, max_iter=3), IterationLimitError, 3),
-            ("f = log(u)", SolverConfig(n=32), ExprEvalError, 0),  # f undefined at u = 0
-            ("f = log(u) + sin(x)", SolverConfig(n=32), ExprEvalError, 1),
+        for module in (expr_module, solver_module):
+            monkeypatch.setattr(module, "_fold", fold)
+        for text, cfg, raised, built, x_only in [
+            ("f = 24", SolverConfig(n=32), None, 2, 0),
+            ("f = 24 + sin(x)", SolverConfig(n=32), None, 2, 1),
+            ("f = 600*u + 1", SolverConfig(n=32), DivergenceError, 2, 0),
+            ("f = 600*u + cos(x)", SolverConfig(n=32), DivergenceError, 2, 1),
+            ("f = 1e5*u + 1e300*cos(x)", SolverConfig(n=32), DivergenceError, 2, 1),  # overflows
+            ("f = x + x^2 + u^2*v", SolverConfig(n=32, max_iter=3), IterationLimitError, 2, 1),
+            ("f = log(u)", SolverConfig(n=32), ExprEvalError, 0, 0),  # f undefined at u = 0
+            ("f = log(u) + sin(x)", SolverConfig(n=32), ExprEvalError, 0, 1),
         ]:
-            refs.clear()
+            weights.clear()
+            folded.clear()
             gc.disable()
             try:
                 cp = _canon(text)
@@ -282,18 +286,19 @@ class TestStepAndResidual:
                     outcome = solve(cp, cfg)
                 except (SolverError, ExprEvalError) as err:
                     assert type(err) is raised, text
-                    outcome = err
+                    outcome = getattr(err, "report", None)  # the error and its frames go
                 else:
                     assert raised is None, text
-                assert len(refs) == built and all(r() is not None for r in refs), text
+                assert len(folded) == x_only and all(r() is None for r in folded), text
+                assert len(weights) == built and all(r() is not None for r in weights), text
                 del cp, outcome
-                assert all(r() is None for r in refs), text
+                assert all(r() is None for r in weights), text
             finally:
                 gc.enable()
 
     def test_interleaved_grids_match_a_fresh_problem(self):
-        # the rhs keeps one fold at fixed x, for the last nodes array it saw;
-        # switching grids, or to an equal grid with its own nodes, refolds
+        # step runs the root program with each grid's nodes as x: nothing
+        # of one grid stays on the rhs for the next
         problem = _canon(SHIFTED_TEXT)
         grids = [Grid(16), Grid(18)]
         grids += [grids[0], Grid(16)]
@@ -314,13 +319,17 @@ class TestStepAndResidual:
                 assert bits(states[i], profile) == bits(*step(state, _canon(SHIFTED_TEXT)))
 
     def test_solved_problem_holds_only_its_fields(self):
+        # f reads x, but its fold at the grid's nodes went with the solve: the
+        # rhs keeps its root program alone, which holds no value of a grid
         cp = _canon(SHIFTED_TEXT)
         solve(cp, SolverConfig(n=32))
         assert set(vars(cp)) == {f.name for f in dataclasses.fields(cp)} \
             == {"rhs", "raw", "shift", "length"}
-        assert {"_program", "_program_at_x"} <= set(vars(cp.rhs))  # f reads x
+        rhs_fields = {f.name for f in dataclasses.fields(cp.rhs)}
+        assert set(vars(cp.rhs)) == rhs_fields | {"_program"}
+        assert not any(isinstance(v, np.ndarray) for v in vars(cp.rhs)["_program"].template)
         for copy in (pickle.loads(pickle.dumps(cp)).rhs, pickle.loads(pickle.dumps(cp.rhs))):
-            assert copy == cp.rhs and not {"_program", "_program_at_x"} & set(vars(copy))
+            assert copy == cp.rhs and set(vars(copy)) == rhs_fields
 
     def test_no_stale_x_only_values_across_problems(self):
         # step and residual on problem A, then on B on the same grid, give
@@ -808,6 +817,7 @@ class TestFailureModes:
         with pytest.raises(DivergenceError) as info:
             solve(cp, SolverConfig(n=1000))
         assert str(info.value) == "the map broke down after 1 iterations: end curvatures must be finite"
+        assert str(info.value.__cause__) == "end curvatures must be finite"
         assert info.value.report.residual == math.inf
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError) as raised:
             residual(info.value.report.triplet, cp)
