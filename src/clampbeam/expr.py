@@ -26,7 +26,8 @@ every check on a known operand.  Literals are known to every evaluation; a
 caller that runs f many times at one x (the solver, on its grid) may fold
 the program once more with x known and keep that fold itself.  Values,
 errors and the subtree an error names are those of a left-to-right walk of
-the tree.
+the tree.  The solver's passes run f flagged, its scans left to numpy's
+floating-point flags (IEEE 754-2019, section 7); evaluate runs f checked.
 """
 
 from __future__ import annotations
@@ -409,6 +410,14 @@ def _fail(message, b, node):  # a failure the fold decided
     raise ExprEvalError(message)
 
 
+# What _run_flagged runs in place of a checked op: its arithmetic, whose failures on
+# finite operands raise a flag, and a real power's base check, as 0^0.5 raises none.
+_FLAGGED = {_checked_quotient: _quotient, _real_power: lambda a, b, node: np.power(a, b),
+            _checked_power: lambda a, b, node: _check_power_base(a, node) or np.power(a, b),
+            _repeated_power: lambda a, k, node: (_repeated_power(a, k, node) if k >= 0
+                                                 else 1.0 / _repeated_power(a, -k, node)),
+            _call: lambda a, b, node: _UFUNCS[node.fn](a)}
+
 _BINARY = {"+": _plus, "-": _minus, "*": _times, "/": _checked_quotient, "^": _checked_power}
 _VARIABLE_SLOTS = {name: i for i, name in enumerate(VARIABLES)}
 
@@ -428,6 +437,7 @@ class _Program(NamedTuple):
     code: list
     result: int
     reads: tuple    # the variable slots the code or the result reads, ascending (after _fold)
+    finite: bool = False  # every value the template keeps is finite (after _fold)
 
 
 class _Compiler:
@@ -542,7 +552,9 @@ def _fold(program: _Program, root, x=None) -> _Program:
         if s not in last_read and s != program.result:
             vals[s] = None
     reads = tuple([s for s in range(len(VARIABLES)) if s in last_read or s == program.result])
-    return _Program(vals, [ins + (d,) for ins, d in zip(code, drops)], program.result, reads)
+    finite = all(np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
+                 for v in vals if v is not None and not isinstance(v, str))
+    return _Program(vals, [ins + (d,) for ins, d in zip(code, drops)], program.result, reads, finite)
 
 
 def _run(program: _Program, values: tuple, root):
@@ -555,6 +567,26 @@ def _run(program: _Program, values: tuple, root):
             for s in drops:
                 vals[s] = None
     return _result(vals[program.result], root)
+
+
+def _run_flagged(program: _Program, values: tuple, root):
+    """_run's value on finite values, with numpy's floating-point flags raising
+    in place of the checks' scans.  On finite operands every check but the one
+    _FLAGGED keeps raises a flag when it fails, and with no flag every value
+    stays finite.  A run that raises a flag or an error, or of a program that
+    keeps a non-finite value, is left to _run, which names the failure."""
+    if program.finite:
+        vals = list(values) + program.template[5:]
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for op, out, a, b, node, drops in program.code:
+                    vals[out] = _FLAGGED.get(op, op)(vals[a], vals[b], node or root)
+                    for s in drops:
+                        vals[s] = None
+                return vals[program.result]
+        except (FloatingPointError, ExprEvalError):
+            pass
+    return _run(program, values, root)
 
 
 def _program(expr: Expression) -> _Program:

@@ -39,8 +39,6 @@ from typing import Callable
 
 import numpy as np
 
-from .kernels import slope_kernel_left, slope_kernel_right
-
 __all__ = [
     "Grid",
     "GridFunction",
@@ -49,6 +47,9 @@ __all__ = [
     "diff5",
     "solve_second_order_bvp",
 ]
+
+# what ndarray's sum, max and min call, without their Python wrappers
+_sum, _max, _min = np.add.reduce, np.maximum.reduce, np.minimum.reduce
 
 
 def _is_number(value) -> bool:
@@ -106,9 +107,10 @@ class Grid(_Frozen):
         """Read-only node values (left, right) of the two slope kernels.
 
         They weight the source in the end-curvature functionals; built once
-        per grid and freed with it.
+        per grid, by the kernels' formulas without their checks, and freed with it.
         """
-        weights = slope_kernel_left(self.nodes), slope_kernel_right(self.nodes)
+        t = self.nodes
+        weights = t * (1.0 - t) * (2.0 - t) / 6.0, t * (1.0 - t) * (1.0 + t) / 6.0
         for w in weights:
             w.setflags(write=False)
         return weights
@@ -154,7 +156,7 @@ class GridFunction(_Frozen):
 def _checked_sup(grid: Grid, vals: np.ndarray) -> float:
     """sup|vals|, deciding finiteness too; max and min spare a large array abs's temporary."""
     big = len(vals) > 8192
-    sup = max(float(vals.max()), -float(vals.min())) if big else float(np.abs(vals).max())
+    sup = max(float(_max(vals)), -float(_min(vals))) if big else float(_max(np.abs(vals)))
     if not math.isfinite(sup):
         bad = int(np.flatnonzero(~np.isfinite(vals))[0])
         raise ValueError(f"non-finite value at node {bad} (x={bad * grid.h})")
@@ -182,8 +184,7 @@ def simpson(f: GridFunction) -> float:
 
 def _simpson(v: np.ndarray, h: float) -> float:
     """simpson on raw node values v with spacing h, summed on Python floats."""
-    add = np.add.reduce  # what ndarray.sum calls, without its Python wrapper
-    return h / 3.0 * (float(v[0]) + float(v[-1]) + 4.0 * float(add(v[1:-1:2])) + 2.0 * float(add(v[2:-2:2])))
+    return h / 3.0 * (float(v[0]) + float(v[-1]) + 4.0 * float(_sum(v[1:-1:2])) + 2.0 * float(_sum(v[2:-2:2])))
 
 
 def diff5(f: GridFunction) -> GridFunction:
@@ -240,7 +241,7 @@ def solve_second_order_bvp(rhs: GridFunction, left: float, right: float) -> Grid
 def _bvp_into(u: np.ndarray, g: np.ndarray, left: float, right: float,
               scratch: np.ndarray) -> None:
     """solve_second_order_bvp on the node values g, written into u; scratch
-    holds at least n values."""
+    holds at least n values.  A zero left value is not added: no bit would change."""
     n = len(g) - 1
     h = 1.0 / n
     # The differences d[i] = u[i+1] - u[i] obey d[i] - d[i-1] = b[i-1], so d
@@ -255,8 +256,9 @@ def _bvp_into(u: np.ndarray, g: np.ndarray, left: float, right: float,
     b *= h * h / 12.0
     d[0] = 0.0
     np.add.accumulate(b, out=b)
-    d += (right - left - d.sum()) / n
+    d += (right - left - _sum(d)) / n
     u[0] = left
     np.add.accumulate(d, out=u[1:])
-    u[1:] += left
+    if left != 0.0:  # d[0] is not -0.0, so no running sum is, and adding a zero changes no bit
+        u[1:] += left
     u[-1] = right

@@ -25,8 +25,9 @@ in a _Workspace: f folded at the grid's nodes, which gives the start, and
 one block of raw arrays (the (u, v) pairs, the slopes f reads, a scratch
 array) that numerics' kernels _bvp_into and _diff5_into write in place.
 Steps 4-5 (_f and _curvatures) are shared by step and _pass, so each pass
-does the same arithmetic; solve wraps arrays in Triplet and IterateProfile
-only for its report, which takes over the last pair and with it the block.
+does the same arithmetic and runs f flagged (see expr); solve wraps arrays in
+Triplet and IterateProfile only for its report, which takes over the last
+pair and with it the block, and whose residual reuses the workspace's fold.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import _fold, _program, _run
+from .expr import _fold, _program, _run_flagged
 from .numerics import (
     Grid,
     GridFunction,
@@ -48,6 +49,7 @@ from .numerics import (
     _diff5_into,
     _Frozen,
     _is_number,
+    _max,
     _simpson,
     diff5,
     solve_second_order_bvp,
@@ -229,10 +231,10 @@ class StallError(IterationLimitError):
 
 
 def _f(program, rhs, nodes: np.ndarray, u, du, v, d3u) -> np.ndarray:
-    """f at the nodes from the node values of u, u', u'' and u''' (None for a
-    slope f does not read).  Never one of those arrays, but it may be a value
-    the fold keeps, so it must not be written."""
-    out = _run(program, (nodes, u, du, v, d3u), rhs)
+    """f at the nodes from the finite node values of u, u', u'' and u''' (None
+    for a slope f does not read), run flagged.  Never one of those arrays, but
+    it may be a value the fold keeps, so it must not be written."""
+    out = _run_flagged(program, (nodes, u, du, v, d3u), rhs)
     if isinstance(out, float):  # f is constant
         return np.full(len(nodes), out)
     if out is u or out is du or out is v or out is d3u:  # f is one of them
@@ -263,11 +265,12 @@ def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
     return Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), 0.0, 0.0)
 
 
-def step(state: Triplet, problem: CanonicalProblem) -> tuple:
+def step(state: Triplet, problem: CanonicalProblem, *, program=None) -> tuple:
     """One application of the fixed-point map; also returns the profile used.
 
     Only the slopes f reads are differentiated during the pass; the profile
-    forms the others on first read, with the same values.
+    forms the others on first read, with the same values.  program may be
+    f's program folded at the state's grid's nodes, as solve passes it.
     """
     grid = state.source.grid
     v = solve_second_order_bvp(state.source, state.alpha, state.beta)
@@ -275,7 +278,7 @@ def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     for of, slope in ((profile.u, "du"), (v, "d3u")):
         if not _diff5_finite(grid.n, of._sup):  # f may not read it, but the pass fails where it always did
             getattr(profile, slope)
-    program = _program(problem.rhs)
+    program = _program(problem.rhs) if program is None else program
     du = profile.du.values if 2 in program.reads else None
     d3u = profile.d3u.values if 4 in program.reads else None
     phi = np.array(_f(program, problem.rhs, grid.nodes, profile.u.values, du, v.values, d3u))
@@ -283,16 +286,16 @@ def step(state: Triplet, problem: CanonicalProblem) -> tuple:
     return Triplet(GridFunction._adopt(grid, phi, finite=True), alpha, beta), profile
 
 
-def residual(state: Triplet, problem: CanonicalProblem) -> float:
+def residual(state: Triplet, problem: CanonicalProblem, *, program=None) -> float:
     """How far a triplet is from being a fixed point of the map.
 
     Sum of the sup defect in the source equation and the absolute defects
     in the two curvature equations.  The source defect takes f from
     step(state), so residual raises wherever step does: where the map
-    cannot be applied once more.
+    cannot be applied once more.  program is passed on to step.
     """
     grid = state.source.grid
-    f_vals = step(state, problem)[0].source.values
+    f_vals = step(state, problem, program=program)[0].source.values
     src_defect = float(np.abs(state.source.values - f_vals).max())
     del f_vals
     i_left, i_right = _moments(grid, state.source.values, np.empty(grid.n + 1))
@@ -303,12 +306,13 @@ def residual(state: Triplet, problem: CanonicalProblem) -> float:
 
 class _Workspace:
     """What solve's passes reuse: f's program, folded at the grid's nodes
-    when f reads x, the start f(x, 0, 0, 0, 0) that solve takes over, and
-    n+1-value arrays for the current (u, v = u'') pair, the spare pair the
-    next pass writes, the slopes f reads (None for the others) and one
-    scratch array that the kernels, the quadrature and the error norms
-    share.  sup_u is sup|u| of the current pair, which starts as zeros: the
-    profile of no pass, which a report holds when pass 0 fails.
+    when f reads x, which the report's residual pass reuses too, the start
+    f(x, 0, 0, 0, 0) that solve takes over, and n+1-value arrays for the
+    current (u, v = u'') pair, the spare pair the next pass writes, the
+    slopes f reads (None for the others) and one scratch array that the
+    kernels, the quadrature and the error norms share.  sup_u is sup|u| of
+    the current pair, which starts as zeros: the profile of no pass, which a
+    report holds when pass 0 fails.
 
     The arrays are the rows of one block, which the report's profile keeps
     and frees as one piece.  As separate arrays, some freed with the
@@ -344,7 +348,7 @@ class _Workspace:
 def _gap(a: np.ndarray, b: np.ndarray, scratch: np.ndarray) -> float:
     """max|a - b|, formed in scratch."""
     d = np.subtract(a, b, out=scratch)
-    return float(np.abs(d, out=d).max())
+    return float(_max(np.abs(d, out=d)))
 
 
 def _pass(ws: _Workspace, phi: np.ndarray, alpha: float, beta: float) -> tuple:
@@ -389,7 +393,7 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
 
     Every pass runs on _pass in one _Workspace, pass 0 from its start, and
     the report wraps the last state and profile; its residual is one more
-    application of the map, through step.
+    application of the map, through step on the workspace's fold.
     """
     grid = Grid(config.n) if exact is None else exact.grid
     if grid.n != config.n:
@@ -456,10 +460,10 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
             rate = e_hist[-1] / e_hist[-2]
             message += f": e(k) last {'fell' if rate < 1 else 'rose'} by {rate:.5f} per iteration"
     state = Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), alpha, beta)
-    profile = ws.profile(slopes=cause is None)
+    profile, program = ws.profile(slopes=cause is None), ws.program
     del ws, phi, phi0, exact  # the f values and the exact samples go before the residual's pass
     try:
-        res = residual(state, problem)
+        res = residual(state, problem, program=program)
     except ValueError:  # ExprEvalError, or a non-finite value rejected
         res = float("inf")
     report = SolveReport(converged=error is None, iterations=len(e_hist), e_history=e_hist,
@@ -469,5 +473,5 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
         return report
     try:
         raise error(message, report) from cause
-    finally:  # the cause's traceback holds this frame, which must not hold the cause
-        del cause
+    finally:  # the tracebacks hold this frame, which must hold neither the cause nor the fold
+        del cause, program

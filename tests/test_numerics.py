@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from clampbeam.kernels import slope_kernel_left, slope_kernel_right
 from clampbeam.numerics import (
     Grid,
     GridFunction,
@@ -50,6 +51,13 @@ class TestGrid:
         g = Grid(8)
         with pytest.raises(ValueError):
             g.nodes[0] = 5.0
+
+    @pytest.mark.parametrize("n", [8, 10, 100, 402, 10_000])
+    def test_slope_weights_are_the_kernels_at_the_nodes(self, n):
+        # the grid evaluates the kernels' polynomials without their checks
+        g = Grid(n)
+        for w, kernel in zip(g.slope_weights, (slope_kernel_left, slope_kernel_right)):
+            assert w.tobytes() == kernel(g.nodes).tobytes() and not w.flags.writeable
 
 
 class TestGridFunction:
@@ -275,6 +283,19 @@ class TestSecondOrderSolve:
         u = solve_second_order_bvp(rhs, -3.5, 2.25)
         assert u.values[0] == -3.5
         assert u.values[-1] == 2.25
+
+    @pytest.mark.parametrize("right", [0.0, -0.0, 1.0])
+    @pytest.mark.parametrize("left", [0.0, -0.0])
+    def test_zero_left_value_changes_no_bit(self, left, right):
+        # the solve skips adding a zero left value: no running sum is -0.0
+        rng = np.random.default_rng(7)
+        for n in (8, 10, 100):
+            for g in (np.zeros(n + 1), np.full(n + 1, -0.0), rng.standard_normal(n + 1),
+                      np.where(rng.random(n + 1) < 0.5, -0.0, 1e-300)):
+                u = solve_second_order_bvp(GridFunction(Grid(n), g), left, right).values
+                added = u.copy()
+                added[1:-1] += left
+                assert added.tobytes() == u.tobytes() and math.copysign(1.0, u[0]) == math.copysign(1.0, left)
 
     def test_zero_source_is_line(self):
         g = Grid(8)

@@ -12,6 +12,7 @@ import gc
 import math
 import pickle
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import clampbeam.numerics as numerics
 import clampbeam.expr as expr_module
 import clampbeam.solver as solver_module
+from clampbeam.analysis import check_conditions
 from clampbeam.examples import get_example
 from clampbeam.expr import ExprEvalError, parse
 from clampbeam.numerics import Grid, GridFunction
@@ -54,6 +56,13 @@ SHIFTED_TEXT = ("a = 0.5\nb = 1.6\nA1 = 1\nB1 = -0.5\nA2 = 0.3\nB2 = 2\n"
 def _keep_ref(refs: list, obj):
     refs.append(weakref.ref(obj))
     return obj
+
+
+def _spy_slope_weights(monkeypatch, record):
+    """Pass the slope weights of every grid that builds them through record."""
+    weights = cached_property(lambda grid, real=Grid.slope_weights.func: record(real(grid)))
+    weights.__set_name__(Grid, "slope_weights")
+    monkeypatch.setattr(Grid, "slope_weights", weights)
 
 
 class TestConfig:
@@ -237,9 +246,7 @@ class TestStepAndResidual:
 
     def test_slope_kernels_built_once_per_grid(self, monkeypatch):
         calls = []
-        real = numerics.slope_kernel_left
-        monkeypatch.setattr(numerics, "slope_kernel_left",
-                            lambda t: calls.append(len(t)) or real(t))
+        _spy_slope_weights(monkeypatch, lambda weights: calls.append(len(weights[0])) or weights)
         cp = get_example(1).canonical()
         solve(cp, SolverConfig(n=100))
         solve(cp, SolverConfig(n=102))
@@ -251,10 +258,7 @@ class TestStepAndResidual:
         # problem are still held.  The slope weights live on the grid: they
         # go, without a gc pass, once the report and the problem are dropped
         weights, folded = [], []
-        for name in ("slope_kernel_left", "slope_kernel_right"):
-            real = getattr(numerics, name)
-            monkeypatch.setattr(numerics, name,
-                                lambda t, real=real: _keep_ref(weights, real(t)))
+        _spy_slope_weights(monkeypatch, lambda pair: tuple(_keep_ref(weights, w) for w in pair))
         real_fold = expr_module._fold
 
         def fold(program, root, x=None):
@@ -647,6 +651,22 @@ class TestPassCore:
             tracemalloc.stop()
         assert peak <= 19 * 8 * (n + 1)
 
+    def test_solve_memory_with_a_fold_stays_at_17_3_arrays(self):
+        # example 5's f reads x: its fold keeps two x-only arrays, which the
+        # report's residual pass reuses instead of forming them again.  Before
+        # it did, this peak was 15.26 arrays
+        tracemalloc = pytest.importorskip("tracemalloc")
+        cp = get_example(5).canonical()
+        n = 100_000
+        solve(cp, SolverConfig(n=16))  # compile f outside the trace
+        tracemalloc.start()
+        try:
+            solve(cp, SolverConfig(n=n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (15.3 + 2) * 8 * (n + 1)
+
     def test_pass_loop_memory_stays_at_15_5_arrays(self, monkeypatch):
         # the residual pass sets solve's overall peak; the peak up to its
         # start is the pass loop's: the workspace's block, the source and
@@ -659,9 +679,9 @@ class TestPassCore:
         peaks = []
         real = solver_module.residual
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             peaks.append(tracemalloc.get_traced_memory()[1])
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(solver_module, "residual", spy)
         tracemalloc.start()
@@ -671,6 +691,126 @@ class TestPassCore:
             tracemalloc.stop()
         assert len(peaks) == 1
         assert peaks[0] <= 15.5 * 8 * (n + 1)
+
+
+# Right sides on which some input fails a check of f or raises a
+# floating-point flag, or both
+FLAG_CASES = [
+    "sqrt(u - 1)", "log(u)", "asin(2 + u)", "1/(0*u)", "(0*u)/(0*u)", "(0*u)^-2",
+    "(1e-200 + 0*u)^-2",  # the divisor underflows to zero
+    "(0*u)^0.5",  # 0^0.5 raises no flag
+    "(u - 1)^0.5", "exp(1000 + u)", "sinh(1000 + u)",
+    "1e308*10 + u",  # an inf constant, which the addition does not flag
+    "exp(-(1e200*(1 + u))^2)",  # overflows, is squashed, and succeeds
+    "exp(-1000 + u)",  # underflows and succeeds
+    "log(u) + sin(x)",
+]
+
+
+def _outcome(fn):
+    """The bytes of what fn returns, or its error's type and message."""
+    try:
+        out = fn()
+    except ValueError as err:  # ExprEvalError, or a non-finite value rejected
+        return type(err), str(err)
+    return [a.tobytes() if isinstance(a, np.ndarray) else a for a in out]
+
+
+def _digest(rep) -> list:
+    arrays = [rep.e_history, rep.triplet.source.values] + [
+        getattr(rep.profile, name).values for name in ("u", "du", "d2u", "d3u")]
+    return [a.tobytes() for a in arrays] + [rep.converged, rep.iterations, rep.residual,
+                                            rep.first_step, rep.failure, rep.triplet.alpha]
+
+
+class TestFlaggedRun:
+    """_f checks f by numpy's floating-point flags, and runs f again checked
+    on a flag: every value and error is the checked run's."""
+
+    def _agree(self, monkeypatch, fn):
+        flagged = _outcome(fn)
+        with monkeypatch.context() as m:
+            m.setattr(solver_module, "_run_flagged", expr_module._run)
+            assert _outcome(fn) == flagged
+
+    @pytest.mark.parametrize("text", FLAG_CASES)
+    def test_f_agrees_with_the_checked_run(self, monkeypatch, text):
+        grid, cp = Grid(16), _canon(f"f = {text}")
+        root = expr_module._program(cp.rhs)
+        for program in (root, expr_module._fold(root, cp.rhs, grid.nodes)):
+            for u in (np.linspace(-2.0, 2.0, 17), np.linspace(0.0, 3.0, 17), np.zeros(17),
+                      np.full(17, 2.0), np.full(17, 1e300)):
+                self._agree(monkeypatch, lambda: [solver_module._f(program, cp.rhs, grid.nodes,
+                                                                   u, None, u, None)])
+
+    @pytest.mark.parametrize("text", FLAG_CASES)
+    def test_step_and_residual_agree_with_the_checked_run(self, monkeypatch, text):
+        # with phi = 0, u = alpha (x^2 - x) / 2 runs over [0, -alpha/8]
+        grid, cp = Grid(16), _canon(f"f = {text}")
+        for alpha in (0.0, -40.0, 40.0, -1e4):
+            state = Triplet(GridFunction(grid, np.zeros(17)), alpha, alpha)
+
+            def run():
+                out, profile = step(state, cp)
+                return [out.source.values, out.alpha, out.beta, profile.u.values,
+                        residual(state, cp)]
+
+            self._agree(monkeypatch, run)
+
+    @pytest.mark.parametrize("text", FLAG_CASES)
+    def test_solve_agrees_with_the_checked_run(self, monkeypatch, text):
+        cp = _canon(f"f = {text}")
+
+        def run():
+            try:
+                return _digest(solve(cp, SolverConfig(n=16, max_iter=30)))
+            except SolverError as err:
+                return _digest(err.report) + [type(err), str(err)]
+
+        self._agree(monkeypatch, run)
+
+    @pytest.mark.parametrize("text, checked", [
+        ("exp(-1000 + u)", 0), ("1/(1 + u^2)", 0),
+        ("exp(-(1e200*(1 + u))^2)", 1), ("1e308*10 + u", 1), ("log(u)", 1),
+    ])
+    def test_only_a_flag_or_an_inf_constant_runs_f_again(self, monkeypatch, text, checked):
+        grid, cp = Grid(16), _canon(f"f = {text}")
+        runs, real = [], expr_module._run
+        monkeypatch.setattr(expr_module, "_run", lambda *args: runs.append(args) or real(*args))
+        program = expr_module._program(cp.rhs)
+        assert program.finite == (text != "1e308*10 + u")
+        _outcome(lambda: [solver_module._f(program, cp.rhs, grid.nodes, np.zeros(17), None, None, None)])
+        assert len(runs) == checked
+
+    CALLS = {
+        "solve": lambda: solve(_canon("f = 24 + sin(x)"), SolverConfig(n=16)),
+        "solve-diverges": lambda: solve(_canon("f = 600*u + 1"), SolverConfig(n=16)),
+        "solve-overflows": lambda: solve(_canon("f = 1e5*u + 1e300*cos(x)"), SolverConfig(n=16)),
+        "solve-start-fails": lambda: solve(_canon("f = log(u)"), SolverConfig(n=16)),
+        "step": lambda: step(Triplet(GridFunction(Grid(16), np.zeros(17)), 0.0, 0.0), _canon("f = u + 1")),
+        "step-fails": lambda: step(Triplet(GridFunction(Grid(16), np.zeros(17)), 0.0, 0.0),
+                                   _canon("f = log(u)")),
+        "residual": lambda: residual(Triplet(GridFunction(Grid(16), np.zeros(17)), 0.0, 0.0),
+                                     _canon("f = exp(1 + u)")),
+        "residual-fails": lambda: residual(Triplet(GridFunction(Grid(16), np.zeros(17)), 0.0, 0.0),
+                                           _canon("f = exp(1000 + u)")),
+        "check": lambda: check_conditions(parse(get_example(1).rhs_text), get_example(1).M),
+        "check-fails": lambda: check_conditions(parse(get_example(5).rhs_text), get_example(5).M),
+    }
+
+    @pytest.mark.parametrize("modes", [{}, {"all": "ignore"}, {"under": "ignore", "divide": "ignore"}])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_floating_point_modes_are_kept(self, name, modes):
+        # the calls named with a dash raise
+        with np.errstate(**modes):
+            before = np.geterr()
+            try:
+                self.CALLS[name]()
+            except (SolverError, ValueError):
+                assert "-" in name
+            else:
+                assert "-" not in name
+            assert np.geterr() == before
 
 
 class TestFailureModes:
