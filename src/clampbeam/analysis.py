@@ -10,8 +10,7 @@ Two conditions are checked there:
   boundedness   sup |f| <= M/2          (existence of a solution, and the
                                          iteration stays inside the box),
   contraction   q = K1/384 + K2/(72 sqrt 3) + K3 + K4 < 1/2
-                                         (uniqueness in the box, and a
-                                         geometric error envelope),
+                                         (uniqueness in the box),
 
 where K1..K4 bound |df/du|, |df/dy|, |df/dv|, |df/dz| on D_M.  The factors
 (1/384, 1/(72 sqrt 3), 1, 1) are _SCALES, the one source of the box's
@@ -45,6 +44,10 @@ first slab that fails.  Memory thus stays a few such arrays at any lattice.
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
 rigorous statement is wanted.
+
+apriori_bound's envelope needs a map with Lipschitz constant q + 1/2 in the
+triplet norm; the implemented sweep's quotients are 0.773, 0.942 and 1.286
+on examples 1, 2 and 6, above q + 1/2 (ROADMAP item 16).
 """
 
 from __future__ import annotations
@@ -65,16 +68,15 @@ from .expr import (
     Expression,
     Num,
     Var,
+    _compile,
     _minus,
     _negate,
     _plus,
     _Program,
-    _program,
     _result,
     _run,
     _times,
     differentiate,
-    evaluate,
     substitute,
 )
 from .kernels import KERNEL_BOUNDS
@@ -223,19 +225,19 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
     return env
 
 
-def _find_bad_point(expression: Expression, args: list) -> tuple:
+def _find_bad_point(program: _Program, args: list) -> tuple:
     """First undefined point of the axes args in C order, and the error there.
 
     Evaluation is pointwise, so on each axis the first value whose slab
     (earlier axes pinned, later ones free) fails is the point's coordinate.
-    The error is that of the point alone.
+    The error is that of the point alone, run by the caller's program.
     """
     args = list(args)
     for k, axis in enumerate(args):
         for value in np.ravel(axis):
             args[k] = value
             try:
-                evaluate(expression, *args)
+                _run(program, args)
             except ExprEvalError as err:
                 error = err
                 break
@@ -297,7 +299,7 @@ def _slab_extremes(run, slabs: list) -> tuple:
 _RANGE_OPS = (_plus, _minus, _times, _negate)
 
 
-def _extremes(program: _Program, root: Expression, env: dict) -> tuple:
+def _extremes(program: _Program, env: dict) -> tuple:
     """Exact (min, max) of program on the lattice env, or ExprEvalError.
 
     The chain is the +, -, * and unary minus instructions on more than
@@ -313,7 +315,7 @@ def _extremes(program: _Program, root: Expression, env: dict) -> tuple:
         return math.prod(points[k] for k in axes)
 
     def in_slabs(leaf: _Program) -> tuple:
-        return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab), root),
+        return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab)),
                               _blocks(leaf.reads, env))
 
     if size(program.reads) <= _BLOCK:
@@ -341,10 +343,10 @@ def _extremes(program: _Program, root: Expression, env: dict) -> tuple:
         for _, out, a, b, *_ in reversed(program.code):
             if out in need:
                 need.update((a, b))
-        leaf = _Program(program.template, [ins for ins in program.code if ins[1] in need],
-                        s, tuple(sorted(axes[s])))
+        leaf = _Program(program.root, program.template,
+                        [ins for ins in program.code if ins[1] in need], s, tuple(sorted(axes[s])))
         if axes[s] & shared:
-            vals, cut = _run(leaf, _slab_args(env, None), root), tuple(sorted(axes[s] - shared))
+            vals, cut = _run(leaf, _slab_args(env, None)), tuple(sorted(axes[s] - shared))
             pairs[s] = (np.minimum.reduce(vals, cut, keepdims=True),
                         np.maximum.reduce(vals, cut, keepdims=True))
         else:
@@ -367,35 +369,34 @@ def _extremes(program: _Program, root: Expression, env: dict) -> tuple:
         # Every pair is a value the whole-lattice run computes, and only +, -,
         # * and negation lie above it, so a pair that is not finite means that
         # run fails too; _sup_on_lattice's rescan then names the point.
-        return tuple(_result((np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)), root))
+        return tuple(_result((np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)), program.root))
 
 
 def _sup_on_lattice(expression: Expression, env: dict,
                     what: str = "right-hand side undefined inside the box") -> float:
     """max |expression| on the lattice env, from its exact extremes.
 
-    A failure rescans the lattice's slabs in C order and names the first
-    undefined point of the first that fails; an axis the expression does
-    not read takes its first value.  An expression that is, or folds to, a
-    finite constant c needs no lattice: its sup is |c|.
+    expression is compiled once, for the extremes and a failure's rescan,
+    which runs its slabs in C order and names the first undefined point of
+    the first that fails; an axis the expression does not read takes its
+    first value.  An expression that is, or folds to, a finite constant c
+    needs no lattice: its sup is |c|, and a literal needs no program.
     """
-    c = expression.value if isinstance(expression, Num) else None  # compiles nothing
-    if c is None:
-        program = _program(expression)
-        if not (program.code or program.reads):
-            c = program.template[program.result]
+    program = None if isinstance(expression, Num) else _compile(expression)
+    # a fold knows the result only when it computed all of it
+    c = expression.value if program is None else program.template[program.result]
     if c is not None and math.isfinite(c):
         return float(max(0.0, c, -c))  # as below, -0.0 gives +0.0
-    program = _program(expression)
+    program = program or _compile(expression)
     try:
-        lo, hi = _extremes(program, expression, env)
+        lo, hi = _extremes(program, env)
     except ExprEvalError:
         for slab in _blocks(program.reads, env):
             args = _slab_args(env, slab)
             try:
-                evaluate(expression, *args)
+                _run(program, args)
             except ExprEvalError:
-                point, err = _find_bad_point(expression, args)
+                point, err = _find_bad_point(program, args)
                 labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(_AXES, point))
                 raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
         raise RuntimeError("a lattice slab failed but no slab does on its own")
@@ -466,6 +467,9 @@ def apriori_bound(q: float, first_step: float, k: int) -> float:
 
     p_k = (q + 1/2)^k / (1/2 - q) * (distance between the first two
     iteration states).  Requires q < 1/2; the bound is vacuous otherwise.
+    It bounds a map with Lipschitz constant q + 1/2 in the triplet norm,
+    which the implemented sweep does not meet (see the module docstring):
+    for solve's iterates it is an estimate, not a proven bound.
     """
     if not (_is_number(q) and 0.0 <= q < 0.5):
         raise ValueError(f"need 0 <= q < 1/2 for the envelope, got q={q!r}")

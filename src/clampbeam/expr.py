@@ -19,15 +19,15 @@ Powers with a literal integer exponent in [-9, 9] are computed by repeated
 multiplication, so negative bases work; any other exponent goes through
 exp(b*log(a)) and requires a positive base.
 
-f is compiled once, on its first evaluation, into a flat instruction list
-kept on the root node, in which equal subexpressions share one instruction.
-A fold then runs every instruction whose operands are all known and decides
-every check on a known operand.  Literals are known to every evaluation; a
-caller that runs f many times at one x (the solver, on its grid) may fold
-the program once more with x known and keep that fold itself.  Values,
-errors and the subtree an error names are those of a left-to-right walk of
-the tree.  The solver's passes run f flagged, its scans left to numpy's
-floating-point flags (IEEE 754-2019, section 7); evaluate runs f checked.
+An expression compiles into a flat instruction list, in which equal
+subexpressions share one instruction, and a fold then runs every
+instruction whose operands are known (literals, and x if given) and decides
+every check on a known operand.  The program belongs to its caller; trees
+keep nothing.  evaluate compiles on each call; the solver compiles f once
+per solve, folded at its grid's nodes.  Values, errors and the subtree an
+error names are those of a left-to-right walk of the tree.  The solver's
+passes run f flagged, its scans left to numpy's floating-point flags
+(IEEE 754-2019, section 7); evaluate runs f checked.
 """
 
 from __future__ import annotations
@@ -93,39 +93,30 @@ class ExprDerivativeError(ExprError):
 # AST
 
 
-class _Node:
-    """Base of the tree nodes: pickling leaves out the program a root keeps."""
-
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state.pop("_program", None)
-        return state
-
-
 @dataclass(frozen=True)
-class Num(_Node):
+class Num:
     value: float
 
 
 @dataclass(frozen=True)
-class Var(_Node):
+class Var:
     name: str
 
 
 @dataclass(frozen=True)
-class Neg(_Node):
+class Neg:
     operand: "Expression"
 
 
 @dataclass(frozen=True)
-class BinOp(_Node):
+class BinOp:
     op: str  # one of + - * / ^
     left: "Expression"
     right: "Expression"
 
 
 @dataclass(frozen=True)
-class Call(_Node):
+class Call:
     fn: str
     arg: "Expression"
 
@@ -289,7 +280,7 @@ def parse(source: str) -> Expression:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation: f is compiled once into a flat instruction list
+# Evaluation: an expression compiles into a flat instruction list
 
 _UFUNCS = {
     "sin": np.sin, "cos": np.cos, "tan": np.tan,
@@ -425,6 +416,7 @@ _VARIABLE_SLOTS = {name: i for i, name in enumerate(VARIABLES)}
 class _Program(NamedTuple):
     """An expression compiled to a flat list of instructions over value slots.
 
+    root is the expression it came from; the caller that compiled it owns it.
     Slots 0-4 hold x, u, y, v, z; the others hold constants or instruction
     outputs, and no two instructions write one slot.  Instructions (op, out,
     a, b, node, drops) appear in the order in which a left-to-right post-order
@@ -433,6 +425,7 @@ class _Program(NamedTuple):
     is, so a run frees intermediate arrays about when a tree walk would.
     """
 
+    root: Expression
     template: list  # slot values known before a run, None for the others
     code: list
     result: int
@@ -444,8 +437,7 @@ class _Compiler:
     """Builds the unfolded _Program of one root; _fold fills in its reads.
 
     Equal subtrees, found by value, share one slot; a subtree the tree holds
-    more than once is walked once.  An instruction's node is None for the
-    root itself: the program is kept on its root, so it must not hold it.
+    more than once is walked once.  Each instruction names its own node.
     """
 
     def __init__(self, root: Expression):
@@ -456,7 +448,7 @@ class _Compiler:
         self.walked: dict = {}  # id(node): its slot
 
     def program(self) -> _Program:
-        return _Program(self.template, self.code, self.slot(self.root), ())
+        return _Program(self.root, self.template, self.code, self.slot(self.root), ())
 
     def emit(self, key, op=None, a=0, b=0, node=None, value=None) -> int:
         """The slot of key, made on first use.
@@ -468,7 +460,7 @@ class _Compiler:
             slot = self.keys[key] = len(self.template)
             self.template.append(value)
             if op is not None:
-                self.code.append((op, slot, a, b, None if node is self.root else node, ()))
+                self.code.append((op, slot, a, b, node, ()))
         return slot
 
     def slot(self, node) -> int:
@@ -500,7 +492,7 @@ class _Compiler:
         raise TypeError(f"not an expression node: {node!r}")
 
 
-def _fold(program: _Program, root, x=None) -> _Program:
+def _fold(program: _Program, x=None) -> _Program:
     """program with what its known values decide done ahead of any run.
 
     Known are the template's values and x, unless it is None.  Every
@@ -513,6 +505,7 @@ def _fold(program: _Program, root, x=None) -> _Program:
     Values, errors and named subtrees stay those of evaluate, but a run may
     return a value the fold keeps, which must not be written, and a failure
     the fold decides raises after the instructions ahead of it, which win.
+    The fold is a new program, owned by its caller, as is the one folded.
     """
     vals = program.template.copy()
     vals[0] = x
@@ -524,16 +517,16 @@ def _fold(program: _Program, root, x=None) -> _Program:
         for i, (op, out, a, b, node, _) in enumerate(program.code):
             try:
                 if vals[a] is not None and vals[b] is not None:
-                    vals[out] = op(vals[a], vals[b], node or root)
+                    vals[out] = op(vals[a], vals[b], node)
                     for s in {a, b} - read:
                         if last_read[s] == i:
                             vals[s] = None
                     continue
                 if op is _checked_quotient and vals[b] is not None:
-                    _check_divisor(vals[b], node or root)
+                    _check_divisor(vals[b], node)
                     op = _quotient
                 elif op is _checked_power and vals[a] is not None:
-                    _check_power_base(vals[a], node or root)
+                    _check_power_base(vals[a], node)
                     op = _real_power
             except ExprEvalError as err:
                 vals.append(str(err))
@@ -554,22 +547,28 @@ def _fold(program: _Program, root, x=None) -> _Program:
     reads = tuple([s for s in range(len(VARIABLES)) if s in last_read or s == program.result])
     finite = all(np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
                  for v in vals if v is not None and not isinstance(v, str))
-    return _Program(vals, [ins + (d,) for ins, d in zip(code, drops)], program.result, reads, finite)
+    return _Program(program.root, vals, [ins + (d,) for ins, d in zip(code, drops)],
+                    program.result, reads, finite)
 
 
-def _run(program: _Program, values: tuple, root):
+def _compile(expr: Expression, x=None) -> _Program:
+    """expr compiled anew and folded, with x known unless it is None."""
+    return _fold(_Compiler(expr).program(), x)
+
+
+def _run(program: _Program, values: tuple):
     """Run program with the variable slots set to values; its checked result."""
     vals = program.template.copy()
     vals[:5] = values
     with np.errstate(over="ignore", invalid="ignore"):
         for op, out, a, b, node, drops in program.code:
-            vals[out] = op(vals[a], vals[b], node or root)
+            vals[out] = op(vals[a], vals[b], node)
             for s in drops:
                 vals[s] = None
-    return _result(vals[program.result], root)
+    return _result(vals[program.result], program.root)
 
 
-def _run_flagged(program: _Program, values: tuple, root):
+def _run_flagged(program: _Program, values: tuple):
     """_run's value on finite values, with numpy's floating-point flags raising
     in place of the checks' scans.  On finite operands every check but the one
     _FLAGGED keeps raises a flag when it fails, and with no flag every value
@@ -580,22 +579,13 @@ def _run_flagged(program: _Program, values: tuple, root):
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 for op, out, a, b, node, drops in program.code:
-                    vals[out] = _FLAGGED.get(op, op)(vals[a], vals[b], node or root)
+                    vals[out] = _FLAGGED.get(op, op)(vals[a], vals[b], node)
                     for s in drops:
                         vals[s] = None
                 return vals[program.result]
         except (FloatingPointError, ExprEvalError):
             pass
-    return _run(program, values, root)
-
-
-def _program(expr: Expression) -> _Program:
-    """The program of expr, compiled and folded on first use and kept on expr."""
-    program = getattr(expr, "__dict__", {}).get("_program")
-    if program is None:
-        program = _fold(_Compiler(expr).program(), expr)
-        object.__setattr__(expr, "_program", program)
-    return program
+    return _run(program, values)
 
 
 def _result(out, expr):
@@ -612,9 +602,10 @@ def evaluate(expr: Expression, x, u, y, v, z):
 
     Returns a float when the result is zero-dimensional, otherwise the
     broadcast numpy array.  Domain violations and non-finite intermediate
-    results raise ExprEvalError naming the failing subexpression.
+    results raise ExprEvalError naming the failing subexpression.  Each call
+    compiles expr.
     """
-    return _run(_program(expr), (x, u, y, v, z), expr)
+    return _run(_compile(expr), (x, u, y, v, z))
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,13 @@ needs over _HOPELESS times the passes left stops with the budget's verdict.
 
 step runs steps 1-3 through the public, allocating solve_second_order_bvp
 and diff5, and residual through step.  solve runs every pass through _pass
-in a _Workspace: f folded at the grid's nodes, which gives the start, and
-one block of raw arrays (the (u, v) pairs, the slopes f reads, a scratch
-array) that numerics' kernels _bvp_into and _diff5_into write in place.
-Steps 4-5 (_f and _curvatures) are shared by step and _pass, so each pass
-does the same arithmetic and runs f flagged (see expr); solve wraps arrays in
-Triplet and IterateProfile only for its report, which takes over the last
-pair and with it the block, and whose residual reuses the workspace's fold.
+in a _Workspace: f compiled and folded once, at the grid's nodes, which
+gives the start, and one block of raw arrays (the (u, v) pairs, the slopes
+f reads, a scratch array) that numerics' kernels _bvp_into and _diff5_into
+write in place.  Steps 4-5 (_f and _curvatures) are shared by step and
+_pass, so each pass does the same arithmetic and runs f flagged (see expr);
+solve wraps arrays in Triplet and IterateProfile only for its report, which
+takes over the last pair and the block; its residual reuses f's program.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import _fold, _program, _run_flagged
+from .expr import _compile, _run_flagged
 from .numerics import (
     Grid,
     GridFunction,
@@ -230,11 +230,11 @@ class StallError(IterationLimitError):
     failure = "floor"
 
 
-def _f(program, rhs, nodes: np.ndarray, u, du, v, d3u) -> np.ndarray:
+def _f(program, nodes: np.ndarray, u, du, v, d3u) -> np.ndarray:
     """f at the nodes from the finite node values of u, u', u'' and u''' (None
     for a slope f does not read), run flagged.  Never one of those arrays, but
     it may be a value the fold keeps, so it must not be written."""
-    out = _run_flagged(program, (nodes, u, du, v, d3u), rhs)
+    out = _run_flagged(program, (nodes, u, du, v, d3u))
     if isinstance(out, float):  # f is constant
         return np.full(len(nodes), out)
     if out is u or out is du or out is v or out is d3u:  # f is one of them
@@ -260,8 +260,8 @@ def _curvatures(grid: Grid, phi: np.ndarray, beta: float, scratch: np.ndarray) -
 
 
 def init_state(problem: CanonicalProblem, grid: Grid) -> Triplet:
-    """Starting triplet: source f(x,0,0,0,0) from f's root program, zero end curvatures."""
-    phi = _f(_program(problem.rhs), problem.rhs, grid.nodes, *[np.zeros(grid.n + 1)] * 4)
+    """Starting triplet: source f(x,0,0,0,0), zero end curvatures; compiles f anew."""
+    phi = _f(_compile(problem.rhs, grid.nodes), grid.nodes, *[np.zeros(grid.n + 1)] * 4)
     return Triplet(GridFunction._adopt(grid, np.array(phi), finite=True), 0.0, 0.0)
 
 
@@ -269,8 +269,8 @@ def step(state: Triplet, problem: CanonicalProblem, *, program=None) -> tuple:
     """One application of the fixed-point map; also returns the profile used.
 
     Only the slopes f reads are differentiated during the pass; the profile
-    forms the others on first read, with the same values.  program may be
-    f's program folded at the state's grid's nodes, as solve passes it.
+    forms the others on first read, with the same values.  program is f's,
+    folded at the grid's nodes, as solve passes it; without one f compiles anew.
     """
     grid = state.source.grid
     v = solve_second_order_bvp(state.source, state.alpha, state.beta)
@@ -278,10 +278,10 @@ def step(state: Triplet, problem: CanonicalProblem, *, program=None) -> tuple:
     for of, slope in ((profile.u, "du"), (v, "d3u")):
         if not _diff5_finite(grid.n, of._sup):  # f may not read it, but the pass fails where it always did
             getattr(profile, slope)
-    program = _program(problem.rhs) if program is None else program
+    program = _compile(problem.rhs, grid.nodes) if program is None else program
     du = profile.du.values if 2 in program.reads else None
     d3u = profile.d3u.values if 4 in program.reads else None
-    phi = np.array(_f(program, problem.rhs, grid.nodes, profile.u.values, du, v.values, d3u))
+    phi = np.array(_f(program, grid.nodes, profile.u.values, du, v.values, d3u))
     alpha, beta = _curvatures(grid, phi, state.beta, np.empty(grid.n + 1))
     return Triplet(GridFunction._adopt(grid, phi, finite=True), alpha, beta), profile
 
@@ -305,8 +305,8 @@ def residual(state: Triplet, problem: CanonicalProblem, *, program=None) -> floa
 
 
 class _Workspace:
-    """What solve's passes reuse: f's program, folded at the grid's nodes
-    when f reads x, which the report's residual pass reuses too, the start
+    """What solve's passes reuse: f's program, compiled and folded once at
+    the grid's nodes, which the report's residual pass reuses too, the start
     f(x, 0, 0, 0, 0) that solve takes over, and n+1-value arrays for the
     current (u, v = u'') pair, the spare pair the next pass writes, the
     slopes f reads (None for the others) and one scratch array that the
@@ -325,10 +325,8 @@ class _Workspace:
 
     def __init__(self, problem: CanonicalProblem, grid: Grid):
         self.grid, self.sup_u = grid, 0.0
-        self.rhs, self.program = problem.rhs, _program(problem.rhs)
-        if 0 in self.program.reads:  # what depends on x alone is computed once, here
-            self.program = _fold(self.program, self.rhs, grid.nodes)
-        self.start = _f(self.program, self.rhs, grid.nodes, *[np.zeros(grid.n + 1)] * 4)
+        self.program = _compile(problem.rhs, grid.nodes)  # what x alone decides is done once, here
+        self.start = _f(self.program, grid.nodes, *[np.zeros(grid.n + 1)] * 4)
         reads = [slot in self.program.reads for slot in (2, 4)]
         rows = iter(np.zeros((5 + sum(reads), grid.n + 1)))
         self.u, self.v, self.u_old, self.v_old, self.scratch = (next(rows) for _ in range(5))
@@ -374,7 +372,7 @@ def _pass(ws: _Workspace, phi: np.ndarray, alpha: float, beta: float) -> tuple:
         _diff5_into(out, of, s)
         if not bounded:
             _checked_sup(grid, out)
-    phi = _f(ws.program, ws.rhs, grid.nodes, u, ws.du, v, ws.d3u)
+    phi = _f(ws.program, grid.nodes, u, ws.du, v, ws.d3u)
     alpha, beta = _curvatures(grid, phi, beta, s)
     ws.u, ws.u_old, ws.v, ws.v_old, ws.sup_u = u, ws.u, v, ws.v, sup_u
     return phi, alpha, beta

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import clampbeam.expr as expr_module
 from clampbeam import analysis
 from clampbeam.analysis import (
     ConditionReport,
@@ -33,7 +34,7 @@ from clampbeam.analysis import (
 )
 from clampbeam.examples import get_example
 from clampbeam.expr import (
-    BinOp, Call, ExprDerivativeError, ExprEvalError, Neg, Num, Var, _program, differentiate,
+    BinOp, Call, ExprDerivativeError, ExprEvalError, Neg, Num, Var, _compile, _run, differentiate,
     evaluate, parse, substitute,
 )
 from clampbeam.problem import canonicalize, parse_problem_text
@@ -137,13 +138,15 @@ class TestContractionFactor:
 def _first_undefined(expression, env):
     """Brute-force oracle: (index, point, error) of the first undefined point in C order.
 
-    Every point of the lattice env is evaluated on its own; None when all are defined.
+    Every point of the lattice env is evaluated on its own, as evaluate would,
+    by one program compiled ahead; None when all are defined.
     """
+    program = _compile(expression)
     axes = [np.ravel(env[name]) for name in ("x", "u", "y", "v", "z")]
     for idx in itertools.product(*(range(a.size) for a in axes)):
         point = tuple(float(a[i]) for a, i in zip(axes, idx))
         try:
-            evaluate(expression, *point)
+            _run(program, point)
         except ExprEvalError as err:
             return idx, point, err
     return None
@@ -265,7 +268,7 @@ class TestCheckConditions:
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
         idx, point, error = _first_undefined(expression, env)
         assert idx == index
-        bad, err = _find_bad_point(expression, analysis._slab_args(env, None))
+        bad, err = _find_bad_point(_compile(expression), analysis._slab_args(env, None))
         assert bad == point and str(err) == str(error)
 
     @pytest.mark.parametrize("ks", [(1.0, 2.0, 3.0), (1,) * 5, (-0.1, 0, 0, 0),
@@ -274,7 +277,6 @@ class TestCheckConditions:
     def test_ks_validation(self, ks, monkeypatch):
         # bad constants are rejected before any of the lattice is evaluated
         calls = []
-        monkeypatch.setattr(analysis, "evaluate", lambda *args: calls.append(args))
         monkeypatch.setattr(analysis, "_run", lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             check_conditions(parse("u"), 1.0, ks=ks)
@@ -330,7 +332,7 @@ class TestBlocks:
     def test_five_variable_right_sides_match_unblocked(self, text, M, fd, monkeypatch):
         rhs = parse(text)
         env = _lattice_env(DomainBox(M), LatticeSpec(points=17))
-        assert len(analysis._blocks(_program(rhs).reads, env)) > 1
+        assert len(analysis._blocks(_compile(rhs).reads, env)) > 1
         blocked = _outcome(rhs, M, None, 17)
         assert blocked.fd_fallback == fd
         assert blocked == _unblocked(monkeypatch, rhs, M, None, 17)
@@ -355,7 +357,7 @@ class TestBlocks:
     def test_slabs_cover_the_lattice_in_order(self):
         rhs = parse("x*u*y*v*z")
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=17))
-        slabs = analysis._blocks(_program(rhs).reads, env)
+        slabs = analysis._blocks(_compile(rhs).reads, env)
         assert len(slabs) > 1
         sizes = [evaluate(rhs, *analysis._slab_args(env, slab)).size for slab in slabs]
         assert max(sizes) <= analysis._BLOCK and sum(sizes) == 17 ** 5
@@ -365,7 +367,7 @@ class TestBlocks:
     @pytest.mark.parametrize("text", ["u*z", "3"])
     def test_a_lattice_that_fits_is_one_slab(self, text):
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=25))
-        assert analysis._blocks(_program(parse(text)).reads, env) == [None]
+        assert analysis._blocks(_compile(parse(text)).reads, env) == [None]
 
     @pytest.mark.parametrize("points", [17, 25])
     def test_memory_does_not_grow_with_the_lattice(self, points):
@@ -428,9 +430,9 @@ class TestBlocks:
         assert peak < 4e6
 
 
-def _reference_extremes(program, root, env):
-    """(min, max) of root on the lattice env: a fold of evaluate over its slabs."""
-    return analysis._slab_extremes(lambda slab: evaluate(root, *analysis._slab_args(env, slab)),
+def _reference_extremes(program, env):
+    """(min, max) of program's root on the lattice env: a fold of evaluate over its slabs."""
+    return analysis._slab_extremes(lambda slab: evaluate(program.root, *analysis._slab_args(env, slab)),
                                    analysis._blocks(program.reads, env))
 
 
@@ -446,9 +448,10 @@ def _whole_runs(monkeypatch) -> list:
     whole program it ran, or None when it ran a part of one."""
     runs, run = [], analysis._run
 
-    def spy(program, values, root):
-        runs.append(root if program.result == _program(root).result else None)
-        return run(program, values, root)
+    def spy(program, values):
+        whole = program.result == _compile(program.root).result
+        runs.append(program.root if whole else None)
+        return run(program, values)
 
     monkeypatch.setattr(analysis, "_run", spy)
     return runs
@@ -501,7 +504,7 @@ class TestRangePass:
         if ident in (1, 2):  # the examples that read four or five axes
             # a chain was decomposed, and only programs that fit a slab ran whole
             assert None in runs
-            assert all(points ** len(_program(root).reads) <= analysis._BLOCK
+            assert all(points ** len(_compile(root).reads) <= analysis._BLOCK
                        for root in runs if root is not None)
 
     @pytest.mark.parametrize("text, M", [
@@ -563,19 +566,14 @@ class TestRangePass:
 
 
 def _evaluated_sizes(monkeypatch) -> list:
-    """A list that records, for every evaluate and _run call in analysis from now on,
-    the broadcast size of the variables it reads."""
-    sizes, evaluate_, run = [], analysis.evaluate, analysis._run
+    """A list that records, for every _run call in analysis from now on, the
+    broadcast size of the variables it reads; the check evaluates nothing else."""
+    sizes, run = [], analysis._run
 
-    def spy_evaluate(expression, *args):
-        sizes.append(np.broadcast(*args).size)
-        return evaluate_(expression, *args)
-
-    def spy_run(program, values, root):
+    def spy_run(program, values):
         sizes.append(math.prod(np.broadcast_shapes(*(np.shape(values[k]) for k in program.reads))))
-        return run(program, values, root)
+        return run(program, values)
 
-    monkeypatch.setattr(analysis, "evaluate", spy_evaluate)
     monkeypatch.setattr(analysis, "_run", spy_run)
     return sizes
 
@@ -607,6 +605,28 @@ class TestFailures:
             tracemalloc.stop()
         assert peak < 4e6
 
+    @pytest.mark.parametrize("text, M, ks, what", [
+        ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), "right-hand side"),
+        ("sqrt(v + 1)*x*u*y*z", 1.0, None, "partial derivative df/dv"),
+        ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, None, "finite-difference probe"),
+    ])
+    def test_each_expression_is_compiled_once(self, text, M, ks, what, monkeypatch):
+        # the extremes, the rescan of the slabs and the search for the point
+        # all run the one program the check compiled for the expression
+        compiled, runs, real, run = [], [], expr_module._Compiler, analysis._run
+        monkeypatch.setattr(expr_module, "_Compiler", lambda root: compiled.append(root) or real(root))
+        monkeypatch.setattr(analysis, "_run",
+                            lambda program, values: runs.append(program.root) or run(program, values))
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(parse(text), M, ks, LatticeSpec(points=9))
+        assert str(info.value).startswith(what)
+        assert len({id(root) for root in compiled}) == len(compiled)
+        assert {id(root) for root in runs} <= {id(root) for root in compiled}
+        failing = runs[-1]  # the search's last run, at the point it names
+        assert failing is compiled[-1]  # the check stops at the first failure
+        # at least one run for the extremes, one for the rescan and one per axis for the search
+        assert [root is failing for root in runs].count(True) >= 7
+
     @pytest.mark.parametrize("text, M, ks, points, what", [
         ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side"),
         ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, None, 17, "finite-difference probe"),
@@ -636,7 +656,7 @@ class TestFailures:
         # probe only at u = 1, in a later one: the first lattice point is named
         rhs = parse("abs(u) + sqrt(1 - u*u)*x*y*v*z")
         env = _lattice_env(DomainBox(384.0), LatticeSpec(points=17))
-        assert len(analysis._blocks(_program(rhs).reads, env)) > 1
+        assert len(analysis._blocks(_compile(rhs).reads, env)) > 1
         blocked = _outcome(rhs, 384.0, None, 17)
         assert blocked == _unblocked(monkeypatch, rhs, 384.0, None, 17)
         assert blocked[0] is DomainSamplingError and blocked[2][:2] == (0.0, -1.0)
@@ -667,7 +687,7 @@ def _reference_sup(expression, env, what):
     """max |expression| from an evaluation of every lattice point, constants
     included; a failure is named as the check names it."""
     try:
-        lo, hi = _reference_extremes(_program(expression), expression, env)
+        lo, hi = _reference_extremes(_compile(expression), env)
     except ExprEvalError:
         return analysis._sup_on_lattice(expression, env, what)  # raises
     return float(max(0.0, hi, -lo))
@@ -753,7 +773,7 @@ class TestFrontEnd:
 
     def test_a_literal_needs_no_program(self, monkeypatch):
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
-        monkeypatch.setattr(analysis, "_program", None)  # a compile would fail
+        monkeypatch.setattr(analysis, "_compile", None)  # a compile would fail
         assert repr(analysis._sup_on_lattice(Num(-0.0), env)) == "0.0"
         assert repr(analysis._sup_on_lattice(Num(0.0), env)) == "0.0"
         assert analysis._sup_on_lattice(Num(-2.5), env) == 2.5
@@ -770,7 +790,7 @@ class TestFrontEnd:
         rhs = parse(source)
         runs, extremes = [], analysis._extremes
         monkeypatch.setattr(analysis, "_extremes",
-                            lambda program, root, env: runs.append(root) or extremes(program, root, env))
+                            lambda program, env: runs.append(program.root) or extremes(program, env))
         report = check_conditions(rhs, 1.0)
         assert report.ks == (k1, 0.0, 0.0, 0.0)
         assert runs == [rhs]  # f alone reached the lattice

@@ -270,24 +270,27 @@ class TestRendering:
         assert parse(to_source(tree3)) == tree3
 
 
-def _leaf(names="xuyvz"):
+def _leaf(names="xuyvz", literals=()):
+    """A variable of names, or a literal in [-4, 4] or from literals."""
+    numbers = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False, allow_infinity=False)
+    if literals:
+        numbers = st.one_of(numbers, st.sampled_from(literals))
     return st.one_of(
-        st.floats(min_value=-4.0, max_value=4.0, allow_nan=False,
-                  allow_infinity=False).map(lambda v: Num(float(v))),
+        numbers.map(lambda v: Num(float(v))),
         st.sampled_from([Var(n) for n in names]),
     )
 
 
-def _trees(depth=3, names="xuyvz"):
+def _trees(depth=3, names="xuyvz", literals=(),
+           functions=("sin", "cos", "exp", "sqrt", "abs", "atan")):
     if depth == 0:
-        return _leaf(names)
-    sub = _trees(depth - 1, names)
+        return _leaf(names, literals)
+    sub = _trees(depth - 1, names, literals, functions)
     return st.one_of(
-        _leaf(names),
+        _leaf(names, literals),
         st.tuples(st.sampled_from("+-*/^"), sub, sub).map(lambda t: BinOp(*t)),
         sub.map(Neg),
-        st.tuples(st.sampled_from(["sin", "cos", "exp", "sqrt", "abs", "atan"]),
-                  sub).map(lambda t: Call(*t)),
+        st.tuples(st.sampled_from(functions), sub).map(lambda t: Call(*t)),
     )
 
 
@@ -424,13 +427,10 @@ def _outcome(fn, *args):
 
 
 def _at_x(tree, x):
-    """tree as a function of (u, y, v, z), run as the solver runs it: the
-    root program folded once more with x known when it reads x, a fold the
-    function keeps between calls."""
-    program = expr_module._program(tree)
-    if 0 in program.reads:
-        program = expr_module._fold(program, tree, x)
-    return lambda *env: expr_module._run(program, (x,) + env, tree)
+    """tree as a function of (u, y, v, z), run as the solver runs it: compiled
+    and folded once with x known, a program the function keeps between calls."""
+    program = expr_module._compile(tree, x)
+    return lambda *env: expr_module._run(program, (x,) + env)
 
 
 def _assert_fixed_x_matches(tree, x, *envs):
@@ -660,7 +660,7 @@ class TestCompiledProgram:
 
     def test_equal_subtrees_share_one_instruction(self):
         # u + P(x) of a shifted problem appears once per occurrence of u in F
-        program = expr_module._program(parse("(u + x^2)^2 + sin(u + x^2) + (u + x^2)/2"))
+        program = expr_module._compile(parse("(u + x^2)^2 + sin(u + x^2) + (u + x^2)/2"))
         ops = [ins[0] for ins in program.code]
         assert ops.count(expr_module._plus) == 3  # u + x^2 once, then the two sums
         assert ops.count(expr_module._repeated_power) == 2  # x^2 and (u + x^2)^2
@@ -673,7 +673,7 @@ class TestCompiledProgram:
         assert str(info.value) == message
 
     def test_checks_on_constants_are_decided_when_compiling(self):
-        program = expr_module._program(parse("y/4 + 2^u + u/(3 - 1)"))
+        program = expr_module._compile(parse("y/4 + 2^u + u/(3 - 1)"))
         ops = {ins[0] for ins in program.code}
         assert expr_module._checked_quotient not in ops
         assert expr_module._checked_power not in ops
@@ -698,17 +698,24 @@ class TestCompiledProgram:
                 evaluate(tree, *env)
             assert str(info.value) == message
 
-    def test_program_is_kept_on_the_root_only(self, monkeypatch):
+    def test_each_caller_compiles_what_it_runs(self, monkeypatch):
+        # evaluate compiles on each call; a caller that runs a tree many
+        # times compiles it once and owns the program, and the tree keeps
+        # nothing of either
         compiled = []
         real = expr_module._Compiler
         monkeypatch.setattr(expr_module, "_Compiler", lambda root: compiled.append(root) or real(root))
         tree = parse("sqrt(u)/(x + 1) + 1")
         evaluate(tree, 1.0, 4.0, 0, 0, 0)
         evaluate(tree, 2.0, 4.0, 0, 0, 0)
-        _at_x(tree, XS)(*_profile(1.0))  # the fold at x is the caller's
-        assert compiled == [tree]
+        at = _at_x(tree, XS)
+        for _ in range(3):
+            at(*_profile(1.0))
+        assert len(compiled) == 3 and all(root is tree for root in compiled)
+        program = expr_module._compile(tree)
+        assert program.root is tree and program.code[-1][4] is tree  # the root names itself
         fields = {field.name for field in dataclasses.fields(tree)}
-        assert set(vars(tree)) == fields | {"_program"}
+        assert set(vars(tree)) == fields
         copy = pickle.loads(pickle.dumps(tree))
         assert copy == tree and set(vars(copy)) == fields
 
@@ -717,7 +724,7 @@ class TestCompiledProgram:
         ("sqrt(0 - 1)", "sqrt of a negative value in 'sqrt(0 - 1)'"),  # failure at compile time
     ])
     def test_program_does_not_keep_its_root_alive(self, source, fragment):
-        # the root's own failures are named through the root passed in
+        # the program evaluate compiles holds the root, and goes with the call
         gc.disable()
         try:
             tree = parse(source)
@@ -745,25 +752,26 @@ def _peak_arrays(fn, size):
 
 
 class TestFold:
-    @pytest.mark.parametrize("source, folds", [
-        (get_example(1).rhs_text, 0),     # x is not read: the root program serves
-        ("12 + u*z/2 - y*v/4 + x", 1),
+    @pytest.mark.parametrize("source", [
+        get_example(1).rhs_text,     # x is not read
+        "12 + u*z/2 - y*v/4 + x",
     ])
-    def test_fixed_x_folds_only_when_x_is_read(self, source, folds, monkeypatch):
-        # a solve folds f at its grid's nodes once, in its workspace; the
-        # report's residual runs the root program, and the next solve folds anew
+    def test_a_solve_compiles_and_folds_once_at_its_nodes(self, source, monkeypatch):
+        # a solve compiles f and folds it at its grid's nodes once, in its
+        # workspace, whether or not f reads x; the report's residual runs that
+        # program, and the next solve compiles anew
         problem = canonicalize(parse_problem_text(f"f = {source}\n").raw)
-        expr_module._program(problem.rhs)
-        folded_at = []
-        real = expr_module._fold
-        for module in (expr_module, solver_module):
-            monkeypatch.setattr(module, "_fold", lambda program, root, x=None:
-                                folded_at.append(x) or real(program, root, x))
+        compiled, folded_at = [], []
+        real_compiler, real_fold = expr_module._Compiler, expr_module._fold
+        monkeypatch.setattr(expr_module, "_Compiler",
+                            lambda root: compiled.append(root) or real_compiler(root))
+        monkeypatch.setattr(expr_module, "_fold",
+                            lambda program, x=None: folded_at.append(x) or real_fold(program, x))
         for solves in (1, 2):
             report = solve(problem, SolverConfig(n=32))
             assert report.converged
-            assert len(folded_at) == solves * folds
-            assert all(x is report.grid.nodes for x in folded_at[(solves - 1) * folds:])
+            assert len(compiled) == len(folded_at) == solves
+            assert compiled[-1] is problem.rhs and folded_at[-1] is report.grid.nodes
 
     @pytest.mark.parametrize("source", [
         "sin(x)*u + sin(x)^2",   # a kept reader, then a folded one

@@ -22,9 +22,9 @@ from hypothesis import strategies as st
 import clampbeam.numerics as numerics
 import clampbeam.expr as expr_module
 import clampbeam.solver as solver_module
-from clampbeam.analysis import check_conditions
+from clampbeam.analysis import LatticeSpec, check_conditions
 from clampbeam.examples import get_example
-from clampbeam.expr import ExprEvalError, parse
+from clampbeam.expr import ExprEvalError, evaluate, parse
 from clampbeam.numerics import Grid, GridFunction
 from clampbeam.problem import RawProblem, canonicalize, parse_problem_text
 from clampbeam.solver import (
@@ -42,6 +42,7 @@ from clampbeam.solver import (
     triplet_distance,
     triplet_norm,
 )
+from test_expr import _trees  # the random expression trees of the expr tests
 
 
 def _canon(text: str):
@@ -51,6 +52,14 @@ def _canon(text: str):
 # a shifted interval with boundary data: most of the canonical f is x-only
 SHIFTED_TEXT = ("a = 0.5\nb = 1.6\nA1 = 1\nB1 = -0.5\nA2 = 0.3\nB2 = 2\n"
                 "f = 12 + u*z/2 - y*v/4 + y/4 + 24 - (x^3 - 2*x + 1)*sin(x)\n")
+
+
+def _holds_only_fields(tree) -> bool:
+    """Every node of tree holds its dataclass fields and nothing else."""
+    fields = {f.name for f in dataclasses.fields(tree)}
+    return set(vars(tree)) == fields and all(
+        _holds_only_fields(getattr(tree, name)) for name in fields
+        if dataclasses.is_dataclass(getattr(tree, name)))
 
 
 def _keep_ref(refs: list, obj):
@@ -261,16 +270,15 @@ class TestStepAndResidual:
         _spy_slope_weights(monkeypatch, lambda pair: tuple(_keep_ref(weights, w) for w in pair))
         real_fold = expr_module._fold
 
-        def fold(program, root, x=None):
-            out = real_fold(program, root, x)
+        def fold(program, x=None):
+            out = real_fold(program, x)
             if x is not None:  # a fold at fixed x: keep a reference to each x-only value
                 for value in out.template:
                     if isinstance(value, np.ndarray) and value is not x:
                         _keep_ref(folded, value)
             return out
 
-        for module in (expr_module, solver_module):
-            monkeypatch.setattr(module, "_fold", fold)
+        monkeypatch.setattr(expr_module, "_fold", fold)
         for text, cfg, raised, built, x_only in [
             ("f = 24", SolverConfig(n=32), None, 2, 0),
             ("f = 24 + sin(x)", SolverConfig(n=32), None, 2, 1),
@@ -301,8 +309,8 @@ class TestStepAndResidual:
                 gc.enable()
 
     def test_interleaved_grids_match_a_fresh_problem(self):
-        # step runs the root program with each grid's nodes as x: nothing
-        # of one grid stays on the rhs for the next
+        # step compiles f and folds it at each grid's nodes: nothing of one
+        # grid stays on the rhs for the next
         problem = _canon(SHIFTED_TEXT)
         grids = [Grid(16), Grid(18)]
         grids += [grids[0], Grid(16)]
@@ -323,17 +331,42 @@ class TestStepAndResidual:
                 assert bits(states[i], profile) == bits(*step(state, _canon(SHIFTED_TEXT)))
 
     def test_solved_problem_holds_only_its_fields(self):
-        # f reads x, but its fold at the grid's nodes went with the solve: the
-        # rhs keeps its root program alone, which holds no value of a grid
+        # f reads x, but its program, folded at the grid's nodes, went with
+        # the solve: the rhs keeps nothing
         cp = _canon(SHIFTED_TEXT)
         solve(cp, SolverConfig(n=32))
         assert set(vars(cp)) == {f.name for f in dataclasses.fields(cp)} \
             == {"rhs", "raw", "shift", "length"}
-        rhs_fields = {f.name for f in dataclasses.fields(cp.rhs)}
-        assert set(vars(cp.rhs)) == rhs_fields | {"_program"}
-        assert not any(isinstance(v, np.ndarray) for v in vars(cp.rhs)["_program"].template)
+        assert _holds_only_fields(cp.rhs)
         for copy in (pickle.loads(pickle.dumps(cp)).rhs, pickle.loads(pickle.dumps(cp.rhs))):
-            assert copy == cp.rhs and set(vars(copy)) == rhs_fields
+            assert copy == cp.rhs and _holds_only_fields(copy)
+
+    TREE_CALLS = {
+        "evaluate": lambda cp: evaluate(cp.rhs, 0.5, 0.25, 0.0, -1.0, 2.0),
+        "init_state": lambda cp: init_state(cp, Grid(16)),
+        "step": lambda cp: step(Triplet(GridFunction(Grid(16), np.ones(17)), 0.5, -0.5), cp),
+        "residual": lambda cp: residual(Triplet(GridFunction(Grid(16), np.ones(17)), 0.5, -0.5), cp),
+        "solve": lambda cp: solve(cp, SolverConfig(n=16)),
+        "check": lambda cp: check_conditions(cp.rhs, 1.0, lattice=LatticeSpec(points=5)),
+    }
+
+    @pytest.mark.parametrize("name", list(TREE_CALLS))
+    @pytest.mark.parametrize("text", [
+        "f = 24 + sin(x)*u",       # every call returns
+        "f = 600*u + cos(x)",      # solve diverges
+        "f = log(u) + sin(x)",     # every call but evaluate raises
+    ])
+    def test_a_tree_keeps_nothing_a_call_compiles(self, name, text):
+        # every caller owns the program it runs: nothing is left on the tree,
+        # whether the call returns or raises, and a pickle is the same tree
+        cp = _canon(text)
+        try:
+            self.TREE_CALLS[name](cp)
+        except (SolverError, ValueError):
+            pass
+        assert _holds_only_fields(cp.rhs)
+        copy = pickle.loads(pickle.dumps(cp.rhs))
+        assert copy == cp.rhs and _holds_only_fields(copy)
 
     def test_no_stale_x_only_values_across_problems(self):
         # step and residual on problem A, then on B on the same grid, give
@@ -716,6 +749,21 @@ def _outcome(fn):
     return [a.tobytes() if isinstance(a, np.ndarray) else a for a in out]
 
 
+# literals and inputs at the ends of the double range, where one operation
+# overflows, underflows or divides by zero
+FUZZ_LITERALS = (0.0, -0.0, 1e-200, 1e200, 1e308, 700.0, -1000.0)
+FUZZ_INPUTS = (0.0, -0.0, 1e-300, 1e150, -1e154, 0.5, -2.0)
+
+
+def _bits(run, program, values):
+    """The shape and bytes of what run gives on values, or its error's message."""
+    try:
+        out = np.asarray(run(program, values), dtype=float)
+    except ExprEvalError as err:
+        return str(err)
+    return out.shape, out.tobytes()
+
+
 def _digest(rep) -> list:
     arrays = [rep.e_history, rep.triplet.source.values] + [
         getattr(rep.profile, name).values for name in ("u", "du", "d2u", "d3u")]
@@ -736,11 +784,10 @@ class TestFlaggedRun:
     @pytest.mark.parametrize("text", FLAG_CASES)
     def test_f_agrees_with_the_checked_run(self, monkeypatch, text):
         grid, cp = Grid(16), _canon(f"f = {text}")
-        root = expr_module._program(cp.rhs)
-        for program in (root, expr_module._fold(root, cp.rhs, grid.nodes)):
+        for program in (expr_module._compile(cp.rhs), expr_module._compile(cp.rhs, grid.nodes)):
             for u in (np.linspace(-2.0, 2.0, 17), np.linspace(0.0, 3.0, 17), np.zeros(17),
                       np.full(17, 2.0), np.full(17, 1e300)):
-                self._agree(monkeypatch, lambda: [solver_module._f(program, cp.rhs, grid.nodes,
+                self._agree(monkeypatch, lambda: [solver_module._f(program, grid.nodes,
                                                                    u, None, u, None)])
 
     @pytest.mark.parametrize("text", FLAG_CASES)
@@ -777,10 +824,20 @@ class TestFlaggedRun:
         grid, cp = Grid(16), _canon(f"f = {text}")
         runs, real = [], expr_module._run
         monkeypatch.setattr(expr_module, "_run", lambda *args: runs.append(args) or real(*args))
-        program = expr_module._program(cp.rhs)
+        program = expr_module._compile(cp.rhs)
         assert program.finite == (text != "1e308*10 + u")
-        _outcome(lambda: [solver_module._f(program, cp.rhs, grid.nodes, np.zeros(17), None, None, None)])
+        _outcome(lambda: [solver_module._f(program, grid.nodes, np.zeros(17), None, None, None)])
         assert len(runs) == checked
+
+    @settings(max_examples=300)
+    @given(tree=_trees(4, literals=FUZZ_LITERALS, functions=expr_module.FUNCTIONS),
+           samples=st.lists(st.tuples(*[st.sampled_from(FUZZ_INPUTS)] * 5), min_size=1, max_size=4))
+    def test_random_trees_agree_with_the_checked_run(self, tree, samples):
+        # unfolded and folded at x: the same value bit for bit, or the same error
+        values = tuple(np.array(column) for column in zip(*samples))
+        for program in (expr_module._compile(tree), expr_module._compile(tree, values[0])):
+            assert _bits(expr_module._run_flagged, program, values) == \
+                _bits(expr_module._run, program, values)
 
     CALLS = {
         "solve": lambda: solve(_canon("f = 24 + sin(x)"), SolverConfig(n=16)),
