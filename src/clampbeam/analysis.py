@@ -25,8 +25,8 @@ lattice, read off its exact least and greatest values.  A constant partial
 (a literal, or one that folds to a finite literal c) needs no lattice: its
 sup is |c|.  Where the expression spans more than _BLOCK values, the chain
 of +, -, * and unary minus at the root of its program is not evaluated
-point by point but carried as pairs (lo, hi) over its shared axes, those
-it reads through more than one leaf.  The one invariant:
+point by point but run on pairs (lo, hi), in _PAIRS' arithmetic, over its
+shared axes, those it reads through more than one leaf.  The one invariant:
 
   with the shared axes held fixed, every other axis occurs once, and then
   interval evaluation gives the exact range (Moore, Kearfott & Cloud,
@@ -34,12 +34,12 @@ it reads through more than one leaf.  The one invariant:
   monotone in each operand, so every lo and hi, taken at endpoints or
   corners, is a value one evaluation of the whole lattice computes too.
 
-Each leaf is evaluated only on the sub-lattice of the axes it reads, yet
-the result equals the whole lattice's bit for bit.  Everything else, and
-the whole program when its shared axes exceed _BLOCK values, is evaluated
-in slabs of at most _BLOCK values (512 KiB) that fold into running
-extremes; a failure is traced to its first undefined point inside the
-first slab that fails.  Memory thus stays a few such arrays at any lattice.
+Each leaf runs only on the sub-lattice of the axes it reads, yet the result
+equals the whole lattice's bit for bit.  All else, and the whole program
+when its shared axes exceed _BLOCK values, runs in slabs of at most _BLOCK
+values (512 KiB) folded into running extremes: memory stays a few such
+arrays.  Every such run is flagged (expr._run); the checked run names a
+failure, at the first undefined point of the first slab that fails.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -68,13 +68,16 @@ from .expr import (
     Expression,
     Num,
     Var,
+    VARIABLES,
     _compile,
+    _exec,
     _minus,
     _negate,
     _plus,
     _Program,
     _result,
     _run,
+    _run_checked,
     _times,
     differentiate,
     substitute,
@@ -93,7 +96,6 @@ __all__ = [
     "solution_error_bounds",
 ]
 
-_AXES = ("x", "u", "y", "v", "z")
 # Most values one evaluation on the lattice yields: 512 KiB of float64, so
 # f's temporaries stay in cache.  Timed on a Xeon with 2 MiB of L2 per core:
 # on the mix of the certify benchmark 2^16 and 2^17 tie and 2^14, 2^15 and
@@ -216,10 +218,10 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
     """
     steps = np.arange(spec.points)
     env = {}
-    for idx, (name, (lo, hi)) in enumerate(zip(_AXES, box.axis_intervals())):
+    for idx, (name, (lo, hi)) in enumerate(zip(VARIABLES, box.axis_intervals())):
         pts = steps * ((hi - lo) / (spec.points - 1)) + lo  # np.linspace, bit for bit
         pts[-1] = hi
-        shape = [1] * len(_AXES)
+        shape = [1] * len(VARIABLES)
         shape[idx] = spec.points
         env[name] = pts.reshape(shape)
     return env
@@ -237,7 +239,7 @@ def _find_bad_point(program: _Program, args: list) -> tuple:
         for value in np.ravel(axis):
             args[k] = value
             try:
-                _run(program, args)
+                _run_checked(program, args)
             except ExprEvalError as err:
                 error = err
                 break
@@ -248,7 +250,7 @@ def _find_bad_point(program: _Program, args: list) -> tuple:
 
 def _slab_args(env: dict, slab: Optional[tuple]) -> list:
     """The axes x, u, y, v, z of the lattice env, each cut to slab unless it is None."""
-    args = [env[name] for name in _AXES]
+    args = [env[name] for name in VARIABLES]
     if slab is None:
         return args
     return [a[(slice(None),) * k + (cut,)] for k, (a, cut) in enumerate(zip(args, slab))]
@@ -263,7 +265,7 @@ def _blocks(reads: tuple, env: dict) -> list:
     points and the others point by point.  A lattice that fits is the single
     slab None, the whole lattice.
     """
-    sizes = [env[_AXES[k]].size for k in reads]
+    sizes = [env[VARIABLES[k]].size for k in reads]
     cut, rest = len(reads), 1
     while cut and rest * sizes[cut - 1] <= _BLOCK:
         cut -= 1
@@ -274,7 +276,7 @@ def _blocks(reads: tuple, env: dict) -> list:
     slabs = []
     for index in itertools.product(*map(range, sizes[:cut - 1])):
         for start in range(0, sizes[cut - 1], step):
-            slab = [slice(None)] * len(_AXES)
+            slab = [slice(None)] * len(VARIABLES)
             for k, i in zip(reads, index):
                 slab[k] = slice(i, i + 1)
             slab[reads[cut - 1]] = slice(start, start + step)
@@ -293,10 +295,17 @@ def _slab_extremes(run, slabs: list) -> tuple:
     return lo, hi
 
 
+def _hull(*corners) -> tuple:
+    return functools.reduce(np.minimum, corners), functools.reduce(np.maximum, corners)
+
+
 # The instructions whose extremes on a product of value sets follow from the
-# extremes of their operands: each is monotone in one operand while the
-# other is held fixed.
-_RANGE_OPS = (_plus, _minus, _times, _negate)
+# extremes of their operands, each monotone in one operand while the other is
+# held fixed: their arithmetic on pairs (lo, hi).
+_PAIRS = {_plus: lambda a, b, node: (a[0] + b[0], a[1] + b[1]),
+          _minus: lambda a, b, node: (a[0] - b[1], a[1] - b[0]),
+          _times: lambda a, b, node: _hull(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1]),
+          _negate: lambda a, b, node: (-a[1], -a[0])}
 
 
 def _extremes(program: _Program, env: dict) -> tuple:
@@ -309,7 +318,7 @@ def _extremes(program: _Program, env: dict) -> tuple:
     one pass of pairs (lo, hi) up the chain, at endpoints or corners, is
     exact.  When those shared axes exceed _BLOCK values, all runs in slabs.
     """
-    points = [env[name].size for name in _AXES]
+    points = [env[name].size for name in VARIABLES]
 
     def size(axes) -> int:
         return math.prod(points[k] for k in axes)
@@ -320,7 +329,7 @@ def _extremes(program: _Program, env: dict) -> tuple:
 
     if size(program.reads) <= _BLOCK:
         return in_slabs(program)
-    axes = [frozenset((k,)) for k in range(len(_AXES))]
+    axes = [frozenset((k,)) for k in range(len(VARIABLES))]
     axes += [frozenset()] * (len(program.template) - len(axes))
     for _, out, a, b, *_ in program.code:
         axes[out] = axes[a] | axes[b]
@@ -329,43 +338,30 @@ def _extremes(program: _Program, env: dict) -> tuple:
     chain = {}  # out: its instruction, in reverse code order
     for ins in reversed(program.code):
         op, out, a, b = ins[:4]
-        if uses[out] and op in _RANGE_OPS and size(axes[out]) > _BLOCK:
+        if uses[out] and op in _PAIRS and size(axes[out]) > _BLOCK:
             chain[out] = ins
             uses[a] += uses[out]
             uses[b] += 0 if op is _negate else uses[out]
     leaves = [s for s, n in enumerate(uses) if n and s not in chain]
-    shared = {k for k in range(len(_AXES)) if sum(uses[s] for s in leaves if k in axes[s]) > 1}
+    shared = {k for k in range(len(VARIABLES)) if sum(uses[s] for s in leaves if k in axes[s]) > 1}
     if size(shared) > _BLOCK or any(axes[s] & shared and size(axes[s]) > _BLOCK for s in leaves):
         return in_slabs(program)
-    pairs = {}
+    pairs = [None] * len(program.template)
     for s in leaves:
         need = {s}  # the slots s is computed from; code is in post-order
         for _, out, a, b, *_ in reversed(program.code):
             if out in need:
                 need.update((a, b))
-        leaf = _Program(program.root, program.template,
-                        [ins for ins in program.code if ins[1] in need], s, tuple(sorted(axes[s])))
+        leaf = _Program(program.root, program.template, [ins for ins in program.code if ins[1] in need],
+                        s, tuple(sorted(axes[s])), program.finite)
         if axes[s] & shared:
             vals, cut = _run(leaf, _slab_args(env, None)), tuple(sorted(axes[s] - shared))
             pairs[s] = (np.minimum.reduce(vals, cut, keepdims=True),
                         np.maximum.reduce(vals, cut, keepdims=True))
         else:
             pairs[s] = in_slabs(leaf)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in expr._run
-        for op, out, a, b, _, drops in reversed(chain.values()):
-            (alo, ahi), (blo, bhi) = pairs[a], pairs[b]
-            if op is _negate:
-                pairs[out] = -ahi, -alo
-            elif op is _plus:
-                pairs[out] = alo + blo, ahi + bhi
-            elif op is _minus:
-                pairs[out] = alo - bhi, ahi - blo
-            else:
-                corners = (alo * blo, alo * bhi, ahi * blo, ahi * bhi)
-                pairs[out] = functools.reduce(np.minimum, corners), functools.reduce(np.maximum, corners)
-            for s in drops:  # pairs no later instruction reads
-                del pairs[s]
-        lo, hi = pairs[program.result]
+    with np.errstate(over="ignore", invalid="ignore"):  # as in expr._run_checked
+        lo, hi = _exec(program._replace(code=list(reversed(chain.values()))), pairs, _PAIRS)
         # Every pair is a value the whole-lattice run computes, and only +, -,
         # * and negation lie above it, so a pair that is not finite means that
         # run fails too; _sup_on_lattice's rescan then names the point.
@@ -394,10 +390,10 @@ def _sup_on_lattice(expression: Expression, env: dict,
         for slab in _blocks(program.reads, env):
             args = _slab_args(env, slab)
             try:
-                _run(program, args)
+                _run_checked(program, args)
             except ExprEvalError:
                 point, err = _find_bad_point(program, args)
-                labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(_AXES, point))
+                labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(VARIABLES, point))
                 raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
         raise RuntimeError("a lattice slab failed but no slab does on its own")
     # 0.0 first, so an f that is zero everywhere gives +0.0, not -0.0
@@ -438,7 +434,7 @@ def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
 
     fd_used: list = []
     if not supplied:
-        intervals = dict(zip(_AXES, box.axis_intervals()))
+        intervals = dict(zip(VARIABLES, box.axis_intervals()))
         estimated = []
         for var in ("u", "y", "v", "z"):
             lo, hi = intervals[var]

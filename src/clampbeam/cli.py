@@ -274,16 +274,19 @@ def _format_floats(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _example(ident_text: str):
+    try:
+        return get_example(int(ident_text))
+    except ValueError:
+        raise _InputError(f"bad example id {ident_text!r}") from None
+    except KeyError as err:
+        raise _InputError(str(err.args[0])) from None
+
+
 def _load(ref: str) -> tuple:
     """Returns (LoadedProblem, CanonicalProblem, label) for a path or ``example:N``."""
     if ref.startswith("example:"):
-        ident_text = ref.split(":", 1)[1]
-        try:
-            example = get_example(int(ident_text))
-        except ValueError:
-            raise _InputError(f"bad example id {ident_text!r}") from None
-        except KeyError as err:
-            raise _InputError(str(err.args[0])) from None
+        example = _example(ref.split(":", 1)[1])
         loaded, label = example.load(), f"example {example.ident}"
     else:
         try:
@@ -465,11 +468,12 @@ def cmd_examples(args) -> int:
                 print(f"  note:     {ex.note}")
         return 0
 
-    loaded, problem, _ = _load(f"example:{args.run}")
+    ex = _example(str(args.run))
+    loaded = ex.load()
+    problem = canonicalize(loaded.raw)
     inputs = _check_inputs(loaded, args)
     solve_inputs = [_config_from(args, args.n, problem)]
     out_dir = _out_dir(args)
-    ex = get_example(args.run)
     prefix = f"example{ex.ident}_"
 
     print(f"== check (example {ex.ident}: {ex.slug}) ==")

@@ -25,9 +25,9 @@ instruction whose operands are known (literals, and x if given) and decides
 every check on a known operand.  The program belongs to its caller; trees
 keep nothing.  evaluate compiles on each call; the solver compiles f once
 per solve, folded at its grid's nodes.  Values, errors and the subtree an
-error names are those of a left-to-right walk of the tree.  The solver's
-passes run f flagged, its scans left to numpy's floating-point flags
-(IEEE 754-2019, section 7); evaluate runs f checked.
+error names are those of a left-to-right walk of the tree.  One loop, _exec,
+runs every program, its arithmetic a table: success paths run flagged (_run,
+IEEE 754-2019 flags for the checks' scans), evaluate and failures checked.
 """
 
 from __future__ import annotations
@@ -401,7 +401,7 @@ def _fail(message, b, node):  # a failure the fold decided
     raise ExprEvalError(message)
 
 
-# What _run_flagged runs in place of a checked op: its arithmetic, whose failures on
+# What _run runs in place of a checked op: its arithmetic, whose failures on
 # finite operands raise a flag, and a real power's base check, as 0^0.5 raises none.
 _FLAGGED = {_checked_quotient: _quotient, _real_power: lambda a, b, node: np.power(a, b),
             _checked_power: lambda a, b, node: _check_power_base(a, node) or np.power(a, b),
@@ -513,7 +513,7 @@ def _fold(program: _Program, x=None) -> _Program:
     for i, ins in enumerate(program.code):
         last_read[ins[2]] = last_read[ins[3]] = i
     code, read = [], {program.result}  # read: what the code left reads
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _run
+    with np.errstate(over="ignore", invalid="ignore"):  # as in _run_checked
         for i, (op, out, a, b, node, _) in enumerate(program.code):
             try:
                 if vals[a] is not None and vals[b] is not None:
@@ -556,45 +556,43 @@ def _compile(expr: Expression, x=None) -> _Program:
     return _fold(_Compiler(expr).program(), x)
 
 
-def _run(program: _Program, values: tuple):
-    """Run program with the variable slots set to values; its checked result."""
-    vals = program.template.copy()
-    vals[:5] = values
+def _exec(program: _Program, values, table: dict):
+    """The result slot of program run on values, then its template, each op as table.get(op, op)."""
+    vals = list(values) + program.template[len(values):]
+    for op, out, a, b, node, drops in program.code:
+        vals[out] = table.get(op, op)(vals[a], vals[b], node)
+        for s in drops:
+            vals[s] = None
+    return vals[program.result]
+
+
+def _run_checked(program: _Program, values: tuple):
+    """program's result on values in the variable slots, every check scanned."""
     with np.errstate(over="ignore", invalid="ignore"):
-        for op, out, a, b, node, drops in program.code:
-            vals[out] = op(vals[a], vals[b], node)
-            for s in drops:
-                vals[s] = None
-    return _result(vals[program.result], program.root)
+        return _result(_exec(program, values, {}), program.root)
 
 
-def _run_flagged(program: _Program, values: tuple):
-    """_run's value on finite values, with numpy's floating-point flags raising
-    in place of the checks' scans.  On finite operands every check but the one
-    _FLAGGED keeps raises a flag when it fails, and with no flag every value
-    stays finite.  A run that raises a flag or an error, or of a program that
-    keeps a non-finite value, is left to _run, which names the failure."""
+def _run(program: _Program, values: tuple):
+    """_run_checked's value on finite numpy values, with numpy's floating-point
+    flags for the checks' scans: on finite operands each check but _FLAGGED's
+    one fails only with a flag.  A run that raises or leaves its result unwritten
+    (a fold's failure dropped its code), or of a program not finite, falls back."""
     if program.finite:
-        vals = list(values) + program.template[5:]
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for op, out, a, b, node, drops in program.code:
-                    vals[out] = _FLAGGED.get(op, op)(vals[a], vals[b], node)
-                    for s in drops:
-                        vals[s] = None
-                return vals[program.result]
+                out = _exec(program, values, _FLAGGED)
+            if out is not None:
+                return out
         except (FloatingPointError, ExprEvalError):
             pass
-    return _run(program, values)
+    return _run_checked(program, values)
 
 
 def _result(out, expr):
     arr = np.asarray(out, dtype=float)
     if not np.isfinite(arr).all():
         raise ExprEvalError(f"non-finite result from '{to_source(expr)}'")
-    if arr.ndim == 0:
-        return float(arr)
-    return arr
+    return float(arr) if arr.ndim == 0 else arr
 
 
 def evaluate(expr: Expression, x, u, y, v, z):
@@ -605,7 +603,7 @@ def evaluate(expr: Expression, x, u, y, v, z):
     results raise ExprEvalError naming the failing subexpression.  Each call
     compiles expr.
     """
-    return _run(_compile(expr), (x, u, y, v, z))
+    return _run_checked(_compile(expr), (x, u, y, v, z))
 
 
 # ---------------------------------------------------------------------------

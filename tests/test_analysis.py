@@ -34,8 +34,8 @@ from clampbeam.analysis import (
 )
 from clampbeam.examples import get_example
 from clampbeam.expr import (
-    BinOp, Call, ExprDerivativeError, ExprEvalError, Neg, Num, Var, _compile, _run, differentiate,
-    evaluate, parse, substitute,
+    BinOp, Call, ExprDerivativeError, ExprEvalError, Neg, Num, Var, _compile, _run_checked,
+    differentiate, evaluate, parse, substitute,
 )
 from clampbeam.problem import canonicalize, parse_problem_text
 from clampbeam.kernels import KERNEL_BOUNDS
@@ -139,14 +139,14 @@ def _first_undefined(expression, env):
     """Brute-force oracle: (index, point, error) of the first undefined point in C order.
 
     Every point of the lattice env is evaluated on its own, as evaluate would,
-    by one program compiled ahead; None when all are defined.
+    by one program compiled ahead and run checked; None when all are defined.
     """
     program = _compile(expression)
     axes = [np.ravel(env[name]) for name in ("x", "u", "y", "v", "z")]
     for idx in itertools.product(*(range(a.size) for a in axes)):
         point = tuple(float(a[i]) for a, i in zip(axes, idx))
         try:
-            _run(program, point)
+            _run_checked(program, point)
         except ExprEvalError as err:
             return idx, point, err
     return None
@@ -277,7 +277,8 @@ class TestCheckConditions:
     def test_ks_validation(self, ks, monkeypatch):
         # bad constants are rejected before any of the lattice is evaluated
         calls = []
-        monkeypatch.setattr(analysis, "_run", lambda *args: calls.append(args))
+        for name in ("_run", "_run_checked"):
+            monkeypatch.setattr(analysis, name, lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             check_conditions(parse("u"), 1.0, ks=ks)
         assert calls == []
@@ -431,8 +432,8 @@ class TestBlocks:
 
 
 def _reference_extremes(program, env):
-    """(min, max) of program's root on the lattice env: a fold of evaluate over its slabs."""
-    return analysis._slab_extremes(lambda slab: evaluate(program.root, *analysis._slab_args(env, slab)),
+    """(min, max) of program on the lattice env: a fold of its checked runs over its slabs."""
+    return analysis._slab_extremes(lambda slab: _run_checked(program, analysis._slab_args(env, slab)),
                                    analysis._blocks(program.reads, env))
 
 
@@ -540,6 +541,9 @@ class TestRangePass:
 
     @given(tree=_range_trees(), points=st.sampled_from([5, 9, 17]),
            M=st.sampled_from([1.0, 4.0]), scale=st.sampled_from([2, 3, 4]))
+    # the fold drops the code after exp(1e308), so no instruction writes the
+    # result slot of the leaf -exp(1e308): the flagged run must not return it
+    @example(tree=parse("x + u + -exp(1e308)"), points=5, M=1.0, scale=2)
     @settings(max_examples=300)
     def test_random_right_sides_match_the_slab_path(self, tree, points, M, scale):
         # a small block makes the lattice take several slabs, so the range
@@ -566,15 +570,19 @@ class TestRangePass:
 
 
 def _evaluated_sizes(monkeypatch) -> list:
-    """A list that records, for every _run call in analysis from now on, the
-    broadcast size of the variables it reads; the check evaluates nothing else."""
-    sizes, run = [], analysis._run
+    """A list that records, for every _run and _run_checked call in analysis
+    from now on, the broadcast size of the variables it reads; the check
+    evaluates nothing else."""
+    sizes = []
 
-    def spy_run(program, values):
-        sizes.append(math.prod(np.broadcast_shapes(*(np.shape(values[k]) for k in program.reads))))
-        return run(program, values)
+    def spy(run):
+        def spy_run(program, values):
+            sizes.append(math.prod(np.broadcast_shapes(*(np.shape(values[k]) for k in program.reads))))
+            return run(program, values)
+        return spy_run
 
-    monkeypatch.setattr(analysis, "_run", spy_run)
+    for name in ("_run", "_run_checked"):
+        monkeypatch.setattr(analysis, name, spy(getattr(analysis, name)))
     return sizes
 
 
@@ -613,10 +621,11 @@ class TestFailures:
     def test_each_expression_is_compiled_once(self, text, M, ks, what, monkeypatch):
         # the extremes, the rescan of the slabs and the search for the point
         # all run the one program the check compiled for the expression
-        compiled, runs, real, run = [], [], expr_module._Compiler, analysis._run
+        compiled, runs, real = [], [], expr_module._Compiler
         monkeypatch.setattr(expr_module, "_Compiler", lambda root: compiled.append(root) or real(root))
-        monkeypatch.setattr(analysis, "_run",
-                            lambda program, values: runs.append(program.root) or run(program, values))
+        for name, run in (("_run", analysis._run), ("_run_checked", analysis._run_checked)):
+            monkeypatch.setattr(analysis, name, lambda program, values, run=run:
+                                runs.append(program.root) or run(program, values))
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(parse(text), M, ks, LatticeSpec(points=9))
         assert str(info.value).startswith(what)
@@ -675,6 +684,52 @@ class TestFailures:
             outcome = _outcome(tree, M, (0, 0, 0, 0), 5)
         what = "right-hand side undefined inside the box"
         assert outcome == (DomainSamplingError, _failure_message(tree, what, point), point)
+
+
+def _checked_callers(monkeypatch) -> list:
+    """A list that records, for every _run_checked call from now on, from expr
+    or analysis, the name of the function that made it."""
+    callers, real = [], expr_module._run_checked
+
+    def spy(program, values):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return real(program, values)
+
+    monkeypatch.setattr(expr_module, "_run_checked", spy)
+    monkeypatch.setattr(analysis, "_run_checked", spy)
+    return callers
+
+
+class TestCheckedRuns:
+    """A check runs its lattice flagged; only the naming of a failure runs checked."""
+
+    @pytest.mark.parametrize("text, M, ks", [
+        (get_example(2).rhs_text, get_example(2).M, None),   # slabs and the range pass
+        (get_example(1).rhs_text, get_example(1).M, None),
+        ("(u*y*v - 1 + x)*(u*y*v - 1 + z)", 1.0, None),      # leaves reduced over shared axes
+        ("sin(u*y*v) + cos(u*y*z) + exp(-u*v*z) + atan(y*v*z) + sin(x*u*y) + cos(x*v*z) + x",
+         1.0, (1.0, 1.0, 0.1, 0.1)),                          # the whole program in slabs
+    ])
+    def test_a_check_that_succeeds_runs_nothing_checked(self, text, M, ks, monkeypatch):
+        callers = _checked_callers(monkeypatch)
+        check_conditions(parse(text), M, ks, LatticeSpec(points=17))
+        assert callers == []
+
+    @pytest.mark.parametrize("text, M, points, what", [
+        (get_example(5).rhs_text, get_example(5).M, 9, "right-hand side"),
+        ("sqrt(u + 1 - 3*x^2 + 2*x^3)*sin(exp(u)) + exp(-x^2)", 5.0, 5, "right-hand side"),
+        ("sqrt(v + 1)*x*u*y*z", 1.0, 17, "partial derivative df/dv"),
+    ])
+    def test_a_failing_check_runs_checked_only_to_name_the_failure(self, text, M, points, what,
+                                                                 monkeypatch):
+        callers = _checked_callers(monkeypatch)
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(parse(text), M, None, LatticeSpec(points=points))
+        assert str(info.value).startswith(what)
+        # the one flagged run that fails hands over to the checked run, which
+        # names its error; then the rescan of the slabs and the point search
+        assert callers[0] == "_run"
+        assert set(callers[1:]) == {"_sup_on_lattice", "_find_bad_point"}
 
 
 def _linspace_env(box, points):

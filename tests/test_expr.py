@@ -427,10 +427,11 @@ def _outcome(fn, *args):
 
 
 def _at_x(tree, x):
-    """tree as a function of (u, y, v, z), run as the solver runs it: compiled
-    and folded once with x known, a program the function keeps between calls."""
+    """tree as a function of (u, y, v, z), compiled as the solver compiles it:
+    folded once with x known, a program the function keeps between calls and
+    runs checked, as evaluate does."""
     program = expr_module._compile(tree, x)
-    return lambda *env: expr_module._run(program, (x,) + env)
+    return lambda *env: expr_module._run_checked(program, (x,) + env)
 
 
 def _assert_fixed_x_matches(tree, x, *envs):

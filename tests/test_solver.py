@@ -778,7 +778,7 @@ class TestFlaggedRun:
     def _agree(self, monkeypatch, fn):
         flagged = _outcome(fn)
         with monkeypatch.context() as m:
-            m.setattr(solver_module, "_run_flagged", expr_module._run)
+            m.setattr(solver_module, "_run", expr_module._run_checked)
             assert _outcome(fn) == flagged
 
     @pytest.mark.parametrize("text", FLAG_CASES)
@@ -822,8 +822,8 @@ class TestFlaggedRun:
     ])
     def test_only_a_flag_or_an_inf_constant_runs_f_again(self, monkeypatch, text, checked):
         grid, cp = Grid(16), _canon(f"f = {text}")
-        runs, real = [], expr_module._run
-        monkeypatch.setattr(expr_module, "_run", lambda *args: runs.append(args) or real(*args))
+        runs, real = [], expr_module._run_checked
+        monkeypatch.setattr(expr_module, "_run_checked", lambda *args: runs.append(args) or real(*args))
         program = expr_module._compile(cp.rhs)
         assert program.finite == (text != "1e308*10 + u")
         _outcome(lambda: [solver_module._f(program, grid.nodes, np.zeros(17), None, None, None)])
@@ -836,8 +836,20 @@ class TestFlaggedRun:
         # unfolded and folded at x: the same value bit for bit, or the same error
         values = tuple(np.array(column) for column in zip(*samples))
         for program in (expr_module._compile(tree), expr_module._compile(tree, values[0])):
-            assert _bits(expr_module._run_flagged, program, values) == \
-                _bits(expr_module._run, program, values)
+            assert _bits(expr_module._run, program, values) == \
+                _bits(expr_module._run_checked, program, values)
+
+    @settings(max_examples=300)
+    @given(tree=_trees(4, literals=FUZZ_LITERALS, functions=expr_module.FUNCTIONS),
+           axes=st.tuples(*[st.lists(st.sampled_from(FUZZ_INPUTS), min_size=1, max_size=3)] * 5))
+    def test_random_trees_agree_with_the_checked_run_on_a_lattice(self, tree, axes):
+        # five sparse axes that broadcast to a 5-D block, as analysis._lattice_env
+        # shapes them; unfolded and folded at the x axis
+        values = tuple(np.array(axis).reshape([-1 if k == i else 1 for k in range(5)])
+                       for i, axis in enumerate(axes))
+        for program in (expr_module._compile(tree), expr_module._compile(tree, values[0])):
+            assert _bits(expr_module._run, program, values) == \
+                _bits(expr_module._run_checked, program, values)
 
     CALLS = {
         "solve": lambda: solve(_canon("f = 24 + sin(x)"), SolverConfig(n=16)),
