@@ -17,17 +17,17 @@ than '^', so -2^2 evaluates to -4.  There is no implicit multiplication:
 Evaluation accepts floats or numpy arrays for every variable and broadcasts.
 Powers with a literal integer exponent in [-9, 9] are computed by repeated
 multiplication, so negative bases work; any other exponent goes through
-exp(b*log(a)) and requires a positive base.
+np.power and requires a positive base.
 
 An expression compiles into a flat instruction list, in which equal
 subexpressions share one instruction, and a fold then runs every
-instruction whose operands are known (literals, and x if given) and decides
-every check on a known operand.  The program belongs to its caller; trees
-keep nothing.  evaluate compiles on each call; the solver compiles f once
-per solve, folded at its grid's nodes.  Values, errors and the subtree an
-error names are those of a left-to-right walk of the tree.  One loop, _exec,
-runs every program, its arithmetic a table: success paths run flagged (_run,
-IEEE 754-2019 flags for the checks' scans), evaluate and failures checked.
+instruction whose operands are all known (literals, and x if given).  The
+program belongs to its caller; trees keep nothing.  evaluate compiles on
+each call; the solver compiles f once per solve, folded at its grid's
+nodes.  Values, errors and the subtree an error names are those of a
+left-to-right walk of the tree.  One loop, _exec, runs every program, its
+arithmetic a table: success paths run flagged (_run, IEEE 754-2019 flags
+for the checks' scans), evaluate and failures checked.
 """
 
 from __future__ import annotations
@@ -363,10 +363,6 @@ def _times(a, b, node):
     return a * b
 
 
-def _quotient(a, b, node):  # the divisor is known and nonzero
-    return a / b
-
-
 def _checked_quotient(a, b, node):
     _check_divisor(b, node)
     return a / b
@@ -376,16 +372,12 @@ def _negate(a, b, node):
     return -a
 
 
-def _real_power(a, b, node):  # the base is known and positive
+def _checked_power(a, b, node):
+    _check_power_base(a, node)
     out = np.power(a, b)
     if not np.isfinite(out).all():
         raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
     return out
-
-
-def _checked_power(a, b, node):
-    _check_power_base(a, node)
-    return _real_power(a, b, node)
 
 
 def _call(a, b, node):
@@ -403,7 +395,7 @@ def _fail(message, b, node):  # a failure the fold decided
 
 # What _run runs in place of a checked op: its arithmetic, whose failures on
 # finite operands raise a flag, and a real power's base check, as 0^0.5 raises none.
-_FLAGGED = {_checked_quotient: _quotient, _real_power: lambda a, b, node: np.power(a, b),
+_FLAGGED = {_checked_quotient: lambda a, b, node: a / b,
             _checked_power: lambda a, b, node: _check_power_base(a, node) or np.power(a, b),
             _repeated_power: lambda a, k, node: (_repeated_power(a, k, node) if k >= 0
                                                  else 1.0 / _repeated_power(a, -k, node)),
@@ -421,8 +413,11 @@ class _Program(NamedTuple):
     outputs, and no two instructions write one slot.  Instructions (op, out,
     a, b, node, drops) appear in the order in which a left-to-right post-order
     walk of the tree first meets each distinct subtree, so the first failure
-    is the walk's.  drops lists the outputs whose last reader the instruction
-    is, so a run frees intermediate arrays about when a tree walk would.
+    is the walk's.  op is one of nine: the compiler's _plus, _minus, _times,
+    _checked_quotient, _checked_power, _repeated_power, _call and _negate, and
+    the fold's _fail.  drops lists the outputs whose last reader the
+    instruction is, so a run frees intermediate arrays about when a tree walk
+    would.
     """
 
     root: Expression
@@ -496,16 +491,15 @@ def _fold(program: _Program, x=None) -> _Program:
     """program with what its known values decide done ahead of any run.
 
     Known are the template's values and x, unless it is None.  Every
-    instruction whose operands are all known runs now, and a check on a known
-    operand (a divisor, the base of a real power) is decided now.  An
-    instruction that fails becomes one that raises the same error, and the
-    code after it, which no run could reach, is dropped.  A known value stays
-    in the template only while an instruction left to run reads it, or it is
-    the result; the others are freed once their last folded reader has run.
-    Values, errors and named subtrees stay those of evaluate, but a run may
-    return a value the fold keeps, which must not be written, and a failure
-    the fold decides raises after the instructions ahead of it, which win.
-    The fold is a new program, owned by its caller, as is the one folded.
+    instruction whose operands are all known runs now; one that fails becomes
+    a _fail that raises the same error, and the code after it stays.  A known
+    value stays in the template only while an instruction left to run reads
+    it, or it is the result; the others are freed once their last folded
+    reader has run.  Values, errors and named subtrees stay those of
+    evaluate, but a run may return a value the fold keeps, which must not be
+    written, and a failure the fold decides raises after the instructions
+    ahead of it, which win.  The fold is a new program, owned by its caller,
+    as is the one folded.
     """
     vals = program.template.copy()
     vals[0] = x
@@ -515,23 +509,17 @@ def _fold(program: _Program, x=None) -> _Program:
     code, read = [], {program.result}  # read: what the code left reads
     with np.errstate(over="ignore", invalid="ignore"):  # as in _run_checked
         for i, (op, out, a, b, node, _) in enumerate(program.code):
-            try:
-                if vals[a] is not None and vals[b] is not None:
+            if vals[a] is not None and vals[b] is not None:
+                try:
                     vals[out] = op(vals[a], vals[b], node)
+                except ExprEvalError as err:
+                    vals.append(str(err))
+                    op, a, b = _fail, len(vals) - 1, len(vals) - 1
+                else:
                     for s in {a, b} - read:
                         if last_read[s] == i:
                             vals[s] = None
                     continue
-                if op is _checked_quotient and vals[b] is not None:
-                    _check_divisor(vals[b], node)
-                    op = _quotient
-                elif op is _checked_power and vals[a] is not None:
-                    _check_power_base(vals[a], node)
-                    op = _real_power
-            except ExprEvalError as err:
-                vals.append(str(err))
-                code.append((_fail, out, len(vals) - 1, len(vals) - 1, node))
-                break
             code.append((op, out, a, b, node))
             read.update((a, b))
     last_read = {}
@@ -575,14 +563,12 @@ def _run_checked(program: _Program, values: tuple):
 def _run(program: _Program, values: tuple):
     """_run_checked's value on finite numpy values, with numpy's floating-point
     flags for the checks' scans: on finite operands each check but _FLAGGED's
-    one fails only with a flag.  A run that raises or leaves its result unwritten
-    (a fold's failure dropped its code), or of a program not finite, falls back."""
+    one fails only with a flag.  A run that raises, or of a program not finite,
+    falls back."""
     if program.finite:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                out = _exec(program, values, _FLAGGED)
-            if out is not None:
-                return out
+                return _exec(program, values, _FLAGGED)
         except (FloatingPointError, ExprEvalError):
             pass
     return _run_checked(program, values)

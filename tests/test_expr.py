@@ -10,7 +10,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import clampbeam.expr as expr_module
@@ -673,11 +673,34 @@ class TestCompiledProgram:
             evaluate(parse(source), *(env[name] for name in "xuyvz"))
         assert str(info.value) == message
 
-    def test_checks_on_constants_are_decided_when_compiling(self):
-        program = expr_module._compile(parse("y/4 + 2^u + u/(3 - 1)"))
-        ops = {ins[0] for ins in program.code}
-        assert expr_module._checked_quotient not in ops
-        assert expr_module._checked_power not in ops
+    OPS = {expr_module._plus, expr_module._minus, expr_module._times, expr_module._checked_quotient,
+           expr_module._checked_power, expr_module._repeated_power, expr_module._call,
+           expr_module._negate, expr_module._fail}
+
+    @settings(max_examples=300)
+    @given(tree=st.one_of(_trees(), _shared_trees(), _literal_trees()))
+    @example(tree=parse("x + u + -exp(1e308)"))  # a failing constant ahead of the result
+    @example(tree=parse("y/4 + 2^u + u/(3 - 1)"))  # checked ops on a known divisor and base
+    def test_programs_hold_only_the_compilers_ops(self, tree):
+        # the fold runs what it knows and turns a failure into _fail in place;
+        # the code after it stays, so each slot is known or written before it
+        # is read, and every run either raises or writes its result
+        for program, envs in ((expr_module._compile(tree), (POINT, (XS,) + _profile(0.5))),
+                              (expr_module._compile(tree, XS), ((XS,) + _profile(0.5),))):
+            assert {ins[0] for ins in program.code} <= self.OPS
+            written = {s for s, v in enumerate(program.template) if v is not None}
+            written.update(range(len(expr_module.VARIABLES)))
+            for _, out, a, b, *_ in program.code:
+                assert a in written and b in written
+                written.add(out)
+            assert program.result in written
+            for env in envs:
+                try:
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        out = expr_module._exec(program, env, {})
+                except ExprEvalError:
+                    continue
+                assert out is not None
         assert evaluate(parse("y/4 + 2^u"), 0, 1.0, 2.0, 0, 0) == 2.5
 
     @pytest.mark.parametrize("source, env, message", [
@@ -697,6 +720,20 @@ class TestCompiledProgram:
         for _ in range(2):
             with pytest.raises(ExprEvalError) as info:
                 evaluate(tree, *env)
+            assert str(info.value) == message
+
+    @pytest.mark.parametrize("source, message", [
+        ("u/(x - x)", "division by zero in 'u/(x - x)': argument 0.0 at sample 0"),
+        ("(x - 1)^0.5 + u", "power with non-integer exponent needs a positive base in "
+                            "'(x - 1)^0.5': argument -1.0 at sample 0"),
+    ])
+    def test_failures_on_a_known_x_raise_where_the_run_reaches_them(self, source, message):
+        # folded at x, the check runs in every run, flagged or checked
+        x = np.linspace(0.0, 1.0, 5)
+        program = expr_module._compile(parse(source), x)
+        for run in (expr_module._run_checked, expr_module._run):
+            with pytest.raises(ExprEvalError) as info:
+                run(program, (x, x + 0.5, x, x, x))
             assert str(info.value) == message
 
     def test_each_caller_compiles_what_it_runs(self, monkeypatch):

@@ -737,6 +737,8 @@ FLAG_CASES = [
     "exp(-(1e200*(1 + u))^2)",  # overflows, is squashed, and succeeds
     "exp(-1000 + u)",  # underflows and succeeds
     "log(u) + sin(x)",
+    # checks on a known divisor or base, which every run makes
+    "u/(1 - 1)", "(0 - 2)^u", "u/(x - x)", "(x - 1)^0.5 + u", "u/(2 + x)", "(1 + x)^u",
 ]
 
 
