@@ -38,8 +38,8 @@ Each leaf runs only on the sub-lattice of the axes it reads, yet the result
 equals the whole lattice's bit for bit.  All else, and the whole program
 when its shared axes exceed _BLOCK values, runs in slabs of at most _BLOCK
 values (512 KiB) folded into running extremes: memory stays a few such
-arrays.  Every such run is flagged (expr._run); the checked run names a
-failure, at the first undefined point of the first slab that fails.
+arrays.  Every such run is flagged (expr._run).  A failure is found by one
+flagged search over the lattice, and named by the checked run at the point.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -77,7 +77,6 @@ from .expr import (
     _Program,
     _result,
     _run,
-    _run_checked,
     _times,
     differentiate,
     substitute,
@@ -227,33 +226,35 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
     return env
 
 
-def _find_bad_point(program: _Program, args: list) -> tuple:
-    """First undefined point of the axes args in C order, and the error there.
+def _find_bad_point(program: _Program, env: dict) -> tuple:
+    """First undefined point of the lattice env in C order, and the error there.
 
-    Evaluation is pointwise, so on each axis the first value whose slab
-    (earlier axes pinned, later ones free) fails is the point's coordinate.
-    The error is that of the point alone, run by the caller's program.
+    Evaluation is pointwise, so on each axis in turn the first value whose
+    flagged run, in slabs with the earlier axes pinned, fails is the point's
+    coordinate.  The last trial pins every axis: the checked run names its error.
     """
-    args = list(args)
-    for k, axis in enumerate(args):
-        for value in np.ravel(axis):
-            args[k] = value
+    pinned = dict(env)
+    for name in VARIABLES:
+        for value in np.ravel(env[name]):
+            pinned[name] = value
             try:
-                _run_checked(program, args)
+                for slab in _blocks(program.reads, pinned):
+                    _run(program, _slab_args(pinned, slab))
             except ExprEvalError as err:
                 error = err
                 break
         else:
-            raise RuntimeError("a lattice slab failed but no point of it does")
-    return tuple(float(p) for p in args), error
+            raise RuntimeError("the lattice failed but no point of it does")
+    return tuple(float(pinned[name]) for name in VARIABLES), error
 
 
 def _slab_args(env: dict, slab: Optional[tuple]) -> list:
-    """The axes x, u, y, v, z of the lattice env, each cut to slab unless it is None."""
+    """The axes x, u, y, v, z of the lattice env, each but a 0-d one cut to slab unless it is None."""
     args = [env[name] for name in VARIABLES]
     if slab is None:
         return args
-    return [a[(slice(None),) * k + (cut,)] for k, (a, cut) in enumerate(zip(args, slab))]
+    return [a if np.ndim(a) == 0 else a[(slice(None),) * k + (cut,)]
+            for k, (a, cut) in enumerate(zip(args, slab))]
 
 
 def _blocks(reads: tuple, env: dict) -> list:
@@ -364,7 +365,7 @@ def _extremes(program: _Program, env: dict) -> tuple:
         lo, hi = _exec(program._replace(code=list(reversed(chain.values()))), pairs, _PAIRS)
         # Every pair is a value the whole-lattice run computes, and only +, -,
         # * and negation lie above it, so a pair that is not finite means that
-        # run fails too; _sup_on_lattice's rescan then names the point.
+        # run fails too; _find_bad_point then names the point.
         return tuple(_result((np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)), program.root))
 
 
@@ -372,11 +373,10 @@ def _sup_on_lattice(expression: Expression, env: dict,
                     what: str = "right-hand side undefined inside the box") -> float:
     """max |expression| on the lattice env, from its exact extremes.
 
-    expression is compiled once, for the extremes and a failure's rescan,
-    which runs its slabs in C order and names the first undefined point of
-    the first that fails; an axis the expression does not read takes its
-    first value.  An expression that is, or folds to, a finite constant c
-    needs no lattice: its sup is |c|, and a literal needs no program.
+    expression is compiled once, for the extremes and, when they fail, the
+    flagged search for the first undefined point in C order.  An expression
+    that is, or folds to, a finite constant c needs no lattice: its sup is
+    |c|, and a literal needs no program.
     """
     program = None if isinstance(expression, Num) else _compile(expression)
     # a fold knows the result only when it computed all of it
@@ -387,15 +387,9 @@ def _sup_on_lattice(expression: Expression, env: dict,
     try:
         lo, hi = _extremes(program, env)
     except ExprEvalError:
-        for slab in _blocks(program.reads, env):
-            args = _slab_args(env, slab)
-            try:
-                _run_checked(program, args)
-            except ExprEvalError:
-                point, err = _find_bad_point(program, args)
-                labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(VARIABLES, point))
-                raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
-        raise RuntimeError("a lattice slab failed but no slab does on its own")
+        point, err = _find_bad_point(program, env)
+        labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(VARIABLES, point))
+        raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
     # 0.0 first, so an f that is zero everywhere gives +0.0, not -0.0
     return float(max(0.0, hi, -lo))
 

@@ -432,7 +432,7 @@ def cmd_table(args) -> int:
     all_ok = True
     while configs:  # a grid's samples are freed once its solve ends
         report, err = _solve(problem, *configs.pop(0))
-        status = "converged" if err is None else report.failure or "failed"
+        status = "converged" if err is None else report.failure
         all_ok = all_ok and err is None
         rows.append((report.grid.n, report.iterations, report.final_eu, report.final_e, status))
 

@@ -268,7 +268,7 @@ class TestCheckConditions:
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
         idx, point, error = _first_undefined(expression, env)
         assert idx == index
-        bad, err = _find_bad_point(_compile(expression), analysis._slab_args(env, None))
+        bad, err = _find_bad_point(_compile(expression), env)
         assert bad == point and str(err) == str(error)
 
     @pytest.mark.parametrize("ks", [(1.0, 2.0, 3.0), (1,) * 5, (-0.1, 0, 0, 0),
@@ -277,8 +277,7 @@ class TestCheckConditions:
     def test_ks_validation(self, ks, monkeypatch):
         # bad constants are rejected before any of the lattice is evaluated
         calls = []
-        for name in ("_run", "_run_checked"):
-            monkeypatch.setattr(analysis, name, lambda *args: calls.append(args))
+        monkeypatch.setattr(analysis, "_run", lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             check_conditions(parse("u"), 1.0, ks=ks)
         assert calls == []
@@ -570,19 +569,15 @@ class TestRangePass:
 
 
 def _evaluated_sizes(monkeypatch) -> list:
-    """A list that records, for every _run and _run_checked call in analysis
-    from now on, the broadcast size of the variables it reads; the check
-    evaluates nothing else."""
-    sizes = []
+    """A list that records, for every _run call in analysis from now on, the
+    broadcast size of the variables it reads; the check evaluates nothing else."""
+    sizes, run = [], analysis._run
 
-    def spy(run):
-        def spy_run(program, values):
-            sizes.append(math.prod(np.broadcast_shapes(*(np.shape(values[k]) for k in program.reads))))
-            return run(program, values)
-        return spy_run
+    def spy(program, values):
+        sizes.append(math.prod(np.broadcast_shapes(*(np.shape(values[k]) for k in program.reads))))
+        return run(program, values)
 
-    for name in ("_run", "_run_checked"):
-        monkeypatch.setattr(analysis, name, spy(getattr(analysis, name)))
+    monkeypatch.setattr(analysis, "_run", spy)
     return sizes
 
 
@@ -599,7 +594,7 @@ def _failing_trees(draw):
 
 
 class TestFailures:
-    """A failing check scans its slabs: the first undefined point, with its own error."""
+    """A failing check names the first undefined point, with its own error."""
 
     def test_failing_check_keeps_the_slab_memory_bound(self):
         # one evaluation of the whole 25^5 lattice holds 78 MB arrays
@@ -619,13 +614,12 @@ class TestFailures:
         ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, None, "finite-difference probe"),
     ])
     def test_each_expression_is_compiled_once(self, text, M, ks, what, monkeypatch):
-        # the extremes, the rescan of the slabs and the search for the point
-        # all run the one program the check compiled for the expression
-        compiled, runs, real = [], [], expr_module._Compiler
+        # the extremes and the search for the point both run the one program
+        # the check compiled for the expression
+        compiled, runs, real, run = [], [], expr_module._Compiler, analysis._run
         monkeypatch.setattr(expr_module, "_Compiler", lambda root: compiled.append(root) or real(root))
-        for name, run in (("_run", analysis._run), ("_run_checked", analysis._run_checked)):
-            monkeypatch.setattr(analysis, name, lambda program, values, run=run:
-                                runs.append(program.root) or run(program, values))
+        monkeypatch.setattr(analysis, "_run", lambda program, values:
+                            runs.append(program.root) or run(program, values))
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(parse(text), M, ks, LatticeSpec(points=9))
         assert str(info.value).startswith(what)
@@ -633,8 +627,8 @@ class TestFailures:
         assert {id(root) for root in runs} <= {id(root) for root in compiled}
         failing = runs[-1]  # the search's last run, at the point it names
         assert failing is compiled[-1]  # the check stops at the first failure
-        # at least one run for the extremes, one for the rescan and one per axis for the search
-        assert [root is failing for root in runs].count(True) >= 7
+        # at least one run for the extremes and one per axis for the search
+        assert [root is failing for root in runs].count(True) >= 6
 
     @pytest.mark.parametrize("text, M, ks, points, what", [
         ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side"),
@@ -687,8 +681,8 @@ class TestFailures:
 
 
 def _checked_callers(monkeypatch) -> list:
-    """A list that records, for every _run_checked call from now on, from expr
-    or analysis, the name of the function that made it."""
+    """A list that records, for every _run_checked call from now on, the name
+    of the function that made it."""
     callers, real = [], expr_module._run_checked
 
     def spy(program, values):
@@ -696,7 +690,6 @@ def _checked_callers(monkeypatch) -> list:
         return real(program, values)
 
     monkeypatch.setattr(expr_module, "_run_checked", spy)
-    monkeypatch.setattr(analysis, "_run_checked", spy)
     return callers
 
 
@@ -715,21 +708,21 @@ class TestCheckedRuns:
         check_conditions(parse(text), M, ks, LatticeSpec(points=17))
         assert callers == []
 
-    @pytest.mark.parametrize("text, M, points, what", [
-        (get_example(5).rhs_text, get_example(5).M, 9, "right-hand side"),
-        ("sqrt(u + 1 - 3*x^2 + 2*x^3)*sin(exp(u)) + exp(-x^2)", 5.0, 5, "right-hand side"),
-        ("sqrt(v + 1)*x*u*y*z", 1.0, 17, "partial derivative df/dv"),
+    @pytest.mark.parametrize("text, M, ks, points, what", [
+        (get_example(5).rhs_text, get_example(5).M, None, 9, "right-hand side"),
+        ("sqrt(u + 1 - 3*x^2 + 2*x^3)*sin(exp(u)) + exp(-x^2)", 5.0, None, 5, "right-hand side"),
+        ("sqrt(v + 1)*x*u*y*z", 1.0, None, 17, "partial derivative df/dv"),
+        ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side"),  # many slabs
     ])
-    def test_a_failing_check_runs_checked_only_to_name_the_failure(self, text, M, points, what,
+    def test_a_failing_check_runs_checked_only_to_name_the_failure(self, text, M, ks, points, what,
                                                                  monkeypatch):
         callers = _checked_callers(monkeypatch)
         with pytest.raises(DomainSamplingError) as info:
-            check_conditions(parse(text), M, None, LatticeSpec(points=points))
+            check_conditions(parse(text), M, ks, LatticeSpec(points=points))
         assert str(info.value).startswith(what)
-        # the one flagged run that fails hands over to the checked run, which
-        # names its error; then the rescan of the slabs and the point search
-        assert callers[0] == "_run"
-        assert set(callers[1:]) == {"_sup_on_lattice", "_find_bad_point"}
+        # only a failing flagged run hands over to the checked run: the
+        # extremes' run, then one per axis in the search for the point
+        assert callers == ["_run"] * 6
 
 
 def _linspace_env(box, points):

@@ -843,11 +843,14 @@ class TestFlaggedRun:
 
     @settings(max_examples=300)
     @given(tree=_trees(4, literals=FUZZ_LITERALS, functions=expr_module.FUNCTIONS),
-           axes=st.tuples(*[st.lists(st.sampled_from(FUZZ_INPUTS), min_size=1, max_size=3)] * 5))
-    def test_random_trees_agree_with_the_checked_run_on_a_lattice(self, tree, axes):
+           axes=st.tuples(*[st.lists(st.sampled_from(FUZZ_INPUTS), min_size=1, max_size=3)] * 5),
+           pinned=st.integers(0, 5))
+    def test_random_trees_agree_with_the_checked_run_on_a_lattice(self, tree, axes, pinned):
         # five sparse axes that broadcast to a 5-D block, as analysis._lattice_env
-        # shapes them; unfolded and folded at the x axis
-        values = tuple(np.array(axis).reshape([-1 if k == i else 1 for k in range(5)])
+        # shapes them, the leading ones pinned to a numpy scalar as the search
+        # for an undefined point pins them; unfolded and folded at the x axis
+        values = tuple(np.float64(axis[0]) if i < pinned else
+                       np.array(axis).reshape([-1 if k == i else 1 for k in range(5)])
                        for i, axis in enumerate(axes))
         for program in (expr_module._compile(tree), expr_module._compile(tree, values[0])):
             assert _bits(expr_module._run, program, values) == \
