@@ -38,8 +38,9 @@ Each leaf runs only on the sub-lattice of the axes it reads, yet the result
 equals the whole lattice's bit for bit.  All else, and the whole program
 when its shared axes exceed _BLOCK values, runs in slabs of at most _BLOCK
 values (512 KiB) folded into running extremes: memory stays a few such
-arrays.  Every such run is flagged (expr._run).  A failure is found by one
-flagged search over the lattice, and named by the checked run at the point.
+arrays.  Every such run is flagged (expr._run).  A failure's first point is
+found by one masked run (expr._run_masked) of the first slab whose flagged
+run fails, and named by the checked run at the point.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -77,6 +78,8 @@ from .expr import (
     _Program,
     _result,
     _run,
+    _run_checked,
+    _run_masked,
     _times,
     differentiate,
     substitute,
@@ -226,35 +229,43 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
     return env
 
 
-def _find_bad_point(program: _Program, env: dict) -> tuple:
+def _find_bad_point(program: _Program, env: dict, failure: Optional[ExprEvalError] = None) -> tuple:
     """First undefined point of the lattice env in C order, and the error there.
 
-    Evaluation is pointwise, so on each axis in turn the first value whose
-    flagged run, in slabs with the earlier axes pinned, fails is the point's
-    coordinate.  The last trial pins every axis: the checked run names its error.
+    failure is the error of a flagged run of program in its slabs; when it
+    names its slab (.slab), the runs of the slabs before it passed.  Otherwise
+    a flagged sweep over the slabs finds the first that fails.  Evaluation is
+    pointwise, so the first point of that slab where the masked run finds a
+    check failing is the lattice's, and the checked run there names the error.
     """
-    pinned = dict(env)
-    for name in VARIABLES:
-        for value in np.ravel(env[name]):
-            pinned[name] = value
+    if hasattr(failure, "slab"):
+        slab = failure.slab
+    else:
+        for slab in _blocks(program.reads, env):
             try:
-                for slab in _blocks(program.reads, pinned):
-                    _run(program, _slab_args(pinned, slab))
-            except ExprEvalError as err:
-                error = err
+                _run(program, _slab_args(env, slab))
+            except ExprEvalError:
                 break
         else:
-            raise RuntimeError("the lattice failed but no point of it does")
-    return tuple(float(pinned[name]) for name in VARIABLES), error
+            raise RuntimeError("the lattice failed but no slab of it does")
+    args = _slab_args(env, slab)
+    shape = np.broadcast_shapes((1,) * len(VARIABLES), *(args[k].shape for k in program.reads))
+    index = np.unravel_index(np.argmax(_run_masked(program, args, np.zeros(shape, bool))), shape)
+    # numpy scalars; an axis program does not read takes its first value
+    point = tuple(np.ravel(a)[i] for a, i in zip(args, index))
+    try:
+        _run_checked(program, point)
+    except ExprEvalError as err:
+        return tuple(map(float, point)), err
+    raise RuntimeError("the masked run failed at a point where the checked run does not")
 
 
 def _slab_args(env: dict, slab: Optional[tuple]) -> list:
-    """The axes x, u, y, v, z of the lattice env, each but a 0-d one cut to slab unless it is None."""
+    """The axes x, u, y, v, z of the lattice env, each cut to slab unless it is None."""
     args = [env[name] for name in VARIABLES]
     if slab is None:
         return args
-    return [a if np.ndim(a) == 0 else a[(slice(None),) * k + (cut,)]
-            for k, (a, cut) in enumerate(zip(args, slab))]
+    return [a[(slice(None),) * k + (cut,)] for k, (a, cut) in enumerate(zip(args, slab))]
 
 
 def _blocks(reads: tuple, env: dict) -> list:
@@ -317,7 +328,9 @@ def _extremes(program: _Program, env: dict) -> tuple:
     other operands are leaves.  Invariant: with the axes the chain reads
     through more than one leaf held fixed, every other axis occurs once, so
     one pass of pairs (lo, hi) up the chain, at endpoints or corners, is
-    exact.  When those shared axes exceed _BLOCK values, all runs in slabs.
+    exact.  When there is no chain, or its shared axes exceed _BLOCK values,
+    all runs in slabs.  A failing run of program itself names its slab as
+    the error's .slab.
     """
     points = [env[name].size for name in VARIABLES]
 
@@ -325,8 +338,14 @@ def _extremes(program: _Program, env: dict) -> tuple:
         return math.prod(points[k] for k in axes)
 
     def in_slabs(leaf: _Program) -> tuple:
-        return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab)),
-                              _blocks(leaf.reads, env))
+        def run(slab):
+            try:
+                return _run(leaf, _slab_args(env, slab))
+            except ExprEvalError as err:
+                if leaf is program:  # the search for the point starts at this slab
+                    err.slab = slab
+                raise
+        return _slab_extremes(run, _blocks(leaf.reads, env))
 
     if size(program.reads) <= _BLOCK:
         return in_slabs(program)
@@ -343,6 +362,8 @@ def _extremes(program: _Program, env: dict) -> tuple:
             chain[out] = ins
             uses[a] += uses[out]
             uses[b] += 0 if op is _negate else uses[out]
+    if not chain:
+        return in_slabs(program)
     leaves = [s for s, n in enumerate(uses) if n and s not in chain]
     shared = {k for k in range(len(VARIABLES)) if sum(uses[s] for s in leaves if k in axes[s]) > 1}
     if size(shared) > _BLOCK or any(axes[s] & shared and size(axes[s]) > _BLOCK for s in leaves):
@@ -374,7 +395,8 @@ def _sup_on_lattice(expression: Expression, env: dict,
     """max |expression| on the lattice env, from its exact extremes.
 
     expression is compiled once, for the extremes and, when they fail, the
-    flagged search for the first undefined point in C order.  An expression
+    masked run of the failing slab that finds the first undefined point in
+    C order and the checked run that names its error.  An expression
     that is, or folds to, a finite constant c needs no lattice: its sup is
     |c|, and a literal needs no program.
     """
@@ -386,8 +408,8 @@ def _sup_on_lattice(expression: Expression, env: dict,
     program = program or _compile(expression)
     try:
         lo, hi = _extremes(program, env)
-    except ExprEvalError:
-        point, err = _find_bad_point(program, env)
+    except ExprEvalError as failure:
+        point, err = _find_bad_point(program, env, failure)
         labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(VARIABLES, point))
         raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
     # 0.0 first, so an f that is zero everywhere gives +0.0, not -0.0

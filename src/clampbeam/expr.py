@@ -27,7 +27,8 @@ each call; the solver compiles f once per solve, folded at its grid's
 nodes.  Values, errors and the subtree an error names are those of a
 left-to-right walk of the tree.  One loop, _exec, runs every program, its
 arithmetic a table: success paths run flagged (_run, IEEE 754-2019 flags
-for the checks' scans), evaluate and failures checked.
+for the checks' scans), evaluate and failures checked, and the search for
+a failure's first point masked (_run_masked, each check a per-point mask).
 """
 
 from __future__ import annotations
@@ -401,6 +402,33 @@ _FLAGGED = {_checked_quotient: lambda a, b, node: a / b,
                                                  else 1.0 / _repeated_power(a, -k, node)),
             _call: lambda a, b, node: _UFUNCS[node.fn](a)}
 
+
+def _masked(bad) -> dict:
+    """The checked arithmetic, with each check's condition OR-ed point by point
+    into the bool array bad instead of raised; a _fail holds everywhere, and
+    the code after it runs on its NaN."""
+    def flag(cond, out=np.float64(math.nan)):  # numpy's, as nan / 0.0 must not raise
+        np.logical_or(bad, cond, out=bad)
+        return out
+
+    def finite(out):
+        return flag(~np.isfinite(out), out)
+
+    def call(a, b, node):
+        domain = _DOMAINS.get(node.fn)
+        if domain is not None:
+            flag(domain[0](a))
+        return finite(_UFUNCS[node.fn](a))
+
+    def repeated(a, k, node):  # a zero base gives a zero power: the divisor's check covers it
+        power = _repeated_power(a, abs(k), node)
+        return power if k >= 0 else flag(power == 0.0, 1.0 / power)
+
+    return {_checked_quotient: lambda a, b, node: flag(b == 0.0, a / b),
+            _checked_power: lambda a, b, node: flag(a <= 0.0, finite(np.power(a, b))),
+            _repeated_power: repeated, _call: call, _fail: lambda message, b, node: flag(True)}
+
+
 _BINARY = {"+": _plus, "-": _minus, "*": _times, "/": _checked_quotient, "^": _checked_power}
 _VARIABLE_SLOTS = {name: i for i, name in enumerate(VARIABLES)}
 
@@ -572,6 +600,14 @@ def _run(program: _Program, values: tuple):
         except (FloatingPointError, ExprEvalError):
             pass
     return _run_checked(program, values)
+
+
+def _run_masked(program: _Program, values: tuple, bad):
+    """bad, a bool array the values program reads broadcast to, OR-ed point by
+    point with whether _run_checked on values fails there."""
+    with np.errstate(all="ignore"):
+        out = _exec(program, values, _masked(bad))
+        return np.logical_or(bad, ~np.isfinite(out), out=bad)  # the result's check
 
 
 def _result(out, expr):

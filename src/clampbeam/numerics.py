@@ -58,8 +58,8 @@ def _is_number(value) -> bool:
 
 
 class _Frozen:
-    """Base of the frozen dataclasses that hold or cache arrays: pickles only
-    their fields, dropping cached values, and makes array fields read-only
+    """Base of the frozen dataclasses that hold arrays or cache values: pickles
+    only their fields, dropping cached values, and makes array fields read-only
     again on unpickling, since pickle drops an array's flag."""
 
     def _own(self, *names):

@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -66,7 +67,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class RawProblem:
+class RawProblem(_Frozen):
     """A fourth-order problem with general interval and boundary data."""
 
     rhs: Expression
@@ -79,12 +80,17 @@ class RawProblem:
     exact: Optional[Expression] = None
 
     def __post_init__(self):
-        hermite_cubic(self.a, self.b, self.A1, self.B1, self.A2, self.B2)  # checks the data
+        self._shift  # the cubic checks the data
         if self.exact is not None:
             extra = variables_in(self.exact) - {"x"}
             if extra:
                 raise ValueError(
                     f"exact solution may only use the variable x, found {sorted(extra)}")
+
+    @cached_property
+    def _shift(self) -> CubicInterpolant:
+        """The cubic of the boundary data, which canonicalize reuses; no field."""
+        return hermite_cubic(self.a, self.b, self.A1, self.B1, self.A2, self.B2)
 
     @property
     def is_homogeneous_unit(self) -> bool:
@@ -216,7 +222,7 @@ class CanonicalProblem:
 def canonicalize(raw: RawProblem) -> CanonicalProblem:
     """Reduce a raw problem to canonical form; identity when already there."""
     L = raw.b - raw.a
-    shift = hermite_cubic(raw.a, raw.b, raw.A1, raw.B1, raw.A2, raw.B2)
+    shift = raw._shift
     if raw.is_homogeneous_unit:
         return CanonicalProblem(rhs=raw.rhs, raw=raw, shift=shift, length=1.0)
 

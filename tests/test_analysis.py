@@ -620,15 +620,15 @@ class TestFailures:
         monkeypatch.setattr(expr_module, "_Compiler", lambda root: compiled.append(root) or real(root))
         monkeypatch.setattr(analysis, "_run", lambda program, values:
                             runs.append(program.root) or run(program, values))
+        masked = _masked_runs(monkeypatch)
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(parse(text), M, ks, LatticeSpec(points=9))
         assert str(info.value).startswith(what)
         assert len({id(root) for root in compiled}) == len(compiled)
         assert {id(root) for root in runs} <= {id(root) for root in compiled}
-        failing = runs[-1]  # the search's last run, at the point it names
-        assert failing is compiled[-1]  # the check stops at the first failure
-        # at least one run for the extremes and one per axis for the search
-        assert [root is failing for root in runs].count(True) >= 6
+        # the check stops at its first failure: the last flagged run and the
+        # one masked run are both of the program compiled last
+        assert masked == [compiled[-1]] and runs[-1] is compiled[-1]
 
     @pytest.mark.parametrize("text, M, ks, points, what", [
         ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side"),
@@ -667,6 +667,14 @@ class TestFailures:
 
     @given(tree=_failing_trees(), M=st.sampled_from([1.0, 4.0]),
            block=st.sampled_from([1, 3, 12, 60, 2 ** 62]))
+    # (1e200*u)^2 overflows, a flag the checked run clears: false alarms
+    # next to the real failures of sqrt, before them in C order for sqrt(-v)
+    @example(tree=parse("exp(-(1e200*u)^2) + sqrt(v)"), M=1.0, block=1)
+    @example(tree=parse("exp(-(1e200*u)^2) + sqrt(-v)"), M=1.0, block=1)
+    @example(tree=parse("exp(-(1e200*u)^2) + sqrt(-v)"), M=1.0, block=2 ** 62)
+    # a leaf of the range pass fails, first at x = 0.75, so a sweep of the
+    # whole program finds it in its second slab, x in [0.5, 0.75]
+    @example(tree=parse("x*u*y + sqrt(0.5 - x)"), M=1.0, block=60)
     @settings(max_examples=200)
     def test_random_failures_name_the_first_undefined_point(self, tree, M, block):
         # small blocks cut the 5^5 lattice into many slabs, 2^62 into none
@@ -690,7 +698,16 @@ def _checked_callers(monkeypatch) -> list:
         return real(program, values)
 
     monkeypatch.setattr(expr_module, "_run_checked", spy)
+    monkeypatch.setattr(analysis, "_run_checked", spy)
     return callers
+
+
+def _masked_runs(monkeypatch) -> list:
+    """A list that records, for every masked run from now on, the root of its program."""
+    roots, real = [], analysis._run_masked
+    monkeypatch.setattr(analysis, "_run_masked", lambda program, values, bad:
+                        roots.append(program.root) or real(program, values, bad))
+    return roots
 
 
 class TestCheckedRuns:
@@ -708,21 +725,25 @@ class TestCheckedRuns:
         check_conditions(parse(text), M, ks, LatticeSpec(points=17))
         assert callers == []
 
-    @pytest.mark.parametrize("text, M, ks, points, what", [
-        (get_example(5).rhs_text, get_example(5).M, None, 9, "right-hand side"),
-        ("sqrt(u + 1 - 3*x^2 + 2*x^3)*sin(exp(u)) + exp(-x^2)", 5.0, None, 5, "right-hand side"),
-        ("sqrt(v + 1)*x*u*y*z", 1.0, None, 17, "partial derivative df/dv"),
-        ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side"),  # many slabs
+    @pytest.mark.parametrize("text, M, ks, points, what, handovers", [
+        (get_example(5).rhs_text, get_example(5).M, None, 9, "right-hand side", 1),
+        ("sqrt(u + 1 - 3*x^2 + 2*x^3)*sin(exp(u)) + exp(-x^2)", 5.0, None, 5, "right-hand side", 1),
+        # a leaf of the range pass fails: a flagged sweep finds the slab
+        ("sqrt(v + 1)*x*u*y*z", 1.0, None, 17, "partial derivative df/dv", 2),
+        ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side", 1),  # many slabs
     ])
     def test_a_failing_check_runs_checked_only_to_name_the_failure(self, text, M, ks, points, what,
-                                                                 monkeypatch):
-        callers = _checked_callers(monkeypatch)
+                                                                 handovers, monkeypatch):
+        callers, masked = _checked_callers(monkeypatch), _masked_runs(monkeypatch)
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(parse(text), M, ks, LatticeSpec(points=points))
         assert str(info.value).startswith(what)
         # only a failing flagged run hands over to the checked run: the
-        # extremes' run, then one per axis in the search for the point
-        assert callers == ["_run"] * 6
+        # extremes', and the sweep's when the range pass failed; one masked
+        # run finds the point in that slab, and the checked run there names
+        # the error
+        assert callers == ["_run"] * handovers + ["_find_bad_point"]
+        assert len(masked) == 1
 
 
 def _linspace_env(box, points):

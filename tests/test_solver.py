@@ -847,14 +847,34 @@ class TestFlaggedRun:
            pinned=st.integers(0, 5))
     def test_random_trees_agree_with_the_checked_run_on_a_lattice(self, tree, axes, pinned):
         # five sparse axes that broadcast to a 5-D block, as analysis._lattice_env
-        # shapes them, the leading ones pinned to a numpy scalar as the search
-        # for an undefined point pins them; unfolded and folded at the x axis
+        # shapes them, the leading ones pinned to a numpy scalar as the checked
+        # run at an undefined point gets all five; unfolded and folded at the x axis
         values = tuple(np.float64(axis[0]) if i < pinned else
                        np.array(axis).reshape([-1 if k == i else 1 for k in range(5)])
                        for i, axis in enumerate(axes))
         for program in (expr_module._compile(tree), expr_module._compile(tree, values[0])):
             assert _bits(expr_module._run, program, values) == \
                 _bits(expr_module._run_checked, program, values)
+
+    @settings(max_examples=100)
+    @given(tree=_trees(4, literals=FUZZ_LITERALS, functions=expr_module.FUNCTIONS),
+           axes=st.tuples(*[st.lists(st.sampled_from(FUZZ_INPUTS), min_size=1, max_size=3)] * 5))
+    def test_random_trees_mask_where_the_checked_run_fails(self, tree, axes):
+        # on a 5-D block of sparse axes, the masked run marks exactly the
+        # points at which the checked run, given numpy scalars, fails
+        values = tuple(np.array(axis).reshape([-1 if k == i else 1 for k in range(5)])
+                       for i, axis in enumerate(axes))
+        program = expr_module._compile(tree)
+        shape = np.broadcast_shapes(*(v.shape for v in values))
+        mask = expr_module._run_masked(program, values, np.zeros(shape, bool))
+        for index in np.ndindex(shape):
+            point = tuple(np.float64(axis[i]) for axis, i in zip(axes, index))
+            try:
+                expr_module._run_checked(program, point)
+            except ExprEvalError:
+                assert mask[index]
+            else:
+                assert not mask[index]
 
     CALLS = {
         "solve": lambda: solve(_canon("f = 24 + sin(x)"), SolverConfig(n=16)),
