@@ -38,9 +38,9 @@ Each leaf runs only on the sub-lattice of the axes it reads, yet the result
 equals the whole lattice's bit for bit.  All else, and the whole program
 when its shared axes exceed _BLOCK values, runs in slabs of at most _BLOCK
 values (512 KiB) folded into running extremes: memory stays a few such
-arrays.  Every such run is flagged (expr._run).  A failure's first point is
-found by one masked run (expr._run_masked) of the first slab whose flagged
-run fails, and named by the checked run at the point.
+arrays.  Every such run is expr._run's: a failing one gives its first
+undefined point, and the first slab whose run fails holds the lattice's.
+expr._error_at names the error there.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -65,21 +65,19 @@ import numpy as np
 from .expr import (
     BinOp,
     ExprDerivativeError,
-    ExprEvalError,
     Expression,
     Num,
     Var,
     VARIABLES,
     _compile,
+    _error_at,
     _exec,
+    _Failure,
     _minus,
     _negate,
     _plus,
     _Program,
-    _result,
     _run,
-    _run_checked,
-    _run_masked,
     _times,
     differentiate,
     substitute,
@@ -229,35 +227,24 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
     return env
 
 
-def _find_bad_point(program: _Program, env: dict, failure: Optional[ExprEvalError] = None) -> tuple:
+def _find_bad_point(program: _Program, env: dict, failure: Optional[_Failure] = None) -> tuple:
     """First undefined point of the lattice env in C order, and the error there.
 
-    failure is the error of a flagged run of program in its slabs; when it
-    names its slab (.slab), the runs of the slabs before it passed.  Otherwise
-    a flagged sweep over the slabs finds the first that fails.  Evaluation is
-    pointwise, so the first point of that slab where the masked run finds a
-    check failing is the lattice's, and the checked run there names the error.
+    failure is that of a run of program, or of a part of it, on env.  One of
+    program's own names its slab (.slab), the first that fails, and its index
+    is the point; otherwise a sweep of runs over the slabs finds them.
     """
-    if hasattr(failure, "slab"):
-        slab = failure.slab
-    else:
+    if not hasattr(failure, "slab"):
         for slab in _blocks(program.reads, env):
             try:
                 _run(program, _slab_args(env, slab))
-            except ExprEvalError:
+            except _Failure as err:
+                failure, failure.slab = err, slab
                 break
         else:
             raise RuntimeError("the lattice failed but no slab of it does")
-    args = _slab_args(env, slab)
-    shape = np.broadcast_shapes((1,) * len(VARIABLES), *(args[k].shape for k in program.reads))
-    index = np.unravel_index(np.argmax(_run_masked(program, args, np.zeros(shape, bool))), shape)
-    # numpy scalars; an axis program does not read takes its first value
-    point = tuple(np.ravel(a)[i] for a, i in zip(args, index))
-    try:
-        _run_checked(program, point)
-    except ExprEvalError as err:
-        return tuple(map(float, point)), err
-    raise RuntimeError("the masked run failed at a point where the checked run does not")
+    point, err = _error_at(program, _slab_args(env, failure.slab), failure.index)
+    return tuple(map(float, point)), err
 
 
 def _slab_args(env: dict, slab: Optional[tuple]) -> list:
@@ -321,7 +308,7 @@ _PAIRS = {_plus: lambda a, b, node: (a[0] + b[0], a[1] + b[1]),
 
 
 def _extremes(program: _Program, env: dict) -> tuple:
-    """Exact (min, max) of program on the lattice env, or ExprEvalError.
+    """Exact (min, max) of program on the lattice env, or a _Failure.
 
     The chain is the +, -, * and unary minus instructions on more than
     _BLOCK values reached from the root through such instructions; its
@@ -341,7 +328,7 @@ def _extremes(program: _Program, env: dict) -> tuple:
         def run(slab):
             try:
                 return _run(leaf, _slab_args(env, slab))
-            except ExprEvalError as err:
+            except _Failure as err:
                 if leaf is program:  # the search for the point starts at this slab
                     err.slab = slab
                 raise
@@ -382,21 +369,22 @@ def _extremes(program: _Program, env: dict) -> tuple:
                         np.maximum.reduce(vals, cut, keepdims=True))
         else:
             pairs[s] = in_slabs(leaf)
-    with np.errstate(over="ignore", invalid="ignore"):  # as in expr._run_checked
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below sees overflow
         lo, hi = _exec(program._replace(code=list(reversed(chain.values()))), pairs, _PAIRS)
-        # Every pair is a value the whole-lattice run computes, and only +, -,
-        # * and negation lie above it, so a pair that is not finite means that
-        # run fails too; _find_bad_point then names the point.
-        return tuple(_result((np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)), program.root))
+        lo, hi = np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)
+    # Every pair is a value the whole-lattice run computes, under only +, -, *
+    # and negation, so one not finite means that run fails too (_find_bad_point).
+    if math.isfinite(lo) and math.isfinite(hi):
+        return lo, hi
+    raise _Failure()
 
 
 def _sup_on_lattice(expression: Expression, env: dict,
                     what: str = "right-hand side undefined inside the box") -> float:
     """max |expression| on the lattice env, from its exact extremes.
 
-    expression is compiled once, for the extremes and, when they fail, the
-    masked run of the failing slab that finds the first undefined point in
-    C order and the checked run that names its error.  An expression
+    expression is compiled once for the extremes and, when they fail, the
+    search for the first undefined point in C order.  An expression
     that is, or folds to, a finite constant c needs no lattice: its sup is
     |c|, and a literal needs no program.
     """
@@ -408,7 +396,7 @@ def _sup_on_lattice(expression: Expression, env: dict,
     program = program or _compile(expression)
     try:
         lo, hi = _extremes(program, env)
-    except ExprEvalError as failure:
+    except _Failure as failure:
         point, err = _find_bad_point(program, env, failure)
         labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(VARIABLES, point))
         raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err

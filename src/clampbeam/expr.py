@@ -25,10 +25,11 @@ instruction whose operands are all known (literals, and x if given).  The
 program belongs to its caller; trees keep nothing.  evaluate compiles on
 each call; the solver compiles f once per solve, folded at its grid's
 nodes.  Values, errors and the subtree an error names are those of a
-left-to-right walk of the tree.  One loop, _exec, runs every program, its
-arithmetic a table: success paths run flagged (_run, IEEE 754-2019 flags
-for the checks' scans), evaluate and failures checked, and the search for
-a failure's first point masked (_run_masked, each check a per-point mask).
+left-to-right walk of the tree at the first failing sample, in C order.
+One loop, _exec, runs every program, its arithmetic a table: every run
+flagged (_run, IEEE 754-2019 flags for the checks' scans), one that flags
+masked (_run_masked, each check a per-point mask), and only the naming of
+a failure checked, at its point (_error_at).
 """
 
 from __future__ import annotations
@@ -291,22 +292,10 @@ _UFUNCS = {
 }
 
 
-def _first_bad(mask, arg):
-    """Describe the first offending sample for an array domain error."""
-    arr = np.asarray(arg)
-    if arr.ndim == 0:
-        return f"argument {float(arr)!r}"
-    idx = np.unravel_index(int(np.argmax(mask)), np.shape(mask))
-    value = float(np.broadcast_to(arr, np.shape(mask))[idx])
-    flat = tuple(int(i) for i in idx)
-    where = flat[0] if len(flat) == 1 else flat
-    return f"argument {value!r} at sample {where}"
-
-
 def _reject(bad, what: str, node, arg):
-    """Raise ExprEvalError naming node and the first sample where bad holds."""
-    if bad.any():
-        raise ExprEvalError(f"{what} '{to_source(node)}': " + _first_bad(bad, arg))
+    """Raise ExprEvalError naming node and the argument arg where bad holds."""
+    if bad:
+        raise ExprEvalError(f"{what} '{to_source(node)}': argument {float(arg)!r}")
 
 
 # functions defined on part of the real line: a mask of the samples outside
@@ -329,10 +318,10 @@ def _repeated_power(base, k: int, node):
     if k == 0:
         return base * 0.0 + 1.0
     if k < 0:
-        _reject(np.asarray(base) == 0.0, "zero base with negative exponent in", node, base)
+        _reject(base == 0.0, "zero base with negative exponent in", node, base)
         denom = _repeated_power(base, -k, node)
         # a tiny nonzero base can underflow to an exact zero power
-        _reject(np.asarray(denom) == 0.0, "power underflow gives a zero divisor in", node, base)
+        _reject(denom == 0.0, "power underflow gives a zero divisor in", node, base)
         return 1.0 / denom
     acc = base
     for _ in range(k - 1):
@@ -340,17 +329,8 @@ def _repeated_power(base, k: int, node):
     return acc
 
 
-def _check_divisor(right, node):
-    _reject(np.asarray(right) == 0.0, "division by zero in", node, right)
-
-
-def _check_power_base(left, node):
-    _reject(np.asarray(left) <= 0.0,
-            "power with non-integer exponent needs a positive base in", node, left)
-
-
 # Instructions: op(a, b, node) with the values of two slots and the node an
-# error names.  Unary ops ignore b.
+# error names; unary ops ignore b.  Checked ops run on numpy scalars only.
 
 def _plus(a, b, node):
     return a + b
@@ -365,7 +345,7 @@ def _times(a, b, node):
 
 
 def _checked_quotient(a, b, node):
-    _check_divisor(b, node)
+    _reject(b == 0.0, "division by zero in", node, b)
     return a / b
 
 
@@ -374,9 +354,9 @@ def _negate(a, b, node):
 
 
 def _checked_power(a, b, node):
-    _check_power_base(a, node)
+    _reject(a <= 0.0, "power with non-integer exponent needs a positive base in", node, a)
     out = np.power(a, b)
-    if not np.isfinite(out).all():
+    if not np.isfinite(out):
         raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
     return out
 
@@ -384,49 +364,45 @@ def _checked_power(a, b, node):
 def _call(a, b, node):
     domain = _DOMAINS.get(node.fn)
     if domain is not None:
-        _reject(domain[0](np.asarray(a)), domain[1], node, a)
+        _reject(domain[0](a), domain[1], node, a)
     out = _UFUNCS[node.fn](a)
-    _reject(~np.isfinite(out), "non-finite result from", node, a)
+    _reject(not np.isfinite(out), "non-finite result from", node, a)
     return out
 
 
-def _fail(message, b, node):  # a failure the fold decided
-    raise ExprEvalError(message)
-
-
 # What _run runs in place of a checked op: its arithmetic, whose failures on
-# finite operands raise a flag, and a real power's base check, as 0^0.5 raises none.
-_FLAGGED = {_checked_quotient: lambda a, b, node: a / b,
-            _checked_power: lambda a, b, node: _check_power_base(a, node) or np.power(a, b),
+# finite operands raise a flag, and a real power's base check, as 0^0.5 raises
+# none (np.sqrt(-1.0) raises one).  numpy divides two floats the fold left.
+_FLAGGED = {_checked_quotient: lambda a, b, node: np.divide(a, b),
+            _checked_power: lambda a, b, node: np.power(a, b) if np.all(a > 0.0) else np.sqrt(-1.0),
             _repeated_power: lambda a, k, node: (_repeated_power(a, k, node) if k >= 0
-                                                 else 1.0 / _repeated_power(a, -k, node)),
+                                                 else np.divide(1.0, _repeated_power(a, -k, node))),
             _call: lambda a, b, node: _UFUNCS[node.fn](a)}
 
 
-def _masked(bad) -> dict:
-    """The checked arithmetic, with each check's condition OR-ed point by point
-    into the bool array bad instead of raised; a _fail holds everywhere, and
-    the code after it runs on its NaN."""
-    def flag(cond, out=np.float64(math.nan)):  # numpy's, as nan / 0.0 must not raise
-        np.logical_or(bad, cond, out=bad)
+class _Mask(dict):
+    """The checked arithmetic as a table for _exec, on arrays: each check's
+    condition is OR-ed point by point into .bad instead of raised."""
+
+    def __init__(self):
+        super().__init__({
+            _checked_quotient: lambda a, b, node: self.flag(b == 0.0, np.divide(a, b)),
+            _checked_power: lambda a, b, node: self.flag(a <= 0.0, self.finite(np.power(a, b))),
+            _repeated_power: self.repeated,
+            _call: lambda a, b, node: self.flag(_DOMAINS[node.fn][0](a) if node.fn in _DOMAINS else np.False_,
+                                                self.finite(_UFUNCS[node.fn](a)))})
+        self.bad = np.False_
+
+    def flag(self, cond, out=None):
+        self.bad = self.bad | cond
         return out
 
-    def finite(out):
-        return flag(~np.isfinite(out), out)
+    def finite(self, out):
+        return self.flag(~np.isfinite(out), out)
 
-    def call(a, b, node):
-        domain = _DOMAINS.get(node.fn)
-        if domain is not None:
-            flag(domain[0](a))
-        return finite(_UFUNCS[node.fn](a))
-
-    def repeated(a, k, node):  # a zero base gives a zero power: the divisor's check covers it
+    def repeated(self, a, k, node):  # a zero base gives a zero power: the divisor's check covers it
         power = _repeated_power(a, abs(k), node)
-        return power if k >= 0 else flag(power == 0.0, 1.0 / power)
-
-    return {_checked_quotient: lambda a, b, node: flag(b == 0.0, a / b),
-            _checked_power: lambda a, b, node: flag(a <= 0.0, finite(np.power(a, b))),
-            _repeated_power: repeated, _call: call, _fail: lambda message, b, node: flag(True)}
+        return power if k >= 0 else self.flag(power == 0.0, np.divide(1.0, power))
 
 
 _BINARY = {"+": _plus, "-": _minus, "*": _times, "/": _checked_quotient, "^": _checked_power}
@@ -441,11 +417,10 @@ class _Program(NamedTuple):
     outputs, and no two instructions write one slot.  Instructions (op, out,
     a, b, node, drops) appear in the order in which a left-to-right post-order
     walk of the tree first meets each distinct subtree, so the first failure
-    is the walk's.  op is one of nine: the compiler's _plus, _minus, _times,
-    _checked_quotient, _checked_power, _repeated_power, _call and _negate, and
-    the fold's _fail.  drops lists the outputs whose last reader the
-    instruction is, so a run frees intermediate arrays about when a tree walk
-    would.
+    is the walk's.  op is one of eight: _plus, _minus, _times,
+    _checked_quotient, _checked_power, _repeated_power, _call and _negate.
+    drops lists the outputs whose last reader the instruction is, so a run
+    frees intermediate arrays about when a tree walk would.
     """
 
     root: Expression
@@ -519,15 +494,14 @@ def _fold(program: _Program, x=None) -> _Program:
     """program with what its known values decide done ahead of any run.
 
     Known are the template's values and x, unless it is None.  Every
-    instruction whose operands are all known runs now; one that fails becomes
-    a _fail that raises the same error, and the code after it stays.  A known
-    value stays in the template only while an instruction left to run reads
-    it, or it is the result; the others are freed once their last folded
-    reader has run.  Values, errors and named subtrees stay those of
+    instruction whose operands are all known runs now, masked; one that
+    fails a check at any point stays in the code, for a run to fail in walk
+    order.  A known value stays in the template only while an instruction
+    left to run reads it, or it is the result; the others go after their
+    last folded reader.  Values, errors and named subtrees stay those of
     evaluate, but a run may return a value the fold keeps, which must not be
-    written, and a failure the fold decides raises after the instructions
-    ahead of it, which win.  The fold is a new program, owned by its caller,
-    as is the one folded.
+    written.  The fold is a new program, owned by its caller, as is the one
+    folded.
     """
     vals = program.template.copy()
     vals[0] = x
@@ -535,15 +509,14 @@ def _fold(program: _Program, x=None) -> _Program:
     for i, ins in enumerate(program.code):
         last_read[ins[2]] = last_read[ins[3]] = i
     code, read = [], {program.result}  # read: what the code left reads
-    with np.errstate(over="ignore", invalid="ignore"):  # as in _run_checked
+    mask = _Mask()
+    with np.errstate(all="ignore"):  # as in _run_masked
         for i, (op, out, a, b, node, _) in enumerate(program.code):
             if vals[a] is not None and vals[b] is not None:
-                try:
-                    vals[out] = op(vals[a], vals[b], node)
-                except ExprEvalError as err:
-                    vals.append(str(err))
-                    op, a, b = _fail, len(vals) - 1, len(vals) - 1
-                else:
+                mask.bad = np.False_  # this instruction's checks alone
+                value = mask.get(op, op)(vals[a], vals[b], node)
+                if not mask.bad.any():
+                    vals[out] = value
                     for s in {a, b} - read:
                         if last_read[s] == i:
                             vals[s] = None
@@ -562,7 +535,7 @@ def _fold(program: _Program, x=None) -> _Program:
             vals[s] = None
     reads = tuple([s for s in range(len(VARIABLES)) if s in last_read or s == program.result])
     finite = all(np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
-                 for v in vals if v is not None and not isinstance(v, str))
+                 for v in vals if v is not None)
     return _Program(program.root, vals, [ins + (d,) for ins, d in zip(code, drops)],
                     program.result, reads, finite)
 
@@ -582,39 +555,96 @@ def _exec(program: _Program, values, table: dict):
     return vals[program.result]
 
 
-def _run_checked(program: _Program, values: tuple):
-    """program's result on values in the variable slots, every check scanned."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _result(_exec(program, values, {}), program.root)
+class _Failure(Exception):
+    """A failed run; .index is its first failing point in C order (see _run_masked)."""
+
+    def __init__(self, index: tuple = ()):
+        self.index = index
 
 
 def _run(program: _Program, values: tuple):
-    """_run_checked's value on finite numpy values, with numpy's floating-point
-    flags for the checks' scans: on finite operands each check but _FLAGGED's
-    one fails only with a flag.  A run that raises, or of a program not finite,
-    falls back."""
+    """program's result on finite numpy values in the variable slots, or a
+    _Failure.  It runs flagged: on finite operands a check fails with a flag.
+    A run that flags, or of a program not finite, runs again masked."""
     if program.finite:
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return _exec(program, values, _FLAGGED)
-        except (FloatingPointError, ExprEvalError):
+        except FloatingPointError:
             pass
-    return _run_checked(program, values)
+    out, bad = _run_masked(program, values)
+    if bad.any():
+        raise _Failure(tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape)))
+    return out
 
 
-def _run_masked(program: _Program, values: tuple, bad):
-    """bad, a bool array the values program reads broadcast to, OR-ed point by
-    point with whether _run_checked on values fails there."""
+def _run_masked(program: _Program, values: tuple) -> tuple:
+    """(result, bad) of program on values: bad marks, point by point on the
+    shape the values it reads broadcast to, where the checked run fails."""
+    mask = _Mask()
     with np.errstate(all="ignore"):
-        out = _exec(program, values, _masked(bad))
-        return np.logical_or(bad, ~np.isfinite(out), out=bad)  # the result's check
+        out = mask.finite(_exec(program, values, mask))  # the result's check
+    return out, mask.bad
 
 
-def _result(out, expr):
-    arr = np.asarray(out, dtype=float)
-    if not np.isfinite(arr).all():
-        raise ExprEvalError(f"non-finite result from '{to_source(expr)}'")
-    return float(arr) if arr.ndim == 0 else arr
+def _run_checked(program: _Program, point: tuple) -> float:
+    """program's result at point, numpy scalars, or the first failing check's ExprEvalError."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _exec(program, point, {})
+    if not math.isfinite(out):
+        raise ExprEvalError(f"non-finite result from '{to_source(program.root)}'")
+    return float(out)
+
+
+def _at(value, index: tuple):
+    """value at index of a shape it broadcasts to, as numpy aligns it, with 0
+    on an axis it is too short for; a value that is not an array is its own."""
+    if not isinstance(value, np.ndarray):
+        return value
+    at = (0,) * (value.ndim - len(index)) + index[max(len(index) - value.ndim, 0):]
+    return value[tuple(i if i < n else 0 for i, n in zip(at, value.shape))]
+
+
+def _error_at(program: _Program, values: tuple, index: tuple) -> tuple:
+    """(point, error): the values at index of the shape they broadcast to, and
+    the checked run's error there, with program's expression folded at the
+    point's x.  numpy's scalar and array loops can differ in the last bit, so
+    where that run passes, _raise_marked names the error."""
+    point = tuple(_at(value, index) for value in values)  # numpy values or None
+    try:
+        _run_checked(_compile(program.root, point[0]), point)
+        _raise_marked(program, values, index)
+    except ExprEvalError as err:
+        return point, err
+
+
+def _raise_marked(program: _Program, values: tuple, index: tuple):
+    """Raise the error of the first check that program's masked run on values
+    marks at index: its checked op's on the operands there, or else, where
+    the op's own arithmetic differs, a non-finite result's."""
+    mask = _Mask()
+
+    def first(op, a, b, node):  # the first op to mark index stops the run
+        out = mask[op](a, b, node)
+        if _at(mask.bad, index):
+            op(_at(a, index), _at(b, index), node)
+            _reject(op is _call, "non-finite result from", node, _at(a, index))
+            raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
+        return out
+
+    with np.errstate(all="ignore"):  # as in _run_masked
+        _exec(program, values, {op: lambda *args, op=op: first(op, *args) for op in mask})
+    raise ExprEvalError(f"non-finite result from '{to_source(program.root)}'")
+
+
+def _evaluate(program: _Program, values: tuple):
+    """_run's result, or its failure as _error_at names it, at its sample if any."""
+    try:
+        return _run(program, values)
+    except _Failure as failure:
+        index = failure.index
+        where = f" at sample {index[0] if len(index) == 1 else index}" if index else ""
+        raise ExprEvalError(f"{_error_at(program, values, index)[1]}{where}") from None
 
 
 def evaluate(expr: Expression, x, u, y, v, z):
@@ -622,10 +652,12 @@ def evaluate(expr: Expression, x, u, y, v, z):
 
     Returns a float when the result is zero-dimensional, otherwise the
     broadcast numpy array.  Domain violations and non-finite intermediate
-    results raise ExprEvalError naming the failing subexpression.  Each call
-    compiles expr.
+    results raise ExprEvalError naming the failing subexpression at the first
+    failing sample, in C order.  Each call compiles expr.
     """
-    return _run_checked(_compile(expr), (x, u, y, v, z))
+    values = tuple(np.asarray(a, dtype=float) for a in (x, u, y, v, z))
+    out = np.asarray(_evaluate(_compile(expr), values), dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .expr import _VARIABLE_SLOTS, _compile, _run
+from .expr import _VARIABLE_SLOTS, _compile, _evaluate
 from .numerics import (
     Grid,
     GridFunction,
@@ -236,7 +236,7 @@ def _f(program, nodes: np.ndarray, u, du, v, d3u) -> np.ndarray:
     """f at the nodes from the finite node values of u, u', u'' and u''' (None
     for a slope f does not read), run flagged.  Never one of those arrays, but
     it may be a value the fold keeps, so it must not be written."""
-    out = _run(program, (nodes, u, du, v, d3u))
+    out = _evaluate(program, (nodes, u, du, v, d3u))
     if isinstance(out, float):  # f is constant
         return np.full(len(nodes), out)
     if out is u or out is du or out is v or out is d3u:  # f is one of them

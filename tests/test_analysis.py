@@ -19,6 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import clampbeam.expr as expr_module
+import clampbeam.solver as solver_module
 from clampbeam import analysis
 from clampbeam.analysis import (
     ConditionReport,
@@ -35,7 +36,7 @@ from clampbeam.analysis import (
 from clampbeam.examples import get_example
 from clampbeam.expr import (
     BinOp, Call, ExprDerivativeError, ExprEvalError, Neg, Num, Var, _compile, _run_checked,
-    differentiate, evaluate, parse, substitute,
+    differentiate, evaluate, parse, substitute, variables_in,
 )
 from clampbeam.problem import canonicalize, parse_problem_text
 from clampbeam.kernels import KERNEL_BOUNDS
@@ -135,21 +136,25 @@ class TestContractionFactor:
             contraction_factor(*bad)
 
 
-def _first_undefined(expression, env):
-    """Brute-force oracle: (index, point, error) of the first undefined point in C order.
-
-    Every point of the lattice env is evaluated on its own, as evaluate would,
-    by one program compiled ahead and run checked; None when all are defined.
-    """
+def _first_failure(expression, points):
+    """Brute-force oracle: (index, point, error) of the first of points, pairs
+    of an index and a point of numpy scalars, at which the checked run of
+    expression, compiled ahead, fails; None when it fails at none."""
     program = _compile(expression)
-    axes = [np.ravel(env[name]) for name in ("x", "u", "y", "v", "z")]
-    for idx in itertools.product(*(range(a.size) for a in axes)):
-        point = tuple(float(a[i]) for a, i in zip(axes, idx))
+    for idx, point in points:
         try:
             _run_checked(program, point)
         except ExprEvalError as err:
             return idx, point, err
     return None
+
+
+def _first_undefined(expression, env):
+    """(index, point, error) of the first undefined point of the lattice env
+    in C order, each point evaluated on its own; None when all are defined."""
+    axes = [np.ravel(env[name]) for name in ("x", "u", "y", "v", "z")]
+    return _first_failure(expression, ((idx, tuple(a[i] for a, i in zip(axes, idx)))
+                                       for idx in itertools.product(*(range(a.size) for a in axes))))
 
 
 class TestCheckConditions:
@@ -431,9 +436,15 @@ class TestBlocks:
 
 
 def _reference_extremes(program, env):
-    """(min, max) of program on the lattice env: a fold of its checked runs over its slabs."""
-    return analysis._slab_extremes(lambda slab: _run_checked(program, analysis._slab_args(env, slab)),
-                                   analysis._blocks(program.reads, env))
+    """(min, max) of program on the lattice env: a fold of its masked runs over
+    its slabs, or a _Failure where a mask marks a point."""
+    def run(slab):
+        out, bad = expr_module._run_masked(program, analysis._slab_args(env, slab))
+        if bad.any():
+            raise expr_module._Failure()
+        return out
+
+    return analysis._slab_extremes(run, analysis._blocks(program.reads, env))
 
 
 def _slab_path(rhs, M, ks, points):
@@ -624,11 +635,14 @@ class TestFailures:
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(parse(text), M, ks, LatticeSpec(points=9))
         assert str(info.value).startswith(what)
-        assert len({id(root) for root in compiled}) == len(compiled)
-        assert {id(root) for root in runs} <= {id(root) for root in compiled}
-        # the check stops at its first failure: the last flagged run and the
-        # one masked run are both of the program compiled last
-        assert masked == [compiled[-1]] and runs[-1] is compiled[-1]
+        # the check stops at its first failure, whose expression _error_at
+        # compiles once more, folded at the point's x
+        *checked, named = compiled
+        assert len({id(root) for root in checked}) == len(checked) and named is checked[-1]
+        assert {id(root) for root in runs} <= {id(root) for root in checked}
+        # the last run and the one masked run, which found the point, are of
+        # the program compiled last
+        assert len(masked) == 1 and masked[0] is named and runs[-1] is named
 
     @pytest.mark.parametrize("text, M, ks, points, what", [
         ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side"),
@@ -688,6 +702,33 @@ class TestFailures:
         assert outcome == (DomainSamplingError, _failure_message(tree, what, point), point)
 
 
+class TestSolveFailures:
+    """A solve's f names its failure as a check does: the first failing
+    sample's first failing subexpression."""
+
+    @given(tree=_failing_trees(),
+           samples=st.lists(st.tuples(*[st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, 3.0])] * 5),
+                            min_size=1, max_size=6))
+    @example(tree=parse("sqrt(0.5 - x) + log(x - 0.25) + u"),
+             samples=[(x, 0.0, 0.0, 0.0, 0.0) for x in (0.0, 1.0, 0.25)])
+    @settings(max_examples=200)
+    def test_f_names_the_first_sample_where_the_checked_run_fails(self, tree, samples):
+        # on 1-D arrays, folded at x as a solve folds f: the sample named is
+        # the first at which the checked run on numpy scalars fails, and the
+        # message is that run's, at that sample; an f that reads no variable
+        # fails at every sample alike, and names none
+        values = tuple(np.array(column) for column in zip(*samples))
+        first = _first_failure(tree, enumerate(zip(*values)))
+        try:
+            solver_module._f(_compile(tree, values[0]), *values)
+        except ExprEvalError as err:
+            assert first is not None
+            where = f" at sample {first[0]}" if variables_in(tree) else ""
+            assert str(err) == f"{first[2]}{where}"
+        else:
+            assert first is None
+
+
 def _checked_callers(monkeypatch) -> list:
     """A list that records, for every _run_checked call from now on, the name
     of the function that made it."""
@@ -698,20 +739,20 @@ def _checked_callers(monkeypatch) -> list:
         return real(program, values)
 
     monkeypatch.setattr(expr_module, "_run_checked", spy)
-    monkeypatch.setattr(analysis, "_run_checked", spy)
     return callers
 
 
 def _masked_runs(monkeypatch) -> list:
     """A list that records, for every masked run from now on, the root of its program."""
-    roots, real = [], analysis._run_masked
-    monkeypatch.setattr(analysis, "_run_masked", lambda program, values, bad:
-                        roots.append(program.root) or real(program, values, bad))
+    roots, real = [], expr_module._run_masked
+    monkeypatch.setattr(expr_module, "_run_masked", lambda program, values:
+                        roots.append(program.root) or real(program, values))
     return roots
 
 
 class TestCheckedRuns:
-    """A check runs its lattice flagged; only the naming of a failure runs checked."""
+    """A check runs its lattice flagged, and masked where a flagged run fails;
+    only the naming of a failure runs checked, at its point."""
 
     @pytest.mark.parametrize("text, M, ks", [
         (get_example(2).rhs_text, get_example(2).M, None),   # slabs and the range pass
@@ -725,7 +766,7 @@ class TestCheckedRuns:
         check_conditions(parse(text), M, ks, LatticeSpec(points=17))
         assert callers == []
 
-    @pytest.mark.parametrize("text, M, ks, points, what, handovers", [
+    @pytest.mark.parametrize("text, M, ks, points, what, masked_runs", [
         (get_example(5).rhs_text, get_example(5).M, None, 9, "right-hand side", 1),
         ("sqrt(u + 1 - 3*x^2 + 2*x^3)*sin(exp(u)) + exp(-x^2)", 5.0, None, 5, "right-hand side", 1),
         # a leaf of the range pass fails: a flagged sweep finds the slab
@@ -733,17 +774,16 @@ class TestCheckedRuns:
         ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side", 1),  # many slabs
     ])
     def test_a_failing_check_runs_checked_only_to_name_the_failure(self, text, M, ks, points, what,
-                                                                 handovers, monkeypatch):
+                                                                 masked_runs, monkeypatch):
         callers, masked = _checked_callers(monkeypatch), _masked_runs(monkeypatch)
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(parse(text), M, ks, LatticeSpec(points=points))
         assert str(info.value).startswith(what)
-        # only a failing flagged run hands over to the checked run: the
-        # extremes', and the sweep's when the range pass failed; one masked
-        # run finds the point in that slab, and the checked run there names
-        # the error
-        assert callers == ["_run"] * handovers + ["_find_bad_point"]
-        assert len(masked) == 1
+        # only a failing flagged run runs again, masked: the extremes', and
+        # the sweep's when the range pass failed; the last finds the point in
+        # its slab, and the checked run there names the error
+        assert callers == ["_error_at"]
+        assert len(masked) == masked_runs
 
 
 def _linspace_env(box, points):
@@ -757,7 +797,7 @@ def _reference_sup(expression, env, what):
     included; a failure is named as the check names it."""
     try:
         lo, hi = _reference_extremes(_compile(expression), env)
-    except ExprEvalError:
+    except expr_module._Failure:
         return analysis._sup_on_lattice(expression, env, what)  # raises
     return float(max(0.0, hi, -lo))
 

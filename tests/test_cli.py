@@ -53,11 +53,14 @@ BAD_INPUT_FILES = {
     "overflowing-exact": "f = u\nA1 = -5e307\nexact = 1.5e308 + x\n",
     # f is undefined at the solve's start, u = 0
     "log-start": "f = log(u) + sin(x)\n",
+    # undefined at x <= 0.25 and at x > 0.5, first at x = 0, where only the log fails
+    "sqrt-log-start": "f = sqrt(0.5 - x) + log(x - 0.25) + u\nM = 1\n",
 }
 LOG_EXACT_ERROR = ("exact solution undefined on the n=100 grid: log of a non-positive value "
                    "in 'log(x)': argument 0.0 at sample 0")
 OVERFLOWING_EXACT_ERROR = "exact solution undefined on the n=100 grid: non-finite value at node 0 (x=0.0)"
 LOG_START_ERROR = "log of a non-positive value in 'log(u)': argument 0.0 at sample 0"
+SQRT_LOG_START_ERROR = "log of a non-positive value in 'log(x - 0.25)': argument -0.25 at sample 0"
 
 
 def _problem_file(tmp_path, text, name="problem.txt"):
@@ -206,6 +209,17 @@ class TestCheck:
         assert out.endswith(f"wrote {tmp_path / 'conditions.txt'}\n")
         text = (tmp_path / "conditions.txt").read_text(encoding="utf-8")
         assert "offending sample" in text
+
+    def test_check_and_solve_name_the_same_failure(self, tmp_path, capsys):
+        # both name the first undefined point's first failing subexpression:
+        # at x = 0 the log fails, while the sqrt fails only at x > 0.5
+        path = _problem_file(tmp_path, BAD_INPUT_FILES["sqrt-log-start"])
+        assert main(["check", path, "--lattice", "5", "--out-dir", str(tmp_path / "check")]) == 1
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "not certified: right-hand side undefined inside the box: log of a non-positive value "
+            "in 'log(x - 0.25)': argument -0.25 at (x=0, u=-0.00260416667, y=-0.00801875374, v=-1, z=-1)")
+        assert main(["solve", path, "--n", "16", "--out-dir", str(tmp_path / "solve")]) == 2
+        assert capsys.readouterr().err == f"error: {SQRT_LOG_START_ERROR}\n"
 
     def test_bad_k_flag_is_an_input_error_before_sampling(self, tmp_path, capsys):
         # example 5 is undefined in its box, but the constants are checked first
@@ -562,10 +576,11 @@ class TestInputHandling:
         (["table", "overflowing-exact"], OVERFLOWING_EXACT_ERROR),
         (["solve", "log-start"], LOG_START_ERROR),
         (["table", "log-start", "--grids", "16,32"], LOG_START_ERROR),
+        (["solve", "sqrt-log-start", "--n", "16"], SQRT_LOG_START_ERROR),
     ], ids=["check-M", "check-K1", "check-lattice", "check-no-M", "examples-n", "examples-tol",
             "examples-max-iter", "examples-lattice", "examples-M", "solve-log-exact",
             "table-log-exact", "solve-overflowing-exact", "table-overflowing-exact",
-            "solve-log-start", "table-log-start"])
+            "solve-log-start", "table-log-start", "solve-sqrt-log-start"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_input_error_creates_nothing(self, argv, message, tmp_path, capsys):
         # every input is resolved before --out-dir is created or anything

@@ -426,12 +426,23 @@ def _outcome(fn, *args):
     return type(out), np.asarray(out).shape, np.asarray(out).tobytes()
 
 
+def _sample(index) -> str:
+    """Where evaluate says a failure is: nothing for a zero-dimensional result."""
+    return f" at sample {index[0] if len(index) == 1 else index}" if index else ""
+
+
 def _at_x(tree, x):
     """tree as a function of (u, y, v, z), compiled as the solver compiles it:
     folded once with x known, a program the function keeps between calls and
-    runs checked, as evaluate does."""
+    runs as evaluate runs its own."""
     program = expr_module._compile(tree, x)
-    return lambda *env: expr_module._run_checked(program, (x,) + env)
+
+    def at(*env):
+        values = tuple(np.asarray(a, dtype=float) for a in (x,) + env)
+        out = np.asarray(expr_module._evaluate(program, values), dtype=float)
+        return float(out) if out.ndim == 0 else out
+
+    return at
 
 
 def _assert_fixed_x_matches(tree, x, *envs):
@@ -569,28 +580,48 @@ LATTICE_FAILURES = [
 ]
 
 
-def _walk(node, env):
-    """Reference semantics: a direct left-to-right post-order walk of the tree."""
+def _walk(node, env, table):
+    """Reference semantics: a direct left-to-right post-order walk of the
+    tree, each checked op as table.get(op, op)."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Var):
         return env[node.name]
     if isinstance(node, Neg):
-        return -_walk(node.operand, env)
+        return -_walk(node.operand, env, table)
     if isinstance(node, Call):
-        return expr_module._call(_walk(node.arg, env), None, node)
-    left = _walk(node.left, env)
+        return table.get(expr_module._call, expr_module._call)(_walk(node.arg, env, table), None, node)
+    left = _walk(node.left, env, table)
     if node.op == "^":
         k = expr_module._int_literal_exponent(node.right)
         if k is not None:
-            return expr_module._repeated_power(left, k, node)
-    return expr_module._BINARY[node.op](left, _walk(node.right, env), node)
+            return table.get(expr_module._repeated_power, expr_module._repeated_power)(left, k, node)
+    op = expr_module._BINARY[node.op]
+    return table.get(op, op)(left, _walk(node.right, env, table), node)
 
 
 def _walk_evaluate(tree, *args):
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _walk(tree, dict(zip("xuyvz", args)))
-    return expr_module._result(out, tree)
+    """Reference evaluate: the checked walk at each sample of the shape the
+    variables tree reads broadcast to, on numpy scalars, whose first failure
+    in C order names the error; else the masked walk's values on the arrays.
+    (numpy's power on scalars can differ in the last bit from its array loop:
+    3.53609677795094^x at x = 0.5.)"""
+    reads = variables_in(tree)
+    args = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for name, a in zip("xuyvz", args) if name in reads))
+    for index in np.ndindex(shape):
+        env = {name: np.broadcast_to(a, shape)[index] if name in reads else a.flat[0]
+               for name, a in zip("xuyvz", args)}
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                value = _walk(tree, env, {})
+            if not math.isfinite(value):
+                raise ExprEvalError(f"non-finite result from '{to_source(tree)}'")
+        except ExprEvalError as err:
+            raise ExprEvalError(f"{err}{_sample(index)}") from None
+    with np.errstate(all="ignore"):
+        out = np.asarray(_walk(tree, dict(zip("xuyvz", args)), expr_module._Mask()), dtype=float)
+    return float(out) if out.ndim == 0 else out
 
 
 def _shared_trees():
@@ -641,6 +672,7 @@ class TestCompiledProgram:
 
     @settings(max_examples=300)
     @given(tree=st.one_of(_trees(), _shared_trees(), _literal_trees(), _colliding_trees()))
+    @example(tree=parse("2.84375^-x"))  # see _walk_evaluate on numpy's power
     def test_matches_a_direct_tree_walk(self, tree):
         lattice = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
         for env in (POINT, (XS[::5],) + tuple(a[::5] for a in _profile(-1.3)),
@@ -669,22 +701,25 @@ class TestCompiledProgram:
     @pytest.mark.parametrize("source, message", LATTICE_FAILURES)
     def test_lattice_failures_keep_sample_and_message(self, source, message):
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
+        args = [env[name] for name in "xuyvz"]
         with pytest.raises(ExprEvalError) as info:
-            evaluate(parse(source), *(env[name] for name in "xuyvz"))
+            evaluate(parse(source), *args)
         assert str(info.value) == message
+        assert _outcome(_walk_evaluate, parse(source), *args) == ("error", message)
 
     OPS = {expr_module._plus, expr_module._minus, expr_module._times, expr_module._checked_quotient,
            expr_module._checked_power, expr_module._repeated_power, expr_module._call,
-           expr_module._negate, expr_module._fail}
+           expr_module._negate}
 
     @settings(max_examples=300)
     @given(tree=st.one_of(_trees(), _shared_trees(), _literal_trees()))
     @example(tree=parse("x + u + -exp(1e308)"))  # a failing constant ahead of the result
     @example(tree=parse("y/4 + 2^u + u/(3 - 1)"))  # checked ops on a known divisor and base
     def test_programs_hold_only_the_compilers_ops(self, tree):
-        # the fold runs what it knows and turns a failure into _fail in place;
-        # the code after it stays, so each slot is known or written before it
-        # is read, and every run either raises or writes its result
+        # the fold runs what it knows and leaves an instruction that fails a
+        # check in the code, with the code after it that reads it, so each
+        # slot is known or written before it is read, and every run writes
+        # its result
         for program, envs in ((expr_module._compile(tree), (POINT, (XS,) + _profile(0.5))),
                               (expr_module._compile(tree, XS), ((XS,) + _profile(0.5),))):
             assert {ins[0] for ins in program.code} <= self.OPS
@@ -695,12 +730,7 @@ class TestCompiledProgram:
                 written.add(out)
             assert program.result in written
             for env in envs:
-                try:
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        out = expr_module._exec(program, env, {})
-                except ExprEvalError:
-                    continue
-                assert out is not None
+                assert expr_module._run_masked(program, env)[0] is not None
         assert evaluate(parse("y/4 + 2^u"), 0, 1.0, 2.0, 0, 0) == 2.5
 
     @pytest.mark.parametrize("source, env, message", [
@@ -722,18 +752,43 @@ class TestCompiledProgram:
                 evaluate(tree, *env)
             assert str(info.value) == message
 
+    @pytest.mark.parametrize("source, env, expected", [
+        # Python ints and floats, which divide, multiply and overflow unlike
+        # numpy's; evaluate takes them as float64
+        ("x/x + u", (0, 0, 0, 0, 0), "division by zero in 'x/x': argument 0.0"),
+        ("u*y", (0.0, 1e200, 1e200, 0.0, 0.0), "non-finite result from 'u*y'"),
+        ("u^9", (0, 1000, 0, 0, 0), 1e27),
+    ])
+    def test_python_numbers_evaluate_as_doubles(self, source, env, expected):
+        if isinstance(expected, str):
+            with pytest.raises(ExprEvalError) as info:
+                evaluate(parse(source), *env)
+            assert str(info.value) == expected
+        else:
+            assert evaluate(parse(source), *env) == expected
+
+    def test_the_masked_arithmetic_divides_python_floats(self):
+        # the fold runs it on literals, which are Python floats: 1.0/0.0 in
+        # Python raises ZeroDivisionError
+        quotient, power = expr_module._Mask(), expr_module._Mask()
+        with np.errstate(divide="ignore"):
+            assert quotient[expr_module._checked_quotient](1.0, 0.0, None) == math.inf
+            assert power[expr_module._repeated_power](0.0, -2, None) == math.inf
+        assert quotient.bad and power.bad
+
     @pytest.mark.parametrize("source, message", [
         ("u/(x - x)", "division by zero in 'u/(x - x)': argument 0.0 at sample 0"),
         ("(x - 1)^0.5 + u", "power with non-integer exponent needs a positive base in "
                             "'(x - 1)^0.5': argument -1.0 at sample 0"),
     ])
     def test_failures_on_a_known_x_raise_where_the_run_reaches_them(self, source, message):
-        # folded at x, the check runs in every run, flagged or checked
+        # folded at x, the failing instruction stays in the code, so every
+        # run makes its check
         x = np.linspace(0.0, 1.0, 5)
         program = expr_module._compile(parse(source), x)
-        for run in (expr_module._run_checked, expr_module._run):
+        for fn in (evaluate, lambda tree, *env: solver_module._f(program, *env)):
             with pytest.raises(ExprEvalError) as info:
-                run(program, (x, x + 0.5, x, x, x))
+                fn(parse(source), x, x + 0.5, x, x, x)
             assert str(info.value) == message
 
     def test_each_caller_compiles_what_it_runs(self, monkeypatch):
@@ -787,6 +842,45 @@ def _peak_arrays(fn, size):
         return tracemalloc.get_traced_memory()[1] / size
     finally:
         tracemalloc.stop()
+
+
+def _array_loop(real, wrong):
+    """real on numpy scalars and 0-d arrays, wrong on the others: a numpy
+    whose array loop differs from its scalar one."""
+    return lambda *args: real(*args) if all(np.ndim(a) == 0 for a in args) else wrong(*args)
+
+
+class TestArrayLoopFailures:
+    """numpy's scalar and array loops can differ in the last bit.  Where the
+    array run fails and the checked run on numpy scalars passes, the first
+    check that the masked run marks at the point names the failure."""
+
+    @pytest.mark.parametrize("text, patch, message", [
+        # the array loop's sin is 0, so log's check fails downstream of it
+        ("log(sin(x)) + u", ("sin", lambda a: np.sin(a) * 0.0),
+         "log of a non-positive value in 'log(sin(x))': argument 0.0 at sample 0"),
+        # the array loop's exp overflows: its own check fails
+        ("exp(x) + u", ("exp", lambda a: np.exp(a + 1000.0)),
+         "non-finite result from 'exp(x)': argument 1.0 at sample 0"),
+        ("x^0.5 + u", None, "non-finite result from 'x^0.5' at sample 0"),
+    ])
+    def test_the_first_marked_check_names_the_failure(self, monkeypatch, text, patch, message):
+        if patch is None:  # the array loop's power overflows
+            power = np.power
+            monkeypatch.setattr(np, "power", _array_loop(power, lambda a, b: power(a, b) * 1e308 * 10.0))
+        else:
+            name, wrong = patch
+            monkeypatch.setitem(expr_module._UFUNCS, name, _array_loop(expr_module._UFUNCS[name], wrong))
+        assert math.isfinite(evaluate(parse(text), 1.0, 0, 0, 0, 0))
+        with pytest.raises(ExprEvalError) as info:
+            evaluate(parse(text), np.array([1.0, 2.0]), 0, 0, 0, 0)
+        assert str(info.value) == message
+
+    def test_an_unmarked_failure_is_the_result_check(self):
+        values = (np.array([1e10]), None, None, None, None)
+        with pytest.raises(ExprEvalError) as info:
+            expr_module._raise_marked(expr_module._compile(parse("x*1e300")), values, (0,))
+        assert str(info.value) == "non-finite result from 'x*1e+300'"
 
 
 class TestFold:
