@@ -40,7 +40,7 @@ when its shared axes exceed _BLOCK values, runs in slabs of at most _BLOCK
 values (512 KiB) folded into running extremes: memory stays a few such
 arrays.  Every such run is expr._run's: a failing one gives its first
 undefined point, and the first slab whose run fails holds the lattice's.
-expr._error_at names the error there.
+That run's _Failure names the error there, on its masked run's operands.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -70,7 +70,6 @@ from .expr import (
     Var,
     VARIABLES,
     _compile,
-    _error_at,
     _exec,
     _Failure,
     _minus,
@@ -230,20 +229,20 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
 def _find_bad_point(program: _Program, env: dict, failure: Optional[_Failure] = None) -> tuple:
     """First undefined point of the lattice env in C order, and the error there.
 
-    failure is that of a run of program, or of a part of it, on env.  One of
-    program's own names its slab (.slab), the first that fails, and its index
-    is the point; otherwise a sweep of runs over the slabs finds them.
+    failure is that of a run of program, or of a part of it, on env.  A run
+    of program itself is of the first slab that fails, and names the point
+    and the error; otherwise a sweep of runs over the slabs finds that run.
     """
-    if not hasattr(failure, "slab"):
+    if failure is None or failure.program is not program:
         for slab in _blocks(program.reads, env):
             try:
                 _run(program, _slab_args(env, slab))
             except _Failure as err:
-                failure, failure.slab = err, slab
+                failure = err
                 break
         else:
             raise RuntimeError("the lattice failed but no slab of it does")
-    point, err = _error_at(program, _slab_args(env, failure.slab), failure.index)
+    point, err = failure.error()
     return tuple(map(float, point)), err
 
 
@@ -316,8 +315,7 @@ def _extremes(program: _Program, env: dict) -> tuple:
     through more than one leaf held fixed, every other axis occurs once, so
     one pass of pairs (lo, hi) up the chain, at endpoints or corners, is
     exact.  When there is no chain, or its shared axes exceed _BLOCK values,
-    all runs in slabs.  A failing run of program itself names its slab as
-    the error's .slab.
+    all runs in slabs, the first failing slab's run raising.
     """
     points = [env[name].size for name in VARIABLES]
 
@@ -325,14 +323,7 @@ def _extremes(program: _Program, env: dict) -> tuple:
         return math.prod(points[k] for k in axes)
 
     def in_slabs(leaf: _Program) -> tuple:
-        def run(slab):
-            try:
-                return _run(leaf, _slab_args(env, slab))
-            except _Failure as err:
-                if leaf is program:  # the search for the point starts at this slab
-                    err.slab = slab
-                raise
-        return _slab_extremes(run, _blocks(leaf.reads, env))
+        return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab)), _blocks(leaf.reads, env))
 
     if size(program.reads) <= _BLOCK:
         return in_slabs(program)

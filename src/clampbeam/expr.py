@@ -28,8 +28,8 @@ nodes.  Values, errors and the subtree an error names are those of a
 left-to-right walk of the tree at the first failing sample, in C order.
 One loop, _exec, runs every program, its arithmetic a table: every run
 flagged (_run, IEEE 754-2019 flags for the checks' scans), one that flags
-masked (_run_masked, each check a per-point mask), and only the naming of
-a failure checked, at its point (_error_at).
+masked (_run_masked, each check a per-point mask), and a failure named by
+a replay of that masked run (_Failure.error), checked at its point only.
 """
 
 from __future__ import annotations
@@ -556,10 +556,33 @@ def _exec(program: _Program, values, table: dict):
 
 
 class _Failure(Exception):
-    """A failed run; .index is its first failing point in C order (see _run_masked)."""
+    """A failed run of program (None: the range pass's) on values; .index is
+    its first failing point in C order, on the shape the values broadcast to."""
 
-    def __init__(self, index: tuple = ()):
-        self.index = index
+    def __init__(self, program=None, values: tuple = (), index: tuple = ()):
+        self.program, self.values, self.index = program, values, index
+
+    def error(self) -> tuple:
+        """(point, error): the values at index, and the error of the first op
+        that program's masked run on values marks there, raised by that
+        checked op on the 0-d operands there; where it passes, or no op marks
+        the point, the error is a non-finite result's."""
+        index, mask = self.index, _Mask()
+
+        def first(op, a, b, node):  # the first op to mark index stops the run
+            out = mask[op](a, b, node)
+            if _at(mask.bad, index):
+                op(_at(a, index), _at(b, index), node)
+                _reject(op is _call, "non-finite result from", node, _at(a, index))
+                raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
+            return out
+
+        try:
+            with np.errstate(all="ignore"):  # as in _run_masked
+                _exec(self.program, self.values, {op: lambda *args, op=op: first(op, *args) for op in mask})
+            raise ExprEvalError(f"non-finite result from '{to_source(self.program.root)}'")
+        except ExprEvalError as err:  # its frames hold the run's operands
+            return tuple(_at(value, index) for value in self.values), err.with_traceback(None)
 
 
 def _run(program: _Program, values: tuple):
@@ -574,7 +597,9 @@ def _run(program: _Program, values: tuple):
             pass
     out, bad = _run_masked(program, values)
     if bad.any():
-        raise _Failure(tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape)))
+        index = tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+        del out, bad  # the failure's traceback holds this frame
+        raise _Failure(program, values, index)
     return out
 
 
@@ -588,7 +613,9 @@ def _run_masked(program: _Program, values: tuple) -> tuple:
 
 
 def _run_checked(program: _Program, point: tuple) -> float:
-    """program's result at point, numpy scalars, or the first failing check's ExprEvalError."""
+    """program's result at point, numpy scalars, or the first failing check's
+    ExprEvalError.  No library code runs it: it is the tests' reference, the
+    walk's checks one point at a time."""
     with np.errstate(over="ignore", invalid="ignore"):
         out = _exec(program, point, {})
     if not math.isfinite(out):
@@ -605,46 +632,14 @@ def _at(value, index: tuple):
     return value[tuple(i if i < n else 0 for i, n in zip(at, value.shape))]
 
 
-def _error_at(program: _Program, values: tuple, index: tuple) -> tuple:
-    """(point, error): the values at index of the shape they broadcast to, and
-    the checked run's error there, with program's expression folded at the
-    point's x.  numpy's scalar and array loops can differ in the last bit, so
-    where that run passes, _raise_marked names the error."""
-    point = tuple(_at(value, index) for value in values)  # numpy values or None
-    try:
-        _run_checked(_compile(program.root, point[0]), point)
-        _raise_marked(program, values, index)
-    except ExprEvalError as err:
-        return point, err
-
-
-def _raise_marked(program: _Program, values: tuple, index: tuple):
-    """Raise the error of the first check that program's masked run on values
-    marks at index: its checked op's on the operands there, or else, where
-    the op's own arithmetic differs, a non-finite result's."""
-    mask = _Mask()
-
-    def first(op, a, b, node):  # the first op to mark index stops the run
-        out = mask[op](a, b, node)
-        if _at(mask.bad, index):
-            op(_at(a, index), _at(b, index), node)
-            _reject(op is _call, "non-finite result from", node, _at(a, index))
-            raise ExprEvalError(f"non-finite result from '{to_source(node)}'")
-        return out
-
-    with np.errstate(all="ignore"):  # as in _run_masked
-        _exec(program, values, {op: lambda *args, op=op: first(op, *args) for op in mask})
-    raise ExprEvalError(f"non-finite result from '{to_source(program.root)}'")
-
-
 def _evaluate(program: _Program, values: tuple):
-    """_run's result, or its failure as _error_at names it, at its sample if any."""
+    """_run's result, or its failure as _Failure.error names it, at its sample if any."""
     try:
         return _run(program, values)
     except _Failure as failure:
         index = failure.index
         where = f" at sample {index[0] if len(index) == 1 else index}" if index else ""
-        raise ExprEvalError(f"{_error_at(program, values, index)[1]}{where}") from None
+        raise ExprEvalError(f"{failure.error()[1]}{where}") from None
 
 
 def evaluate(expr: Expression, x, u, y, v, z):
@@ -652,11 +647,15 @@ def evaluate(expr: Expression, x, u, y, v, z):
 
     Returns a float when the result is zero-dimensional, otherwise the
     broadcast numpy array.  Domain violations and non-finite intermediate
-    results raise ExprEvalError naming the failing subexpression at the first
-    failing sample, in C order.  Each call compiles expr.
+    results, non-finite arguments among them, raise ExprEvalError naming the
+    failing subexpression at the first failing sample, in C order.  Each
+    call compiles expr.
     """
     values = tuple(np.asarray(a, dtype=float) for a in (x, u, y, v, z))
-    out = np.asarray(_evaluate(_compile(expr), values), dtype=float)
+    program = _compile(expr)
+    if not all(np.isfinite(a).all() for a in values):  # the flagged run takes finite values only
+        program = program._replace(finite=False)
+    out = np.asarray(_evaluate(program, values), dtype=float)
     return float(out) if out.ndim == 0 else out
 
 

@@ -635,14 +635,13 @@ class TestFailures:
         with pytest.raises(DomainSamplingError) as info:
             check_conditions(parse(text), M, ks, LatticeSpec(points=9))
         assert str(info.value).startswith(what)
-        # the check stops at its first failure, whose expression _error_at
-        # compiles once more, folded at the point's x
-        *checked, named = compiled
-        assert len({id(root) for root in checked}) == len(checked) and named is checked[-1]
-        assert {id(root) for root in runs} <= {id(root) for root in checked}
+        # the check stops at its first failure, which its masked run names:
+        # no expression is compiled twice
+        assert len({id(root) for root in compiled}) == len(compiled)
+        assert {id(root) for root in runs} <= {id(root) for root in compiled}
         # the last run and the one masked run, which found the point, are of
         # the program compiled last
-        assert len(masked) == 1 and masked[0] is named and runs[-1] is named
+        assert len(masked) == 1 and masked[0] is compiled[-1] and runs[-1] is compiled[-1]
 
     @pytest.mark.parametrize("text, M, ks, points, what", [
         ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side"),
@@ -752,7 +751,8 @@ def _masked_runs(monkeypatch) -> list:
 
 class TestCheckedRuns:
     """A check runs its lattice flagged, and masked where a flagged run fails;
-    only the naming of a failure runs checked, at its point."""
+    only the naming of a failure runs checked ops, at its point, and no
+    library code runs _run_checked."""
 
     @pytest.mark.parametrize("text, M, ks", [
         (get_example(2).rhs_text, get_example(2).M, None),   # slabs and the range pass
@@ -781,8 +781,8 @@ class TestCheckedRuns:
         assert str(info.value).startswith(what)
         # only a failing flagged run runs again, masked: the extremes', and
         # the sweep's when the range pass failed; the last finds the point in
-        # its slab, and the checked run there names the error
-        assert callers == ["_error_at"]
+        # its slab, and its replay names the error there, with no checked run
+        assert callers == []
         assert len(masked) == masked_runs
 
 

@@ -767,6 +767,23 @@ class TestCompiledProgram:
         else:
             assert evaluate(parse(source), *env) == expected
 
+    @pytest.mark.parametrize("source, env, message", [
+        ("u", (0, math.inf, 0, 0, 0), "non-finite result from 'u'"),
+        ("u + 1", (0, math.nan, 0, 0, 0), "non-finite result from 'u + 1'"),
+        ("sqrt(u)", (0, math.nan, 0, 0, 0), "non-finite result from 'sqrt(u)': argument nan"),
+        ("x", (np.array([0.0, math.inf]), 0, 0, 0, 0), "non-finite result from 'x' at sample 1"),
+        ("u*2 + x", (np.array([0.0, 1.0]), np.array([1.0, -math.inf]), 0, 0, 0),
+         "non-finite result from 'u*2 + x' at sample 1"),
+    ])
+    def test_non_finite_arguments_are_rejected(self, source, env, message):
+        # the flagged run takes finite values only, so these run masked
+        with pytest.raises(ExprEvalError) as info:
+            evaluate(parse(source), *env)
+        assert str(info.value) == message
+
+    def test_a_non_finite_argument_f_does_not_read_is_ignored(self):
+        assert evaluate(parse("u + 1"), 0, 1.0, 0, 0, np.array([0.0, math.nan])) == 2.0
+
     def test_the_masked_arithmetic_divides_python_floats(self):
         # the fold runs it on literals, which are Python floats: 1.0/0.0 in
         # Python raises ZeroDivisionError
@@ -878,9 +895,8 @@ class TestArrayLoopFailures:
 
     def test_an_unmarked_failure_is_the_result_check(self):
         values = (np.array([1e10]), None, None, None, None)
-        with pytest.raises(ExprEvalError) as info:
-            expr_module._raise_marked(expr_module._compile(parse("x*1e300")), values, (0,))
-        assert str(info.value) == "non-finite result from 'x*1e+300'"
+        failure = expr_module._Failure(expr_module._compile(parse("x*1e300")), values, (0,))
+        assert str(failure.error()[1]) == "non-finite result from 'x*1e+300'"
 
 
 class TestFold:

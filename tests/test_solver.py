@@ -11,7 +11,6 @@ import dataclasses
 import gc
 import math
 import pickle
-import sys
 import weakref
 from functools import cached_property
 
@@ -762,13 +761,13 @@ FUZZ_INPUTS = (0.0, -0.0, 1e-300, 1e150, -1e154, 0.5, -2.0)
 def _bits(program, values):
     """What _run gives on values, in the shape they all broadcast to: the bytes
     of its result, or its first failing point's index there and the error
-    _error_at names at that point."""
+    its failure names at that point."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in values))
     try:
         out = expr_module._run(program, values)
     except expr_module._Failure as failure:
         index = failure.index  # its shape lacks the leading axes and those of unread values
-        error = expr_module._error_at(program, values, index)[1]
+        error = failure.error()[1]
         return (0,) * (len(shape) - len(index)) + index, str(error)
     return np.broadcast_to(np.asarray(out, dtype=float), shape).tobytes()
 
@@ -957,18 +956,20 @@ class TestFlaggedRun:
     ], ids=["solve", "solve-x", "step", "residual", "evaluate", "evaluate-constant", "check",
             "check-leaf"])
     def test_the_checked_run_sees_one_point(self, call, monkeypatch):
-        # only _error_at runs the checked arithmetic, and only on 0-d values
-        seen, real = [], expr_module._run_checked
+        # no library code runs _run_checked; the checked ops that name the
+        # failure see 0-d values only
+        checked, seen, real = [], [], expr_module._reject
+        monkeypatch.setattr(expr_module, "_run_checked", lambda *args: checked.append(args))
 
-        def spy(program, point):
-            seen.append((sys._getframe(1).f_code.co_name, [np.ndim(v) for v in point if v is not None]))
-            return real(program, point)
+        def spy(bad, what, node, arg):
+            seen.append((np.ndim(bad), np.ndim(arg)))
+            return real(bad, what, node, arg)
 
-        monkeypatch.setattr(expr_module, "_run_checked", spy)
+        monkeypatch.setattr(expr_module, "_reject", spy)
         with pytest.raises(ValueError):  # an ExprEvalError or a DomainSamplingError
             call()
-        assert [caller for caller, _ in seen] == ["_error_at"]
-        assert all(ndim == 0 for _, ndims in seen for ndim in ndims)
+        assert checked == []
+        assert seen and all(ndims == (0, 0) for ndims in seen)
 
 
     def test_a_failure_of_the_array_loop_alone_is_named(self):
