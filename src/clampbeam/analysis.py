@@ -35,12 +35,14 @@ shared axes, those it reads through more than one leaf.  The one invariant:
   corners, is a value one evaluation of the whole lattice computes too.
 
 Each leaf runs only on the sub-lattice of the axes it reads, yet the result
-equals the whole lattice's bit for bit.  All else, and the whole program
-when its shared axes exceed _BLOCK values, runs in slabs of at most _BLOCK
-values (512 KiB) folded into running extremes: memory stays a few such
-arrays.  Every such run is expr._run's: a failing one gives its first
-undefined point, and the first slab whose run fails holds the lattice's.
-That run's _Failure names the error there, on its masked run's operands.
+equals the whole lattice's bit for bit.  A program that spans at most
+_BLOCK values runs once on the whole lattice, reduced directly.  All else,
+and the whole program when its shared axes exceed _BLOCK values, runs in
+slabs of at most _BLOCK values (512 KiB) folded into running extremes:
+memory stays a few such arrays.  Every such run is expr._run's: a failing
+one gives its first undefined point, and the first slab whose run fails
+holds the lattice's.  That run's _Failure names the error there, on its
+masked run's operands.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -314,19 +316,22 @@ def _extremes(program: _Program, env: dict) -> tuple:
     other operands are leaves.  Invariant: with the axes the chain reads
     through more than one leaf held fixed, every other axis occurs once, so
     one pass of pairs (lo, hi) up the chain, at endpoints or corners, is
-    exact.  When there is no chain, or its shared axes exceed _BLOCK values,
-    all runs in slabs, the first failing slab's run raising.
+    exact.  A program on at most _BLOCK values runs once, on the whole
+    lattice.  When there is no chain, or its shared axes exceed _BLOCK
+    values, all runs in slabs, the first failing slab's run raising.
     """
     points = [env[name].size for name in VARIABLES]
 
     def size(axes) -> int:
         return math.prod(points[k] for k in axes)
 
+    if size(program.reads) <= _BLOCK:  # one run of the whole lattice
+        vals = _run(program, _slab_args(env, None))
+        return np.minimum.reduce(vals, None), np.maximum.reduce(vals, None)
+
     def in_slabs(leaf: _Program) -> tuple:
         return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab)), _blocks(leaf.reads, env))
 
-    if size(program.reads) <= _BLOCK:
-        return in_slabs(program)
     axes = [frozenset((k,)) for k in range(len(VARIABLES))]
     axes += [frozenset()] * (len(program.template) - len(axes))
     for _, out, a, b, *_ in program.code:

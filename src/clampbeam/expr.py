@@ -21,11 +21,12 @@ np.power and requires a positive base.
 
 An expression compiles into a flat instruction list, in which equal
 subexpressions share one instruction, and a fold then runs every
-instruction whose operands are all known (literals, and x if given).  The
-program belongs to its caller; trees keep nothing.  evaluate compiles on
-each call; the solver compiles f once per solve, folded at its grid's
-nodes.  Values, errors and the subtree an error names are those of a
-left-to-right walk of the tree at the first failing sample, in C order.
+instruction whose operands are all known (literals, and x if given),
+flagged where it reads finite arrays, else masked.  The program belongs
+to its caller; trees keep nothing.  evaluate compiles on each call; the
+solver compiles f once per solve, folded at its grid's nodes.  Values,
+errors and the subtree an error names are those of a left-to-right walk
+of the tree at the first failing sample, in C order.
 One loop, _exec, runs every program, its arithmetic a table: every run
 flagged (_run, IEEE 754-2019 flags for the checks' scans), one that flags
 masked (_run_masked, each check a per-point mask), and a failure named by
@@ -462,17 +463,24 @@ class _Compiler:
         return slot
 
     def slot(self, node) -> int:
-        if isinstance(node, Var):
+        kind = type(node)
+        if kind is Var:
             return _VARIABLE_SLOTS[node.name]
-        if isinstance(node, Num):
-            return self.emit((type(node.value), repr(node.value)), value=node.value)
+        if kind is Num:
+            key = (type(node.value), repr(node.value))
+            slot = self.keys.get(key)
+            if slot is None:
+                slot = self.keys[key] = len(self.template)
+                self.template.append(node.value)
+            return slot
         slot = self.walked.get(id(node))
         if slot is None:
             slot = self.walked[id(node)] = self.walk(node)
         return slot
 
     def walk(self, node) -> int:
-        if isinstance(node, BinOp):
+        kind = type(node)
+        if kind is BinOp:
             a = self.slot(node.left)
             if node.op == "^":
                 k = _int_literal_exponent(node.right)
@@ -481,10 +489,10 @@ class _Compiler:
                     return self.emit(("^k", a, k), _repeated_power, a, k_slot, node)
             b = self.slot(node.right)
             return self.emit((node.op, a, b), _BINARY[node.op], a, b, node)
-        if isinstance(node, Call):
+        if kind is Call:
             a = self.slot(node.arg)
             return self.emit((node.fn, a), _call, a, a, node)
-        if isinstance(node, Neg):
+        if kind is Neg:
             a = self.slot(node.operand)
             return self.emit(("neg", a), _negate, a, a, node)
         raise TypeError(f"not an expression node: {node!r}")
@@ -494,50 +502,84 @@ def _fold(program: _Program, x=None) -> _Program:
     """program with what its known values decide done ahead of any run.
 
     Known are the template's values and x, unless it is None.  Every
-    instruction whose operands are all known runs now, masked; one that
-    fails a check at any point stays in the code, for a run to fail in walk
-    order.  A known value stays in the template only while an instruction
-    left to run reads it, or it is the result; the others go after their
-    last folded reader.  Values, errors and named subtrees stay those of
-    evaluate, but a run may return a value the fold keeps, which must not be
-    written.  The fold is a new program, owned by its caller, as is the one
-    folded.
+    instruction whose operands are all known runs now.  One that reads an
+    array, with finite operands (literals, x, and the outputs of such runs),
+    runs flagged, as _run does; any other, and one whose flagged run
+    raises, runs masked, and one that fails a check at any point stays in
+    the code, for a run to fail in walk order.  A known value stays in the
+    template only while an instruction left to run reads it, or it is the
+    result; the others go after their last folded reader.  Values, errors
+    and named subtrees stay those of evaluate, but a run may return a value
+    the fold keeps, which must not be written.  The fold is a new program,
+    owned by its caller, as is the one folded.
     """
     vals = program.template.copy()
     vals[0] = x
-    last_read = {}
-    for i, ins in enumerate(program.code):
-        last_read[ins[2]] = last_read[ins[3]] = i
-    code, read = [], {program.result}  # read: what the code left reads
-    mask = _Mask()
-    with np.errstate(all="ignore"):  # as in _run_masked
-        for i, (op, out, a, b, node, _) in enumerate(program.code):
-            if vals[a] is not None and vals[b] is not None:
-                mask.bad = np.False_  # this instruction's checks alone
-                value = mask.get(op, op)(vals[a], vals[b], node)
-                if not mask.bad.any():
-                    vals[out] = value
-                    for s in {a, b} - read:
-                        if last_read[s] == i:
-                            vals[s] = None
-                    continue
-            code.append((op, out, a, b, node))
-            read.update((a, b))
-    last_read = {}
-    for i, (op, out, a, b, node) in enumerate(code):
+    code, sure = program.code, ()
+    for _, _, a, b, _, _ in code:
+        if vals[a] is not None and vals[b] is not None:  # something folds
+            with np.errstate(over="raise", invalid="raise", divide="raise"):  # as in _run
+                code, sure = _fold_known(code, vals)
+            break
+    # one pass from the end of the code kept: the slots it reads, and the
+    # outputs of instructions that each one reads last, which go after it
+    read, kept = {program.result}, []
+    for op, out, a, b, node, _ in reversed(code):
+        drops = ()
+        if a not in read:
+            read.add(a)
+            if vals[a] is None and a >= len(VARIABLES):
+                drops = (a,)
+        if b not in read:
+            read.add(b)
+            if vals[b] is None and b >= len(VARIABLES):
+                drops = (b,) + drops if b < a else drops + (b,)
+        kept.append((op, out, a, b, node, drops))
+    kept.reverse()
+    template, finite = [None] * len(vals), True
+    for s in read:
+        v = template[s] = vals[s]
+        if v is not None and s not in sure:
+            finite = finite and bool(np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v))
+    reads = tuple([s for s in range(len(VARIABLES)) if s in read])
+    return _Program(program.root, template, kept, program.result, reads, finite)
+
+
+def _fold_known(code: list, vals: list) -> tuple:
+    """(the code left, the slots known finite) once every instruction of code
+    whose operands vals knows has run into vals, under raised flags."""
+    last_read, mask = {}, _Mask()
+    for i, (_, _, a, b, _, _) in enumerate(code):
         last_read[a] = last_read[b] = i
-    drops: list = [() for _ in code]  # each output goes after its last reader
-    for op, out, a, b, node in code:
-        if out in last_read:
-            drops[last_read[out]] += (out,)
-    for s in range(len(vals)):
-        if s not in last_read and s != program.result:
-            vals[s] = None
-    reads = tuple([s for s in range(len(VARIABLES)) if s in last_read or s == program.result])
-    finite = all(np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
-                 for v in vals if v is not None)
-    return _Program(program.root, vals, [ins + (d,) for ins, d in zip(code, drops)],
-                    program.result, reads, finite)
+    x = vals[0]
+    sure = {0} if isinstance(x, np.ndarray) and np.isfinite(x).all() else set()
+    left, read = [], set()  # read: what the code left reads
+    for i, ins in enumerate(code):
+        op, out, a, b, node, _ = ins
+        va, vb = vals[a], vals[b]
+        if va is not None and vb is not None:
+            if (isinstance(va, np.ndarray) or isinstance(vb, np.ndarray)) \
+                    and (a in sure or not isinstance(va, np.ndarray) and math.isfinite(va)) \
+                    and (b in sure or not isinstance(vb, np.ndarray) and math.isfinite(vb)):
+                try:
+                    vals[out] = _FLAGGED.get(op, op)(va, vb, node)
+                    sure.add(out)
+                except FloatingPointError:
+                    pass
+            if vals[out] is None:
+                mask.bad = np.False_  # this instruction's checks alone
+                with np.errstate(all="ignore"):  # as in _run_masked
+                    vals[out] = mask.get(op, op)(va, vb, node)
+                if mask.bad.any():
+                    vals[out] = None
+            if vals[out] is not None:
+                for s in (a, b):
+                    if s not in read and last_read[s] == i:
+                        vals[s] = None
+                continue
+        left.append(ins)
+        read.update((a, b))
+    return left, sure
 
 
 def _compile(expr: Expression, x=None) -> _Program:

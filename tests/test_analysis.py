@@ -369,6 +369,26 @@ class TestBlocks:
         starts = [tuple(cut.start or 0 for cut in slab) for slab in slabs]
         assert starts == sorted(starts) and len(set(starts)) == len(starts)
 
+    @pytest.mark.parametrize("ident, points, direct", [(1, 9, True), (2, 17, False)])
+    def test_a_program_that_fits_runs_once_on_the_whole_lattice(self, ident, points, direct, monkeypatch):
+        # example 1's f and partials fit one slab at lattice 9: each runs
+        # once, reduced directly; example 2's f reads all five axes, and the
+        # range pass folds its leaves over their slabs
+        calls = {"_blocks": [], "_slab_extremes": []}
+        for name, record in calls.items():
+            real = getattr(analysis, name)
+            monkeypatch.setattr(analysis, name, lambda *args, real=real, record=record:
+                                record.append(1) or real(*args))
+        compiled, runs, real_compiler, run = [], [], expr_module._Compiler, analysis._run
+        monkeypatch.setattr(expr_module, "_Compiler", lambda root: compiled.append(root) or real_compiler(root))
+        monkeypatch.setattr(analysis, "_run", lambda program, values:
+                            runs.append(program.root) or run(program, values))
+        ex = get_example(ident)
+        assert check_conditions(ex.canonical().rhs, ex.M, None, LatticeSpec(points)).certified
+        assert bool(calls["_blocks"]) is bool(calls["_slab_extremes"]) is not direct
+        if direct:
+            assert len(compiled) == 5 and list(map(id, runs)) == list(map(id, compiled))
+
     @pytest.mark.parametrize("text", ["u*z", "3"])
     def test_a_lattice_that_fits_is_one_slab(self, text):
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=25))

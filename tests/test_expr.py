@@ -899,7 +899,103 @@ class TestArrayLoopFailures:
         assert str(failure.error()[1]) == "non-finite result from 'x*1e+300'"
 
 
+def _reference_fold(program, x=None):
+    """The masked rule, as expr._fold once applied it: every instruction whose
+    operands are all known runs masked and folds unless a check marks a point;
+    a value goes after its last folded reader, and the rest is a pass each for
+    the drops, the template, reads and finite."""
+    mask_class, variables = expr_module._Mask, expr_module.VARIABLES
+    vals = program.template.copy()
+    vals[0] = x
+    last_read = {}
+    for i, ins in enumerate(program.code):
+        last_read[ins[2]] = last_read[ins[3]] = i
+    code, read = [], {program.result}
+    mask = mask_class()
+    with np.errstate(all="ignore"):
+        for i, (op, out, a, b, node, _) in enumerate(program.code):
+            if vals[a] is not None and vals[b] is not None:
+                mask.bad = np.False_
+                value = mask.get(op, op)(vals[a], vals[b], node)
+                if not mask.bad.any():
+                    vals[out] = value
+                    for s in {a, b} - read:
+                        if last_read[s] == i:
+                            vals[s] = None
+                    continue
+            code.append((op, out, a, b, node))
+            read.update((a, b))
+    last_read = {}
+    for i, (op, out, a, b, node) in enumerate(code):
+        last_read[a] = last_read[b] = i
+    drops: list = [() for _ in code]
+    for op, out, a, b, node in code:
+        if out in last_read:
+            drops[last_read[out]] += (out,)
+    for s in range(len(vals)):
+        if s not in last_read and s != program.result:
+            vals[s] = None
+    reads = tuple([s for s in range(len(variables)) if s in last_read or s == program.result])
+    finite = all(np.isfinite(v).all() if isinstance(v, np.ndarray) else math.isfinite(v)
+                 for v in vals if v is not None)
+    return expr_module._Program(program.root, vals, [ins + (d,) for ins, d in zip(code, drops)],
+                                program.result, reads, finite)
+
+
+def _program_fields(program):
+    """program's code with its drops, the bytes and types of its template, reads and finite."""
+    template = [None if v is None else (type(v), np.asarray(v).dtype, np.shape(v), np.asarray(v).tobytes())
+                for v in program.template]
+    return program.code, template, program.result, program.reads, program.finite
+
+
+def _counting_masks(monkeypatch) -> list:
+    """A list of the masks built from now on, each with .runs, the ops it ran."""
+    masks = []
+
+    class Counting(expr_module._Mask):
+        def __init__(self):
+            super().__init__()
+            self.runs = []
+            masks.append(self)
+
+        def get(self, op, default=None):
+            self.runs.append(op)
+            return super().get(op, default)
+
+    monkeypatch.setattr(expr_module, "_Mask", Counting)
+    return masks
+
+
 class TestFold:
+    @settings(max_examples=300)
+    @given(tree=st.one_of(_trees(), _mixed_trees(), _mixed_trees().map(Neg), _literal_trees(),
+                          _mixed_trees().map(lambda t: Call("atan", t))),
+           x=st.sampled_from([None, 0.0, 0.37, -1.5, np.float64(2.0), XS, XS[::5] - 0.5, XS * 1e300,
+                               np.array([0.5, math.inf, -1.0])]))
+    @example(tree=parse("sqrt(x - 0.5)*u + x^2"), x=XS)
+    @example(tree=parse("x*1e308*10 + x/x + u"), x=XS)  # an overflow that folds, a quotient that stays
+    @example(tree=parse("(x - 0.5)^-2 + (x + 1)^0.5*u + 2^x"), x=XS)
+    def test_the_fold_equals_the_masked_rule(self, tree, x):
+        unfolded = expr_module._Compiler(tree).program()
+        expected = _program_fields(_reference_fold(unfolded, x))
+        assert _program_fields(expr_module._compile(tree, x)) == expected
+        assert _program_fields(expr_module._fold(unfolded, x)) == expected  # the fold is the caller's
+
+    def test_nothing_known_builds_no_mask(self, monkeypatch):
+        masks = _counting_masks(monkeypatch)
+        program = expr_module._compile(parse("u*y + sin(v)"))
+        assert masks == [] and len(program.code) == 3
+
+    def test_only_a_flagged_run_that_raises_runs_masked(self, monkeypatch):
+        # at the nodes x - 0.5 and x^2 fold flagged; sqrt's flagged run
+        # raises at x < 0.5, its masked run marks those nodes, and it stays
+        masks = _counting_masks(monkeypatch)
+        program = expr_module._compile(parse("sqrt(x - 0.5)*u + x^2"), XS)
+        assert [mask.runs for mask in masks] == [[expr_module._call]]
+        assert [to_source(ins[4]) for ins in program.code] == [
+            "sqrt(x - 0.5)", "sqrt(x - 0.5)*u", "sqrt(x - 0.5)*u + x^2"]
+
     @pytest.mark.parametrize("source", [
         get_example(1).rhs_text,     # x is not read
         "12 + u*z/2 - y*v/4 + x",
