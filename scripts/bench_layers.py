@@ -15,12 +15,14 @@ the mean of enough calls to take a few milliseconds:
     nodes (n = 100 and 10^5), as a solve folds it;
   - analysis._extremes of a program that fits one slab and of one that
     runs in slabs;
-  - check_conditions at lattices 9, 17 and 33, and a check that fails;
+  - check_conditions at lattices 9, 17 and 33, and two checks that fail:
+    example 5 at lattice 9, and one at lattice 17 where a leaf of the
+    range pass fails;
   - solver._pass and solve() on example 1 at n = 100, 10^3, 10^4, 10^5,
     next to K, e(K), eu(K) and the residual of that solve.
 
 Beside the timings the file holds what the runs computed (programs' sizes,
-extremes, reports, the failure's message and point, the solves' accuracy)
+extremes, reports, the failures' messages and points, the solves' accuracy)
 and a SHA-256 over those fields.  The hash shows whether two runs, or two
 versions of the code, computed the same; numpy's transcendentals may round
 differently on another CPU, so it is only comparable on one machine.
@@ -139,19 +141,22 @@ def _checks(layers: dict, results: dict) -> None:
             report = analysis.check_conditions(rhs, ex.M, None, spec)
             results[f"check_example{ident}_lattice{points}"] = {
                 "sup_f": report.sup_f, "ks": list(report.ks), "q": report.q, "certified": report.certified}
-    ex = EXAMPLES[4]
-    rhs = ex.canonical().rhs
+    failing = {"example5_lattice9_fails": (EXAMPLES[4].canonical().rhs, EXAMPLES[4].M, 9,
+                                           "example 5, undefined in the box"),
+               # a leaf of the range pass fails; the whole program's slab fold names the point
+               "leaf_fails_lattice17": (expr.parse("1/(2*sqrt(v + 1))*x*u*y*z"), 4.0, 17,
+                                        "1/(2*sqrt(v + 1))*x*u*y*z, M = 4, a leaf undefined in the box")}
+    for name, (rhs, M, points, what) in failing.items():
+        def fails(rhs=rhs, M=M, spec=analysis.LatticeSpec(points)):
+            try:
+                analysis.check_conditions(rhs, M, None, spec)
+            except analysis.DomainSamplingError as err:
+                return err
+            raise RuntimeError(f"the check of {expr.to_source(rhs)} passed")
 
-    def failing():
-        try:
-            analysis.check_conditions(rhs, ex.M, None, analysis.LatticeSpec(9))
-        except analysis.DomainSamplingError as err:
-            return err
-        raise RuntimeError("example 5's check passed")
-
-    layers["check.example5_lattice9_fails"] = (failing, "example 5, undefined in the box")
-    err = failing()
-    results["check_example5_lattice9_fails"] = {"message": str(err), "point": list(err.point)}
+        layers[f"check.{name}"] = (fails, what)
+        err = fails()
+        results[f"check_{name}"] = {"message": str(err), "point": list(err.point)}
 
 
 def _solves(layers: dict, results: dict) -> None:

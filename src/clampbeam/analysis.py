@@ -38,11 +38,13 @@ Each leaf runs only on the sub-lattice of the axes it reads, yet the result
 equals the whole lattice's bit for bit.  A program that spans at most
 _BLOCK values runs once on the whole lattice, reduced directly.  All else,
 and the whole program when its shared axes exceed _BLOCK values, runs in
-slabs of at most _BLOCK values (512 KiB) folded into running extremes:
-memory stays a few such arrays.  Every such run is expr._run's: a failing
-one gives its first undefined point, and the first slab whose run fails
-holds the lattice's.  That run's _Failure names the error there, on its
-masked run's operands.
+slabs of at most _BLOCK values (512 KiB) folded into running extremes
+(_slab_extremes): memory stays a few such arrays.  Every such run is
+expr._run's, which raises a _Failure at its first undefined point.  When
+the range pass fails (a leaf's run, or a pair not finite), the whole
+program's slab fold runs instead: its first failing slab holds the
+lattice's first undefined point, and that run's _Failure names the error
+there, on its masked run's operands.
 
 Lattice estimates are sampled lower bounds of true suprema, so a computed
 certificate is evidence, not proof; supply hand-derived constants when a
@@ -228,26 +230,6 @@ def _lattice_env(box: DomainBox, spec: LatticeSpec) -> dict:
     return env
 
 
-def _find_bad_point(program: _Program, env: dict, failure: Optional[_Failure] = None) -> tuple:
-    """First undefined point of the lattice env in C order, and the error there.
-
-    failure is that of a run of program, or of a part of it, on env.  A run
-    of program itself is of the first slab that fails, and names the point
-    and the error; otherwise a sweep of runs over the slabs finds that run.
-    """
-    if failure is None or failure.program is not program:
-        for slab in _blocks(program.reads, env):
-            try:
-                _run(program, _slab_args(env, slab))
-            except _Failure as err:
-                failure = err
-                break
-        else:
-            raise RuntimeError("the lattice failed but no slab of it does")
-    point, err = failure.error()
-    return tuple(map(float, point)), err
-
-
 def _slab_args(env: dict, slab: Optional[tuple]) -> list:
     """The axes x, u, y, v, z of the lattice env, each cut to slab unless it is None."""
     args = [env[name] for name in VARIABLES]
@@ -284,11 +266,12 @@ def _blocks(reads: tuple, env: dict) -> list:
     return slabs
 
 
-def _slab_extremes(run, slabs: list) -> tuple:
-    """(min, max) of run(slab) over the slabs, each folded into running extremes."""
+def _slab_extremes(program: _Program, env: dict) -> tuple:
+    """(min, max) of program on the lattice env: its runs on _blocks' slabs,
+    in C order, folded into running extremes; the first failing run raises."""
     lo, hi = math.inf, -math.inf
-    for slab in slabs:
-        vals = run(slab)
+    for slab in _blocks(program.reads, env):
+        vals = _run(program, _slab_args(env, slab))
         # the reductions also take the float a constant expression evaluates to
         lo = min(lo, np.minimum.reduce(vals, None))
         hi = max(hi, np.maximum.reduce(vals, None))
@@ -309,7 +292,7 @@ _PAIRS = {_plus: lambda a, b, node: (a[0] + b[0], a[1] + b[1]),
 
 
 def _extremes(program: _Program, env: dict) -> tuple:
-    """Exact (min, max) of program on the lattice env, or a _Failure.
+    """Exact (min, max) of program on the lattice env, or program's _Failure.
 
     The chain is the +, -, * and unary minus instructions on more than
     _BLOCK values reached from the root through such instructions; its
@@ -318,7 +301,8 @@ def _extremes(program: _Program, env: dict) -> tuple:
     one pass of pairs (lo, hi) up the chain, at endpoints or corners, is
     exact.  A program on at most _BLOCK values runs once, on the whole
     lattice.  When there is no chain, or its shared axes exceed _BLOCK
-    values, all runs in slabs, the first failing slab's run raising.
+    values, or a leaf fails, or a pair is not finite, it is _slab_extremes:
+    the first failing slab's run of program raises.
     """
     points = [env[name].size for name in VARIABLES]
 
@@ -328,9 +312,6 @@ def _extremes(program: _Program, env: dict) -> tuple:
     if size(program.reads) <= _BLOCK:  # one run of the whole lattice
         vals = _run(program, _slab_args(env, None))
         return np.minimum.reduce(vals, None), np.maximum.reduce(vals, None)
-
-    def in_slabs(leaf: _Program) -> tuple:
-        return _slab_extremes(lambda slab: _run(leaf, _slab_args(env, slab)), _blocks(leaf.reads, env))
 
     axes = [frozenset((k,)) for k in range(len(VARIABLES))]
     axes += [frozenset()] * (len(program.template) - len(axes))
@@ -346,43 +327,46 @@ def _extremes(program: _Program, env: dict) -> tuple:
             uses[a] += uses[out]
             uses[b] += 0 if op is _negate else uses[out]
     if not chain:
-        return in_slabs(program)
+        return _slab_extremes(program, env)
     leaves = [s for s, n in enumerate(uses) if n and s not in chain]
     shared = {k for k in range(len(VARIABLES)) if sum(uses[s] for s in leaves if k in axes[s]) > 1}
     if size(shared) > _BLOCK or any(axes[s] & shared and size(axes[s]) > _BLOCK for s in leaves):
-        return in_slabs(program)
+        return _slab_extremes(program, env)
     pairs = [None] * len(program.template)
-    for s in leaves:
-        need = {s}  # the slots s is computed from; code is in post-order
-        for _, out, a, b, *_ in reversed(program.code):
-            if out in need:
-                need.update((a, b))
-        leaf = _Program(program.root, program.template, [ins for ins in program.code if ins[1] in need],
-                        s, tuple(sorted(axes[s])), program.finite)
-        if axes[s] & shared:
-            vals, cut = _run(leaf, _slab_args(env, None)), tuple(sorted(axes[s] - shared))
-            pairs[s] = (np.minimum.reduce(vals, cut, keepdims=True),
-                        np.maximum.reduce(vals, cut, keepdims=True))
-        else:
-            pairs[s] = in_slabs(leaf)
-    with np.errstate(over="ignore", invalid="ignore"):  # the check below sees overflow
-        lo, hi = _exec(program._replace(code=list(reversed(chain.values()))), pairs, _PAIRS)
-        lo, hi = np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)
+    try:
+        for s in leaves:
+            need = {s}  # the slots s is computed from; code is in post-order
+            for _, out, a, b, *_ in reversed(program.code):
+                if out in need:
+                    need.update((a, b))
+            leaf = _Program(program.root, program.template, [ins for ins in program.code if ins[1] in need],
+                            s, tuple(sorted(axes[s])), program.finite)
+            if axes[s] & shared:
+                vals, cut = _run(leaf, _slab_args(env, None)), tuple(sorted(axes[s] - shared))
+                pairs[s] = (np.minimum.reduce(vals, cut, keepdims=True),
+                            np.maximum.reduce(vals, cut, keepdims=True))
+            else:
+                pairs[s] = _slab_extremes(leaf, env)
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below sees overflow
+            lo, hi = _exec(program._replace(code=list(reversed(chain.values()))), pairs, _PAIRS)
+            lo, hi = np.minimum.reduce(lo, None), np.maximum.reduce(hi, None)
+    except _Failure:  # a leaf fails, so the whole program does: its fold below names where
+        lo = hi = math.nan
     # Every pair is a value the whole-lattice run computes, under only +, -, *
-    # and negation, so one not finite means that run fails too (_find_bad_point).
+    # and negation, so one not finite means that run fails too.
     if math.isfinite(lo) and math.isfinite(hi):
         return lo, hi
-    raise _Failure()
+    return _slab_extremes(program, env)
 
 
 def _sup_on_lattice(expression: Expression, env: dict,
                     what: str = "right-hand side undefined inside the box") -> float:
     """max |expression| on the lattice env, from its exact extremes.
 
-    expression is compiled once for the extremes and, when they fail, the
-    search for the first undefined point in C order.  An expression
-    that is, or folds to, a finite constant c needs no lattice: its sup is
-    |c|, and a literal needs no program.
+    expression is compiled once.  When its extremes fail, the failure of its
+    program at the first undefined point in C order names the error.  An
+    expression that is, or folds to, a finite constant c needs no lattice:
+    its sup is |c|, and a literal needs no program.
     """
     program = None if isinstance(expression, Num) else _compile(expression)
     # a fold knows the result only when it computed all of it
@@ -393,7 +377,8 @@ def _sup_on_lattice(expression: Expression, env: dict,
     try:
         lo, hi = _extremes(program, env)
     except _Failure as failure:
-        point, err = _find_bad_point(program, env, failure)
+        point, err = failure.error()
+        point = tuple(map(float, point))
         labels = ", ".join(f"{n}={p:.9g}" for n, p in zip(VARIABLES, point))
         raise DomainSamplingError(f"{what}: {err} at ({labels})", point) from err
     # 0.0 first, so an f that is zero everywhere gives +0.0, not -0.0
@@ -422,6 +407,8 @@ def check_conditions(rhs: Expression, M: float, ks: Optional[tuple] = None,
     probe the estimate needs, cannot be evaluated throughout the box; its
     message names which one.
     """
+    if not isinstance(lattice, LatticeSpec):
+        raise ValueError(f"lattice must be a LatticeSpec, got {lattice!r}")
     box = DomainBox(M)
     supplied = ks is not None
     if supplied:

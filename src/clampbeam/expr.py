@@ -31,6 +31,8 @@ One loop, _exec, runs every program, its arithmetic a table: every run
 flagged (_run, IEEE 754-2019 flags for the checks' scans), one that flags
 masked (_run_masked, each check a per-point mask), and a failure named by
 a replay of that masked run (_Failure.error), checked at its point only.
+A _Failure keeps the program, values and point of the run that raised it,
+so every caller, the lattice check too, names it as it stands, with no search.
 """
 
 from __future__ import annotations
@@ -598,10 +600,10 @@ def _exec(program: _Program, values, table: dict):
 
 
 class _Failure(Exception):
-    """A failed run of program (None: the range pass's) on values; .index is
-    its first failing point in C order, on the shape the values broadcast to."""
+    """A failed run of program on values; .index is its first failing point
+    in C order, on the shape the values broadcast to."""
 
-    def __init__(self, program=None, values: tuple = (), index: tuple = ()):
+    def __init__(self, program: _Program, values: tuple, index: tuple):
         self.program, self.values, self.index = program, values, index
 
     def error(self) -> tuple:

@@ -395,6 +395,10 @@ def solve(problem: CanonicalProblem, config: SolverConfig = SolverConfig(),
     the report wraps the last state and profile; its residual is one more
     application of the map, through step on the workspace's fold.
     """
+    if not isinstance(config, SolverConfig):
+        raise ValueError(f"config must be a SolverConfig, got {config!r}")
+    if not (exact is None or isinstance(exact, GridFunction)):
+        raise ValueError(f"exact must be None or a GridFunction, got {type(exact).__name__}")
     grid = Grid(config.n) if exact is None else exact.grid
     if grid.n != config.n:
         raise ValueError(f"exact samples on a grid of n={grid.n}, but the solve has n={config.n}")

@@ -26,7 +26,6 @@ from clampbeam.analysis import (
     DomainBox,
     DomainSamplingError,
     LatticeSpec,
-    _find_bad_point,
     _lattice_env,
     apriori_bound,
     check_conditions,
@@ -273,8 +272,10 @@ class TestCheckConditions:
         env = _lattice_env(DomainBox(1.0), LatticeSpec(points=5))
         idx, point, error = _first_undefined(expression, env)
         assert idx == index
-        bad, err = _find_bad_point(_compile(expression), env)
-        assert bad == point and str(err) == str(error)
+        with pytest.raises(DomainSamplingError) as info:
+            analysis._sup_on_lattice(expression, env, "undefined")
+        labels = ", ".join(f"{n}={p:.9g}" for n, p in zip("xuyvz", point))
+        assert info.value.point == point and str(info.value) == f"undefined: {error} at ({labels})"
 
     @pytest.mark.parametrize("ks", [(1.0, 2.0, 3.0), (1,) * 5, (-0.1, 0, 0, 0),
                                     (0, float("nan"), 0, 0), "1234",
@@ -285,6 +286,16 @@ class TestCheckConditions:
         monkeypatch.setattr(analysis, "_run", lambda *args: calls.append(args))
         with pytest.raises(ValueError):
             check_conditions(parse("u"), 1.0, ks=ks)
+        assert calls == []
+
+    @pytest.mark.parametrize("lattice", [9, None, "17", (17,)])
+    def test_lattice_validation(self, lattice, monkeypatch):
+        # a lattice that is not a LatticeSpec is rejected before any evaluation
+        calls = []
+        monkeypatch.setattr(analysis, "_run", lambda *args: calls.append(args))
+        with pytest.raises(ValueError) as info:
+            check_conditions(parse("u"), 1.0, None, lattice)
+        assert str(info.value) == f"lattice must be a LatticeSpec, got {lattice!r}"
         assert calls == []
 
 
@@ -457,14 +468,17 @@ class TestBlocks:
 
 def _reference_extremes(program, env):
     """(min, max) of program on the lattice env: a fold of its masked runs over
-    its slabs, or a _Failure where a mask marks a point."""
-    def run(slab):
-        out, bad = expr_module._run_masked(program, analysis._slab_args(env, slab))
+    its slabs.  In a slab where a mask marks a point, _run raises its failure."""
+    lo, hi = math.inf, -math.inf
+    for slab in analysis._blocks(program.reads, env):
+        args = analysis._slab_args(env, slab)
+        out, bad = expr_module._run_masked(program, args)
         if bad.any():
-            raise expr_module._Failure()
-        return out
-
-    return analysis._slab_extremes(run, analysis._blocks(program.reads, env))
+            expr_module._run(program, args)
+            pytest.fail("a masked run marks a point at which _run passes")
+        lo = min(lo, np.minimum.reduce(out, None))
+        hi = max(hi, np.maximum.reduce(out, None))
+    return lo, hi
 
 
 def _slab_path(rhs, M, ks, points):
@@ -645,8 +659,8 @@ class TestFailures:
         ("abs(v) + sqrt(v + 4)*x*u*y*z", 4.0, None, "finite-difference probe"),
     ])
     def test_each_expression_is_compiled_once(self, text, M, ks, what, monkeypatch):
-        # the extremes and the search for the point both run the one program
-        # the check compiled for the expression
+        # the extremes, and the slab fold that finds the point, both run the
+        # one program the check compiled for the expression
         compiled, runs, real, run = [], [], expr_module._Compiler, analysis._run
         monkeypatch.setattr(expr_module, "_Compiler", lambda root: compiled.append(root) or real(root))
         monkeypatch.setattr(analysis, "_run", lambda program, values:
@@ -698,6 +712,37 @@ class TestFailures:
         assert blocked[0] is DomainSamplingError and blocked[2][:2] == (0.0, -1.0)
         assert "'sqrt(1 - (u - 2e-06)*(u - 2e-06))'" in blocked[1]
 
+    @pytest.mark.parametrize("text, M, message, point", [
+        # the range pass's pairs overflow
+        ("x*u*y*v*z*1e308*1e308", 1.0,
+         "non-finite result from 'x*u*y*v*z*1e+308*1e+308' "
+         "at (x=0.0625, u=-0.00260416667, y=-0.00801875374, v=-1, z=-1)",
+         (0.0625, -1.0 / 384.0, -1.0 / (72.0 * ROOT3), -1.0, -1.0)),
+        # a leaf of the range pass fails
+        ("1/(2*sqrt(v + 1))*x*u*y*z", 4.0,
+         "sqrt of a negative value in 'sqrt(v + 1)': argument -3.0 "
+         "at (x=0, u=-0.0104166667, y=-0.032075015, v=-4, z=-4)",
+         (0.0, -4.0 / 384.0, -4.0 / (72.0 * ROOT3), -4.0, -4.0)),
+    ], ids=["pairs-overflow", "leaf-fails"])
+    def test_a_failed_range_pass_falls_back_to_the_programs_slab_fold(self, text, M, message, point,
+                                                                      monkeypatch):
+        # the fold of the whole program raises that program's failure at its
+        # first failing slab, with no failure of the range pass chained to it
+        expression = parse(text)
+        program = _compile(expression)
+        env = _lattice_env(DomainBox(M), LatticeSpec(points=17))
+        folded, real = [], analysis._slab_extremes
+        monkeypatch.setattr(analysis, "_slab_extremes", lambda program, env:
+                            folded.append(program) or real(program, env))
+        with pytest.raises(expr_module._Failure) as info:
+            analysis._extremes(program, env)
+        assert info.value.program is program and folded[-1] is program
+        assert info.value.__context__ is None
+        with pytest.raises(DomainSamplingError) as info:
+            check_conditions(expression, M, None, LatticeSpec(points=17))
+        assert str(info.value) == f"right-hand side undefined inside the box: {message}"
+        assert _bits(*info.value.point) == _bits(*point)
+
     @given(tree=_failing_trees(), M=st.sampled_from([1.0, 4.0]),
            block=st.sampled_from([1, 3, 12, 60, 2 ** 62]))
     # (1e200*u)^2 overflows, a flag the checked run clears: false alarms
@@ -705,8 +750,8 @@ class TestFailures:
     @example(tree=parse("exp(-(1e200*u)^2) + sqrt(v)"), M=1.0, block=1)
     @example(tree=parse("exp(-(1e200*u)^2) + sqrt(-v)"), M=1.0, block=1)
     @example(tree=parse("exp(-(1e200*u)^2) + sqrt(-v)"), M=1.0, block=2 ** 62)
-    # a leaf of the range pass fails, first at x = 0.75, so a sweep of the
-    # whole program finds it in its second slab, x in [0.5, 0.75]
+    # a leaf of the range pass fails, first at x = 0.75, so the slab fold of
+    # the whole program finds it in its second slab, x in [0.5, 0.75]
     @example(tree=parse("x*u*y + sqrt(0.5 - x)"), M=1.0, block=60)
     @settings(max_examples=200)
     def test_random_failures_name_the_first_undefined_point(self, tree, M, block):
@@ -789,7 +834,7 @@ class TestCheckedRuns:
     @pytest.mark.parametrize("text, M, ks, points, what, masked_runs", [
         (get_example(5).rhs_text, get_example(5).M, None, 9, "right-hand side", 1),
         ("sqrt(u + 1 - 3*x^2 + 2*x^3)*sin(exp(u)) + exp(-x^2)", 5.0, None, 5, "right-hand side", 1),
-        # a leaf of the range pass fails: a flagged sweep finds the slab
+        # a leaf of the range pass fails: the whole program's flagged fold finds the slab
         ("sqrt(v + 1)*x*u*y*z", 1.0, None, 17, "partial derivative df/dv", 2),
         ("sqrt(0.95 - x + u*y*v*z)", 1.0, (0, 0, 0, 0), 25, "right-hand side", 1),  # many slabs
     ])
@@ -800,7 +845,7 @@ class TestCheckedRuns:
             check_conditions(parse(text), M, ks, LatticeSpec(points=points))
         assert str(info.value).startswith(what)
         # only a failing flagged run runs again, masked: the extremes', and
-        # the sweep's when the range pass failed; the last finds the point in
+        # the slab fold's when the range pass failed; the last finds the point in
         # its slab, and its replay names the error there, with no checked run
         assert callers == []
         assert len(masked) == masked_runs

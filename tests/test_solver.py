@@ -219,6 +219,24 @@ class TestHistories:
         assert str(info.value) == "exact samples on a grid of n=16, but the solve has n=32"
         assert passes == []
 
+    @pytest.mark.parametrize("config, exact, message", [
+        (100, None, "config must be a SolverConfig, got 100"),
+        (None, None, "config must be a SolverConfig, got None"),
+        (SolverConfig(n=100), [0.0] * 101, "exact must be None or a GridFunction, got list"),
+        (SolverConfig(n=100), np.zeros(101), "exact must be None or a GridFunction, got ndarray"),
+    ])
+    def test_arguments_of_the_wrong_type_are_rejected_before_any_pass(self, config, exact, message,
+                                                                      monkeypatch):
+        passes = []
+        for name in ("_f", "_pass"):
+            real = getattr(solver_module, name)
+            monkeypatch.setattr(solver_module, name,
+                                lambda *args, real=real: passes.append(args) or real(*args))
+        with pytest.raises(ValueError) as info:
+            solve(_canon("f = 24"), config, exact)
+        assert str(info.value) == message
+        assert passes == []
+
     def test_first_step_value(self):
         # solve is nothing but passes of the public step: pass 0 gives
         # first_step, and the last pass gives the reported triplet/profile
@@ -951,7 +969,7 @@ class TestFlaggedRun:
         lambda: evaluate(parse("log(u) + x"), np.linspace(0.0, 1.0, 5), np.zeros((3, 1)), 0, 0, 0),
         lambda: evaluate(parse("u + sqrt(0 - 1)"), 0, np.zeros(4), 0, 0, 0),
         lambda: check_conditions(parse(get_example(5).rhs_text), get_example(5).M),
-        # a leaf of the range pass fails, and a sweep finds the slab
+        # a leaf of the range pass fails, and the whole program's slab fold finds the slab
         lambda: check_conditions(parse("sqrt(v + 1)*x*u*y*z"), 1.0, lattice=LatticeSpec(17)),
     ], ids=["solve", "solve-x", "step", "residual", "evaluate", "evaluate-constant", "check",
             "check-leaf"])
